@@ -4,11 +4,13 @@ Three cooperating evaluators live here:
 
 ``bessel_j``
     Fast float evaluation for orders 0..40 and arguments up to ~70000,
-    accurate to ``target_abs_error`` (default 1e-13).  Below the switch
-    radius it delegates to scipy's well-tested C implementation (measured
-    error ~1e-14 absolute there); above it, it uses the Hankel asymptotic
-    series with our own extended-precision phase reduction, where the
-    truncation remainder is provably far below the target.
+    accurate to 1e-13 absolute.  Below the fixed switch radius r = 500 it
+    delegates to scipy's well-tested C implementation (measured error
+    ~1e-14 absolute there); above it, it uses the Hankel asymptotic series
+    with our own extended-precision phase reduction, where the truncation
+    remainder is provably far below 1e-13.  Scalars and arrays share one
+    vectorized implementation, so a scalar call returns exactly the element
+    an array call would.
 
 ``bessel_series_oracle``
     A slow, independent validation oracle: the alternating power series
@@ -40,8 +42,6 @@ from .exactnum import a_coeff
 
 __all__ = [
     "CertifiedValue",
-    "BesselEvalConfig",
-    "DEFAULT_CONFIG",
     "bessel_j",
     "bessel_series_oracle",
     "asymptotic_eval",
@@ -82,26 +82,8 @@ class CertifiedValue:
         return 2 * self.rad
 
 
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    """Tuning knobs for ``bessel_j``.
-
-    ``series_cutoff`` is the switch radius between the library evaluation
-    path (small r) and the asymptotic path (large r); ``target_abs_error``
-    is the absolute accuracy contract of ``bessel_j``.
-    """
-
-    series_cutoff: float = 500.0
-    target_abs_error: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if not (self.series_cutoff >= 1.0):
-            raise ValueError("series_cutoff must be >= 1")
-        if not (0.0 < self.target_abs_error <= 1e-9):
-            raise ValueError("target_abs_error must lie in (0, 1e-9]")
-
-
-DEFAULT_CONFIG = BesselEvalConfig()
+# Switch radius between the scipy path (small r) and the Hankel path.
+_SWITCH_R = 500.0
 
 # ---------------------------------------------------------------------------
 # High-precision constants and the phase reduction
@@ -153,24 +135,11 @@ def phase(n: int, r: float) -> float:
     """
     if r < 0 or not math.isfinite(r):
         raise ValueError(f"phase requires finite r >= 0, got {r}")
-    n = int(n)
-    # r mod 2*pi, in three exact-product steps
-    k = float(round(r * _INV_TWO_PI))
-    e = ((r - k * _TP_HI1) - k * _TP_HI2) - k * _TP_LO
-    # fold the (2n+1)*pi/4 shift and the final wrap into one table entry
-    q = (2 * n + 1) % 16
-    w = round((e - q * (_PI / 4.0)) * _INV_TWO_PI)
-    i = q + 8 * w
-    omega = (e - _QTAB_HI[i + _QTAB_OFFSET]) - _QTAB_LO[i + _QTAB_OFFSET]
-    if omega > _PI:
-        omega -= _TWO_PI
-    elif omega <= -_PI:
-        omega += _TWO_PI
-    return float(omega)
+    return float(_phase_array(n, np.float64(r)))
 
 
 def _phase_array(n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized ``phase`` for a nonnegative float array r."""
+    """Vectorized ``phase`` for nonnegative floats; rounds half to even."""
     k = np.rint(r * _INV_TWO_PI)
     e = ((r - k * _TP_HI1) - k * _TP_HI2) - k * _TP_LO
     q = (2 * int(n) + 1) % 16
@@ -199,45 +168,34 @@ def _acoeff_floats(n: int, count: int) -> tuple[float, ...]:
     return tuple(float(c) for c in _acoeff_fracs(n, count))
 
 
+def _horner(coeffs, u):
+    """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...; elementwise on arrays."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * u + c
+    return total
+
+
+def _alternating(coeffs):
+    return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+
+
 def _asym_sums(n: int, r, ell: int):
     """Evaluate the truncated cosine/sine sums P, Q of the expansion.
 
     P collects terms a_0, a_2, ... and Q terms a_1, a_3, ... with alternating
     signs, both restricted to indices < ell.  Works elementwise on arrays.
-    Returns (P, Q, abs_scale) where abs_scale bounds the sum of absolute
-    values of all evaluated terms (for rounding-slack estimates).
     """
     a = _acoeff_floats(n, ell)
     u = 1.0 / (r * r)
-    kmax_p = (ell - 1) // 2  # largest k with 2k <= ell-1
-    kmax_q = (ell - 2) // 2  # largest k with 2k+1 <= ell-1
-    p = 0.0
-    for k in range(kmax_p, -1, -1):
-        c = a[2 * k] if k % 2 == 0 else -a[2 * k]
-        p = p * u + c
-    q = 0.0
-    for k in range(kmax_q, -1, -1):
-        c = a[2 * k + 1] if k % 2 == 0 else -a[2 * k + 1]
-        q = q * u + c
-    pa = 0.0
-    for k in range(kmax_p, -1, -1):
-        pa = pa * u + abs(a[2 * k])
-    qa = 0.0
-    for k in range(kmax_q, -1, -1):
-        qa = qa * u + abs(a[2 * k + 1])
-    q = q / r
-    qa = qa / r
-    return p, q, pa + qa
+    return _horner(_alternating(a[0::2]), u), _horner(_alternating(a[1::2]), u) / r
 
 
-def _asym_mid(n: int, r, ell: int = _ASYM_TERMS):
-    """Midpoint of the asymptotic evaluation; r may be a float or an array."""
-    p, q, _ = _asym_sums(n, r, ell)
-    if isinstance(r, np.ndarray):
-        omega = _phase_array(n, r)
-        return np.sqrt(2.0 / (np.pi * r)) * (np.cos(omega) * p - np.sin(omega) * q)
-    omega = phase(n, r)
-    return math.sqrt(2.0 / (math.pi * r)) * (math.cos(omega) * p - math.sin(omega) * q)
+def _asym_mid(n: int, r: np.ndarray) -> np.ndarray:
+    """Midpoint of the ``_ASYM_TERMS``-term asymptotic evaluation."""
+    p, q = _asym_sums(n, r, _ASYM_TERMS)
+    omega = _phase_array(n, r)
+    return np.sqrt(2.0 / (np.pi * r)) * (np.cos(omega) * p - np.sin(omega) * q)
 
 
 def asymptotic_remainder(n: int, r: float, ell: int) -> float:
@@ -266,14 +224,18 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
         raise ValueError(f"asymptotic_eval needs ell >= max(n - 1/2, 1); got ell={ell}, n={n}")
     if not (r > 0):
         raise ValueError("asymptotic_eval requires r > 0")
-    p, q, abs_scale = _asym_sums(n, r, ell)
+    p, q = _asym_sums(n, r, ell)
+    a = _acoeff_floats(n, ell)
+    u = 1.0 / (r * r)
+    abs_scale = _horner([abs(c) for c in a[0::2]], u) + _horner([abs(c) for c in a[1::2]], u) / r
     omega = phase(n, r)
     amp = math.sqrt(2.0 / (math.pi * r))
     mid = amp * (math.cos(omega) * p - math.sin(omega) * q)
     remainder = asymptotic_remainder(n, r, ell)
     # float slack: Horner roundings (~2 ulp per term) on sums bounded by
-    # abs_scale, the phase error 4e-16*(1+log2(1+r)) acting through the
-    # derivative of cos/sin, and the final multiplications.
+    # abs_scale (the same sums over |a_k|), the phase error
+    # 4e-16*(1+log2(1+r)) acting through the derivative of cos/sin, and the
+    # final multiplications.
     phase_err = 4e-16 * (1.0 + math.log2(1.0 + r))
     slack = amp * (abs_scale * (2.0 * ell + 6.0) * 2.0 ** -52 + phase_err * (abs(p) + abs(q)))
     rad = remainder * (1.0 + 1e-12) + slack
@@ -285,31 +247,22 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
 # ---------------------------------------------------------------------------
 
 
-def bessel_j(n: int, r: float, config: BesselEvalConfig | None = None) -> float:
-    """J_n(r) for 0 <= n <= 40, r >= 0, to ``target_abs_error`` absolute."""
-    cfg = config or DEFAULT_CONFIG
-    n = int(n)
-    if not (0 <= n <= MAX_ORDER):
-        raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {n}")
+def bessel_j(n: int, r: float) -> float:
+    """J_n(r) for 0 <= n <= 40, r >= 0, to 1e-13 absolute."""
     r = float(r)
     if r < 0 or not math.isfinite(r):
         raise ValueError(f"argument must be finite and >= 0, got {r}")
-    if r == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if r < cfg.series_cutoff:
-        return float(_sp.jv(n, r))
-    return float(_asym_mid(n, r))
+    return float(_bessel_j_array(n, np.float64(r)))
 
 
-def _bessel_j_array(n: int, r: np.ndarray, config: BesselEvalConfig | None = None) -> np.ndarray:
-    """Vectorized ``bessel_j`` over a nonnegative float array (same accuracy)."""
-    cfg = config or DEFAULT_CONFIG
+def _bessel_j_array(n: int, r: np.ndarray) -> np.ndarray:
+    """Vectorized ``bessel_j`` over nonnegative floats of any shape."""
     n = int(n)
     if not (0 <= n <= MAX_ORDER):
         raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {n}")
     r = np.asarray(r, dtype=np.float64)
     out = np.empty_like(r)
-    small = r < cfg.series_cutoff
+    small = r < _SWITCH_R
     if np.any(small):
         out[small] = _sp.jv(n, r[small])
         zero = small & (r == 0.0)
@@ -330,7 +283,7 @@ def _jn_wide(n: int, r: float) -> float:
     r = float(r)
     if n <= MAX_ORDER:
         return bessel_j(n, r)
-    if r >= DEFAULT_CONFIG.series_cutoff:
+    if r >= _SWITCH_R:
         raise ValueError("orders above 40 supported only for small arguments")
     return float(_sp.jv(n, r))
 

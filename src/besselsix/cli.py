@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +33,11 @@ from .expansions import (
     product_expansion,
 )
 from .quadrature import (
+    DEFAULT_SCHEME,
     ErrorBudget,
     QuadratureScheme,
+    _integral_and_budget,
     build_table,
-    error_budget,
     integral,
     integrand,
 )
@@ -358,15 +359,9 @@ def _emit(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
-def _scheme_from(config: RunConfig) -> QuadratureScheme | None:
-    if config.S is None and config.R is None and config.w_low is None and config.w_high is None:
-        return None
-    return QuadratureScheme(
-        S=3600.0 if config.S is None else config.S,
-        R=63000.0 if config.R is None else config.R,
-        w_low=0.003 if config.w_low is None else config.w_low,
-        w_high=0.05 if config.w_high is None else config.w_high,
-    )
+def _scheme_from(config: RunConfig) -> QuadratureScheme:
+    given = {"S": config.S, "R": config.R, "w_low": config.w_low, "w_high": config.w_high}
+    return replace(DEFAULT_SCHEME, **{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +445,7 @@ def _cmd_theorem_map(config: RunConfig) -> int:
 
 def _cmd_integrate(config: RunConfig) -> int:
     scheme = _scheme_from(config)
-    value = integral(config.variant, config.m, config.n, scheme=scheme, workers=config.workers)
-    budget = error_budget(config.variant, config.m, config.n, scheme)
+    value, budget = _integral_and_budget(config.variant, config.m, config.n, scheme, config.workers)
     if config.output == "json":
         print(_json_dumps(integrate_payload(config, value, budget)))
         return EXIT_OK

@@ -23,9 +23,11 @@ are evaluated for small orders by splitting at two radii 0 < S < R:
   The discarded cross terms (main terms times asymptotic errors) are charged
   to an explicit four-piece budget valid throughout the tabulated order range.
 
-All grid evaluation is deterministic: nodes are generated from integer
-indices, per-node values depend only on the node (never on chunk shape), and
-every weighted reduction is a single pairwise ``np.sum``.  Worker threads only
+Integrands are vectorized: every callable handed to the composite rule
+takes a float ndarray of nodes and returns the values at those nodes.  All
+grid evaluation is deterministic: nodes are generated from integer indices,
+per-node values depend only on the node (never on chunk shape), and every
+weighted reduction is a single pairwise ``np.sum``.  Worker threads only
 partition the node vector into fixed 65536-point chunks written to disjoint
 slices, so results are bit-identical for any worker count.
 """
@@ -36,13 +38,13 @@ import math
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .bessel import MAX_ORDER, CertifiedValue, _bessel_j_array, bessel_j, phase
+from .bessel import MAX_ORDER, CertifiedValue, _bessel_j_array, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
 
@@ -96,13 +98,10 @@ class QuadratureScheme:
     R: float = 63000.0
     w_low: float = 0.003
     w_high: float = 0.05
-    weights: tuple[Fraction, ...] = field(default=_NC7_WEIGHTS)
 
     def __post_init__(self) -> None:
         _panel_count(0.0, self.S, self.w_low)
         _panel_count(self.S, self.R, self.w_high)
-        if len(self.weights) != 7 or sum(self.weights) != 6:
-            raise ValueError("quadrature weights must be the 7-point rule summing to 6")
 
 
 DEFAULT_SCHEME = QuadratureScheme()
@@ -158,6 +157,10 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
+def _parity(n: int) -> str:
+    return "even" if n % 2 == 0 else "odd"
+
+
 def _resolve_workers(workers) -> int:
     if workers is None:
         workers = os.environ.get("BESSELSIX_WORKERS", "1")
@@ -178,14 +181,12 @@ def _weight_vector(panels: int) -> np.ndarray:
     Interior panel boundaries are shared nodes and carry the combined
     weight 41 + 41 = 82.
     """
+    w = [float(140 * c) for c in _NC7_WEIGHTS]
     wv = np.empty(6 * panels + 1)
-    wv[0::6] = 82.0
-    wv[1::6] = 216.0
-    wv[2::6] = 27.0
-    wv[3::6] = 272.0
-    wv[4::6] = 27.0
-    wv[5::6] = 216.0
-    wv[0] = wv[-1] = 41.0
+    for j in range(1, 6):
+        wv[j::6] = w[j]
+    wv[0::6] = w[0] + w[6]
+    wv[0], wv[-1] = w[0], w[6]
     return wv
 
 
@@ -194,47 +195,33 @@ def _weighted_sum(values: np.ndarray, panels: int, w: float) -> float:
 
 
 def _eval_chunked(f, nodes: np.ndarray, workers: int) -> np.ndarray:
-    """Evaluate f over the node vector in fixed 65536-point chunks.
+    """Evaluate the vectorized f over the node vector in fixed 65536-point chunks.
 
-    The first chunk probes whether f accepts an ndarray; scalar-only
-    callables fall back to a per-node loop.  Chunks are written to disjoint
-    slices of the output, so the values never depend on the worker count.
+    Chunks are written to disjoint slices of the output, so the values never
+    depend on the worker count.
     """
     out = np.empty(nodes.shape[0])
-    spans = [(lo, min(lo + _CHUNK, nodes.shape[0])) for lo in range(0, nodes.shape[0], _CHUNK)]
-    lo, hi = spans[0]
-    try:
-        probe = np.asarray(f(nodes[lo:hi]), dtype=np.float64)
-        if probe.shape != (hi - lo,):
-            raise ValueError
-        vectorized = True
-        out[lo:hi] = probe
-    except (TypeError, ValueError):
-        vectorized = False
-        out[lo:hi] = [float(f(x)) for x in nodes[lo:hi]]
 
-    def fill(span):
-        s_lo, s_hi = span
-        if vectorized:
-            out[s_lo:s_hi] = f(nodes[s_lo:s_hi])
-        else:
-            out[s_lo:s_hi] = [float(f(x)) for x in nodes[s_lo:s_hi]]
+    def fill(lo):
+        out[lo:lo + _CHUNK] = f(nodes[lo:lo + _CHUNK])
 
-    rest = spans[1:]
-    if workers > 1 and rest:
+    starts = range(0, nodes.shape[0], _CHUNK)
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, rest))
+            list(pool.map(fill, starts))
     else:
-        for span in rest:
-            fill(span)
+        for lo in starts:
+            fill(lo)
     return out
 
 
 def nc7_composite(f, a: float, b: float, w: float, workers=None) -> float:
     """Composite 7-point Newton-Cotes approximation of integral_a^b f.
 
-    [a, b] must be an integer number of width-6w panels.  Exact for
-    polynomials through degree 7; for C^8 integrands the error is bounded by
+    ``f`` must be vectorized: it is called with a float ndarray of nodes and
+    returns an array of the same shape (a constant broadcasts).  [a, b] must
+    be an integer number of width-6w panels.  Exact for polynomials through
+    degree 7; for C^8 integrands the error is bounded by
     ``(b - a) * w^8 * (6^3/5) * sup|f^(8)| / 8!``.
     """
     panels = _panel_count(a, b, w)
@@ -287,8 +274,9 @@ def quad_error(region: str, scheme: QuadratureScheme | None = None) -> float:
 def integrand(variant: str, m: int, n: int):
     """The function r -> J_{n+m} J_n J_m J_0^3 r (or J_1^2 J_0 for I1).
 
-    The returned callable accepts a float or a float ndarray; array calls use
-    the vectorized evaluator with the same accuracy contract as ``bessel_j``.
+    The returned callable accepts a float or a float ndarray and evaluates
+    both through the vectorized evaluator behind ``bessel_j``, so a scalar
+    call returns exactly the element an array call would.
     """
     _check_variant(variant)
     m, n = int(m), int(n)
@@ -298,19 +286,15 @@ def integrand(variant: str, m: int, n: int):
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
 
     def f(r):
-        if isinstance(r, np.ndarray):
-            top = _bessel_j_array(n + m, r)
-            mid = _bessel_j_array(n, r)
-            low = _bessel_j_array(m, r)
-            j0 = _bessel_j_array(0, r)
-            if variant == "I0":
-                return top * mid * low * j0 * j0 * j0 * r
-            j1 = _bessel_j_array(1, r)
-            return top * mid * low * j1 * j1 * j0 * r
-        value = bessel_j(n + m, r) * bessel_j(n, r) * bessel_j(m, r)
+        r = np.asarray(r, dtype=np.float64)
+        top = _bessel_j_array(n + m, r)
+        mid = _bessel_j_array(n, r)
+        low = _bessel_j_array(m, r)
+        j0 = _bessel_j_array(0, r)
         if variant == "I0":
-            return value * bessel_j(0, r) ** 3 * r
-        return value * bessel_j(1, r) ** 2 * bessel_j(0, r) * r
+            return top * mid * low * j0 * j0 * j0 * r
+        j1 = _bessel_j_array(1, r)
+        return top * mid * low * j1 * j1 * j0 * r
 
     return f
 
@@ -351,6 +335,15 @@ def _grid_composite(variant: str, m: int, n: int, a: float, w: float, panels: in
     else:
         values = row[n + m] * row[n] * row[m] * row[1] * row[1] * row[0] * nodes
     return _weighted_sum(values, panels, w)
+
+
+def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme, workers: int) -> float:
+    """The composite rules over [0, S] and [S, R], summed."""
+    n_low = _panel_count(0.0, scheme.S, scheme.w_low)
+    n_high = _panel_count(scheme.S, scheme.R, scheme.w_high)
+    low = _grid_composite(variant, m, n, 0.0, scheme.w_low, n_low, workers)
+    high = _grid_composite(variant, m, n, scheme.S, scheme.w_high, n_high, workers)
+    return low + high
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +482,21 @@ def tail_error_budget(variant: str, m: int, n: int, R: float = _TAIL_ERROR_R) ->
 _ROUNDING_ALLOWANCE = 0.05e-8
 
 
-def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme | None = None) -> ErrorBudget:
-    """The itemized absolute-error bound claimed by ``integral``."""
-    scheme = scheme or DEFAULT_SCHEME
-    parity = "even" if n % 2 == 0 else "odd"
+def _itemized_budget(
+    variant: str, m: int, n: int, scheme: QuadratureScheme, tail: CertifiedValue
+) -> ErrorBudget:
     ql = quad_error("low", scheme)
     qh = quad_error("high", scheme)
-    tm = tail_main(variant, parity, scheme.R).rad
+    tm = tail.rad
     te = tail_error_budget(variant, m, n, scheme.R)
     rounding = _ROUNDING_ALLOWANCE
     return ErrorBudget(ql, qh, tm, te, rounding, ql + qh + tm + te + rounding)
+
+
+def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme | None = None) -> ErrorBudget:
+    """The itemized absolute-error bound claimed by ``integral``."""
+    scheme = scheme or DEFAULT_SCHEME
+    return _itemized_budget(variant, m, n, scheme, tail_main(variant, _parity(n), scheme.R))
 
 
 def integral(
@@ -514,6 +512,14 @@ def integral(
     the radius is the full error budget.  Under the default scheme the
     radius stays below 0.9e-8.
     """
+    return _integral_and_budget(variant, m, n, scheme, workers)[0]
+
+
+def _integral_and_budget(
+    variant: str, m: int, n: int, scheme: QuadratureScheme | None, workers
+) -> tuple[CertifiedValue, ErrorBudget]:
+    """``integral`` together with the budget behind its radius, computing
+    the tail and the budget once each."""
     _check_variant(variant)
     m, n = int(m), int(n)
     if m % 2 or m < 0:
@@ -524,14 +530,10 @@ def integral(
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
     scheme = scheme or DEFAULT_SCHEME
     workers = _resolve_workers(workers)
-    budget = error_budget(variant, m, n, scheme)
-    n_low = _panel_count(0.0, scheme.S, scheme.w_low)
-    n_high = _panel_count(scheme.S, scheme.R, scheme.w_high)
-    parity = "even" if n % 2 == 0 else "odd"
-    low = _grid_composite(variant, m, n, 0.0, scheme.w_low, n_low, workers)
-    high = _grid_composite(variant, m, n, scheme.S, scheme.w_high, n_high, workers)
-    tail = tail_main(variant, parity, scheme.R)
-    return CertifiedValue(low + high + tail.mid, budget.total)
+    tail = tail_main(variant, _parity(n), scheme.R)
+    budget = _itemized_budget(variant, m, n, scheme, tail)
+    mid = _composite_sum(variant, m, n, scheme, workers) + tail.mid
+    return CertifiedValue(mid, budget.total), budget
 
 
 def build_table(n_range=None, scheme: QuadratureScheme | None = None, workers=None) -> list[TableEntry]:
@@ -548,18 +550,14 @@ def build_table(n_range=None, scheme: QuadratureScheme | None = None, workers=No
             raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
     scheme = scheme or DEFAULT_SCHEME
     workers = _resolve_workers(workers)
-    n_low = _panel_count(0.0, scheme.S, scheme.w_low)
-    n_high = _panel_count(scheme.S, scheme.R, scheme.w_high)
     entries = []
     for n in rows:
-        parity = "even" if n % 2 == 0 else "odd"
         for m in range(0, n + 1, 2):
             cell = []
             for variant in ("I0", "I1"):
-                quad = _grid_composite(variant, m, n, 0.0, scheme.w_low, n_low, workers)
-                quad += _grid_composite(variant, m, n, scheme.S, scheme.w_high, n_high, workers)
+                quad = _composite_sum(variant, m, n, scheme, workers)
                 main = (NORMALIZATION * main_term(m, n, variant)).to_real()
-                tail_const = _TAIL_MAIN_PRINTED[variant, parity]
+                tail_const = _TAIL_MAIN_PRINTED[variant, _parity(n)]
                 cell.append((abs(main - tail_const - quad) + 0.9e-8) * (100.0 * float(n) ** 4))
             entries.append(TableEntry(n, m, cell[0], cell[1]))
     return entries

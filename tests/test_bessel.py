@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import hiprec
 from besselsix.bessel import (
     MAX_ORDER,
-    BesselEvalConfig,
     CertifiedValue,
     asymptotic_eval,
     asymptotic_remainder,
@@ -23,7 +22,7 @@ from besselsix.bessel import (
 )
 
 # ---------------------------------------------------------------------------
-# CertifiedValue / config plumbing
+# CertifiedValue plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -38,13 +37,6 @@ def test_certified_value_exact_queries():
     assert not cv.contains(0.3333333333333333)  # float 1/3 is 1.85e-17 off
     inner = CertifiedValue(Fraction(1, 3), Fraction(1, 10**50))
     assert cv.encloses(inner) and not inner.encloses(cv)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BesselEvalConfig(series_cutoff=0.5)
-    with pytest.raises(ValueError):
-        BesselEvalConfig(target_abs_error=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from besselsix import cli
+from besselsix import cli, quadrature
 from besselsix.bessel import CertifiedValue
 from besselsix.certify import THEOREM_MAP
 from besselsix.core_integrals import core_bound_breakdown
@@ -201,6 +201,22 @@ def test_integrate_json_round_trip(capsys):
     again = integral("I0", 0, 7)
     assert value.mid == again.mid
     assert value.rad == again.rad
+
+
+def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
+    calls = {"tail_main": 0, "quad_error": 0, "tail_error_budget": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(quadrature, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    # coarse grids; R keeps its default, the only one the tail budget covers
+    argv = ["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json"]
+    assert cli.main([*argv, "--S", "360", "--w-low", "0.03", "--w-high", "0.5"]) == 0
+    value, budget = cli.integrate_from_payload(json.loads(capsys.readouterr().out))
+    assert value.rad == budget.total
+    assert calls == {"tail_main": 1, "quad_error": 2, "tail_error_budget": 1}
 
 
 # ---------------------------------------------------------------------------

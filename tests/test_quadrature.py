@@ -14,6 +14,7 @@ from besselsix.quadrature import (
     ErrorBudget,
     QuadratureScheme,
     TableEntry,
+    _NC7_WEIGHTS,
     _eval_chunked,
     _order_row,
     _panel_count,
@@ -68,7 +69,7 @@ def test_x8_single_panel_error_is_the_rule_constant():
 
 
 def test_constant_integrates_to_interval_length():
-    # scalar-only callable: exercises the per-node fallback path
+    # a constant return value broadcasts over the nodes
     assert nc7_composite(lambda x: 1.0, 0.0, 12.0, 0.5) == pytest.approx(12.0, rel=1e-13)
     assert nc7_composite(lambda x: 1.0, -3.0, 3.0, 0.2) == pytest.approx(6.0, rel=1e-13)
 
@@ -80,12 +81,10 @@ def test_w8_error_scaling():
     assert e_w / e_half == pytest.approx(256.0, rel=0.01)
 
 
-def test_scalar_and_vector_callables_agree():
-    target = math.sin(6.0)
-    v_vec = nc7_composite(np.cos, 0.0, 6.0, 0.05)
-    v_scal = nc7_composite(lambda x: math.cos(x), 0.0, 6.0, 0.05)
-    assert v_vec == v_scal
-    assert v_vec == pytest.approx(target, abs=1e-13)
+def test_callable_must_be_vectorized():
+    assert nc7_composite(np.cos, 0.0, 6.0, 0.05) == pytest.approx(math.sin(6.0), abs=1e-13)
+    with pytest.raises(TypeError):
+        nc7_composite(lambda x: math.cos(x), 0.0, 6.0, 0.05)
 
 
 def test_non_integer_panel_count_rejected():
@@ -121,8 +120,8 @@ def test_default_scheme_values():
     assert DEFAULT_SCHEME.R == 63000.0
     assert DEFAULT_SCHEME.w_low == 0.003
     assert DEFAULT_SCHEME.w_high == 0.05
-    assert sum(DEFAULT_SCHEME.weights) == 6
-    assert DEFAULT_SCHEME.weights[0] == Fraction(41, 140)
+    assert sum(_NC7_WEIGHTS) == 6
+    assert _NC7_WEIGHTS[0] == Fraction(41, 140)
 
 
 def test_scheme_rejects_non_integer_panels():
@@ -130,12 +129,6 @@ def test_scheme_rejects_non_integer_panels():
         QuadratureScheme(S=3600.0, R=63000.0, w_low=0.007, w_high=0.05)
     with pytest.raises(ValueError):
         QuadratureScheme(S=3600.0, R=3599.0, w_low=0.003, w_high=0.05)
-
-
-def test_scheme_rejects_bad_weights():
-    bad = tuple(Fraction(1, 7) for _ in range(7))
-    with pytest.raises(ValueError):
-        QuadratureScheme(weights=bad)
 
 
 def test_error_budget_total_must_match_items():
@@ -204,7 +197,7 @@ def test_integrand_scalar_vs_array():
     r = np.array([0.0, 1.0, 7.3, 25.0, 600.0])
     vec = f(r)
     scal = np.array([f(float(x)) for x in r])
-    assert np.max(np.abs(vec - scal)) <= 1e-18
+    assert np.array_equal(vec, scal)
 
 
 def test_integrand_validation():
