@@ -13,12 +13,13 @@ underlying constants are recomputed from exact arithmetic rather than trusted.
 
 from .bessel import CertifiedValue, bessel_j
 from .certify import Prediction, check_theorem, predict
-from .exactnum import ExactScalar, Rational
+from .exactnum import CertificationError, ExactScalar, Rational
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme, build_table, integral
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificationError",
     "CertifiedValue",
     "DEFAULT_SCHEME",
     "ExactScalar",

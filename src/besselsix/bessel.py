@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as _sp
 
-from .exactnum import a_coeff
+from .exactnum import a_coeff, require
 
 __all__ = [
     "CertifiedValue",
@@ -109,7 +109,10 @@ def _trunc_sig_bits(x: float, bits: int) -> float:
 _TP_HI1 = _trunc_sig_bits(float(_TWO_PI_F), 30)
 _TP_HI2 = _trunc_sig_bits(float(_TWO_PI_F - Fraction(_TP_HI1)), 30)
 _TP_LO = float(_TWO_PI_F - Fraction(_TP_HI1) - Fraction(_TP_HI2))
-assert abs(_TWO_PI_F - Fraction(_TP_HI1) - Fraction(_TP_HI2) - Fraction(_TP_LO)) < Fraction(1, 2**100)
+require(
+    abs(_TWO_PI_F - Fraction(_TP_HI1) - Fraction(_TP_HI2) - Fraction(_TP_LO)) < Fraction(1, 2**100),
+    "three-word 2*pi split is not accurate to 2^-100",
+)
 
 _INV_TWO_PI = float(1 / _TWO_PI_F)
 _TWO_PI = float(_TWO_PI_F)
@@ -327,7 +330,7 @@ def bessel_series_oracle(n: int, r: float, precision_bits: int) -> CertifiedValu
     q = Fraction(r) / 2
     x = q * q  # exact dyadic rational
     px, sx = x.numerator, x.denominator.bit_length() - 1
-    assert x.denominator == 1 << sx
+    require(x.denominator == 1 << sx, "series oracle argument is not dyadic")
 
     qn = q**n
     num, den_pow = qn.numerator, qn.denominator.bit_length() - 1

@@ -3,10 +3,12 @@
 For n >= 20 the two integral families are pinned down by an exact main
 expression plus a fully itemized error budget: remainder of the sixfold
 expansion, remainder of the pair expansion, the constant-frequency tail
-terms and the oscillatory-frequency terms.  The budget items are the
-anchored constants evaluated at n0 = 20; their roll-ups are stored and
-revalidated against the recomputed sums on first use.  Everything is
-finally scaled by the kernel normalization 4/pi^2.
+terms and the oscillatory-frequency terms.  The budget items are read from
+the printed tables behind estimate_A, estimate_B, e1_bound and e2_bound,
+relaxed to the anchor n0 = 20, and every prediction first runs the same
+first-use checks as those bounds; the items' roll-ups are stored and
+revalidated against their sums.  Everything is finally scaled by the
+kernel normalization 4/pi^2.
 
 Below n = 20 nothing here applies -- that regime is handled by rigorous
 quadrature instead.
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import core_integrals, expansions
 from .bessel import CertifiedValue
-from .core_integrals import N0, main_term
-from .exactnum import ExactScalar
+from .core_integrals import N0, _check_domain, main_term
+from .exactnum import ExactScalar, require
 
 __all__ = [
     "NORMALIZATION",
@@ -62,48 +65,28 @@ class Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _variant_index(variant: str) -> int:
+def _check_variant(variant: str) -> None:
     if variant not in _VARIANTS:
         raise ValueError('variant must be "I0" or "I1"')
-    return _VARIANTS.index(variant)
 
 
 def _budget_constants(m: int, variant: str) -> dict[str, float]:
-    """The anchored per-item constants of the bracketed budget sum.
+    """The anchored per-item constants of the bracketed budget sum, read
+    from the printed tables of the four bounds.
 
-    Multiplied by n^-4 (n^-6 for m = 4) these give the unnormalized
-    radius.  The slower-decaying items are relaxed to the anchor: a
-    factor n^-k beyond the common power becomes 20^-k.
+    Multiplied by n^-tau (tau = 6 for m = 4, else 4) these give the
+    unnormalized radius.  A factor n^-k beyond n^-tau is relaxed to the
+    anchor 20^-k; e1 and e2 add their cosine and sine routes.
     """
-    i = _variant_index(variant)
-    sixfold = (0.74, 1.12)[i] * 20.0**-2.5
-    osc = (0.78, 0.60)[i] * 0.6**N0
-    if m == 0:
-        return {
-            "estimate_A": sixfold,
-            "estimate_B": (0.022, 0.023)[i] / 20.0,
-            "e1": (0.026 + 0.0016, 0.015 + 0.0030)[i] / 20.0,
-            "e2": osc,
-        }
-    if m == 2:
-        return {
-            "estimate_A": sixfold,
-            "estimate_B": (0.162, 0.166)[i] / 20.0**3,
-            "e1": (0.039 + 0.0062, 0.012 + 0.0031)[i] / 20.0,
-            "e2": osc,
-        }
-    if m == 4:
-        return {
-            "estimate_A": (0.74, 1.12)[i] * 20.0**-0.5,
-            "estimate_B": (2.823, 2.885)[i] / 20.0**3,
-            "e1": (0.42 + 0.086, 0.11 + 0.063)[i] / 20.0,
-            "e2": (0.78, 0.60)[i] * 0.75**N0,
-        }
+    tau, theta = (6, 0.75) if m == 4 else (4, 0.6)
+    c_b, tau_b = core_integrals._b_printed(m, variant)
+    c_cos, p0, _ = core_integrals._e1_printed(m, variant, "cos")
+    c_sin = core_integrals._e1_printed(m, variant, "sin")[0]
     return {
-        "estimate_A": sixfold,
-        "estimate_B": 0.015 / 20.0,
-        "e1": (6.34 + 1.49, 0.09 + 4.08)[i] / 20.0**3,
-        "e2": osc,
+        "estimate_A": float(expansions._A_PRINTED[variant]) * float(N0) ** (tau - 6.5),
+        "estimate_B": float(c_b) / float(N0) ** (1 + tau_b - tau),
+        "e1": (float(c_cos) + float(c_sin)) / float(N0) ** p0,
+        "e2": 2 * float(core_integrals._E2_PRINTED[variant]) * theta**N0,
     }
 
 
@@ -121,25 +104,28 @@ _ROLLED = {
 
 
 @lru_cache(maxsize=None)
-def _rolled_ok(m_case: int, variant: str) -> bool:
-    return sum(_budget_constants(m_case, variant).values()) <= _ROLLED[(m_case, variant)]
+def _rolled_ok(m_case: int, variant: str) -> None:
+    total = sum(_budget_constants(m_case, variant).values())
+    require(total <= _ROLLED[(m_case, variant)], f"roll-up of {m_case, variant} fails")
 
 
 def predict(m: int, n: int, variant: str) -> Prediction:
     """Exact main expression and certified radius for one integral.
 
     The radius is the itemized budget times the 4/pi^2 normalization; the
-    main field is the normalized exact main term (zero for m >= 6).
+    main field is the normalized exact main term (zero for m >= 6).  The
+    checks behind the four bounds run first, so a printed constant that
+    fails its recomputation fails the prediction too.
     """
-    _variant_index(variant)
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
-    if n < N0:
-        raise ValueError(f"predictions need n >= {N0}; use quadrature below that")
-    if m >= 6 and m > n:
-        raise ValueError("m must not exceed n")
+    _check_variant(variant)
+    _check_domain(m, n)
+    expansions._a_dominates(variant)
+    core_integrals._b_dominates(m, variant)
+    core_integrals._e1_dominates(m, variant, "cos")
+    core_integrals._e1_dominates(m, variant, "sin")
+    core_integrals._e2_prefactor_ok(variant)
     m_case = min(m, 6)
-    assert _rolled_ok(m_case, variant)
+    _rolled_ok(m_case, variant)
     tau = 6 if m == 4 else 4
     scale = 4.0 / math.pi**2 * float(n) ** -tau
     budget = tuple(
@@ -181,7 +167,7 @@ def theorem_constants(m: int, n: int, variant: str) -> float | None:
     None means no certified constant covers that cell (in particular any
     cell with m > n).
     """
-    _variant_index(variant)
+    _check_variant(variant)
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be even and nonnegative")
     if n < 0:
@@ -217,7 +203,10 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     """Is |measured - main| certifiably below the theorem's c n^-4?
 
     The measured enclosure's full width counts against the allowance, so a
-    pass is rigorous whenever the enclosure itself is.
+    pass is rigorous whenever the enclosure itself is: the verdict compares
+    exact rationals, charging the 2 ulp of the rounded main term to the
+    deviation and reading the constant as its decimal.  The reported
+    deviation and allowance are the plain float values.
     """
     constant = theorem_constants(m, n, variant)
     if constant is None:
@@ -225,4 +214,6 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     main = (NORMALIZATION * main_term(m, n, variant)).to_real()
     deviation = abs(float(measured.mid) - main) + float(measured.rad)
     allowance = constant * float(n) ** -4
-    return TheoremCheck(deviation <= allowance, deviation, allowance)
+    deviation_up = abs(Fraction(measured.mid) - Fraction(main)) + Fraction(measured.rad)
+    passed = deviation_up + Fraction(2 * math.ulp(main)) <= Fraction(str(constant)) / n**4
+    return TheoremCheck(passed, deviation, allowance)

@@ -7,7 +7,7 @@ predictions and theorem constants, the certified quadrature, the
 verification table, and the sample curve of the sixfold integrand.
 
 Exit codes: 0 success, 1 usage error, 2 failed check, 3 domain error
-(arguments outside a certified range), 4 internal error.
+(arguments outside a certified range), 4 certification or internal error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bessel import CertifiedValue, bessel_j, bessel_series_oracle
 from .certify import THEOREM_MAP, check_theorem, predict
 from .closed_form import kapteyn, weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
-from .exactnum import ExactScalar
+from .exactnum import CertificationError, ExactScalar
 from .expansions import (
     RemainderedExpansion,
     TrigPoly,
@@ -520,6 +520,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except CertificationError as exc:
+        print(f"certification error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

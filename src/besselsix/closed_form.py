@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactScalar, Rational, gamma_ratio
+from .exactnum import ExactScalar, Rational, gamma_ratio, require
 
 __all__ = [
     "CoreIntegralKey",
@@ -93,7 +93,7 @@ def weber_schafheitlin(n: int, m: int, k: int) -> ExactScalar:
         * gamma_ratio(2, n - m + k + 1)
         * gamma_ratio(2, m - n + k + 1)
     )
-    assert value.sqrtpi_power in (0, -2), value
+    require(value.sqrtpi_power in (0, -2), "weber_schafheitlin left a stray sqrt(pi) power")
     return value
 
 

@@ -26,6 +26,7 @@ from .exactnum import (
     gamma_half,
     gamma_ratio,
     gaussian_binomial_bound,
+    require,
 )
 from .expansions import TrigPoly, product_expansion
 
@@ -133,8 +134,7 @@ _PRODUCT_TAG = {"I0": "J000", "I1": "J110"}
 
 def _pick(reduced: dict[str, dict[int, Rational]], name: str, power: int) -> int:
     v = reduced.get(name, {}).get(power, Fraction(0))
-    if v.denominator != 1:
-        raise AssertionError(f"non-integer reduced coefficient {v} at {name} t^{power}")
+    require(v.denominator == 1, f"non-integer reduced coefficient {v} at {name} t^{power}")
     return int(v)
 
 
@@ -179,21 +179,14 @@ def coefficient_tables(variant: str) -> CoefficientTables:
             _pick(sin_route, "cos4", 5),
         ),
     )
-    if derived != stored:
-        raise AssertionError(f"coefficient tables for {variant} do not re-derive")
+    require(derived == stored, f"coefficient tables for {variant} do not re-derive")
     # the complementary parities must be absent: constants only on even
     # (cos route) / odd (sin route) t-powers, and vice versa for the
     # oscillatory parts
     for route, const_par in ((cos_route, 0), (sin_route, 1)):
-        for p in route.get("const", {}):
-            if p % 2 != const_par:
-                raise AssertionError("constant part has a wrong-parity power")
-        for p in route.get("cos4", {}):
-            if p % 2 != const_par:
-                raise AssertionError("cos 4r part has a wrong-parity power")
-        for p in route.get("sin4", {}):
-            if p % 2 == const_par:
-                raise AssertionError("sin 4r part has a wrong-parity power")
+        for name, parity in (("const", const_par), ("cos4", const_par), ("sin4", 1 - const_par)):
+            for p in route.get(name, {}):
+                require(p % 2 == parity, f"{name} part has a wrong-parity power")
     return stored
 
 
@@ -384,22 +377,21 @@ def _e1_printed(m: int, variant: str, kind: str) -> tuple[Fraction, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _e1_dominates(m: int, variant: str, kind: str) -> bool:
+def _e1_dominates(m: int, variant: str, kind: str) -> None:
     c, p0, pn = _e1_printed(m, variant, kind)
-    for n in (N0, 10**6):
-        if abs(e1_exact(m, n, variant, kind)) > c * Fraction(1, N0**p0) * Fraction(1, n**pn):
-            return False
-    return True
+    for n in (max(N0, m), max(10**6, m)):  # e1_exact needs n >= m
+        exact = abs(e1_exact(m, n, variant, kind))
+        require(exact <= c / N0**p0 / n**pn, f"e1 constant of {m, variant, kind} fails at n={n}")
 
 
 def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Printed bound on the first-kind error, validated on first use
-    against the exact formula at n = 20 and n = 10^6."""
+    against the exact formula at n = max(20, m) and n = max(10^6, m)."""
     _check_domain(m, n)
     if kind not in ("cos", "sin"):
         raise ValueError('kind must be "cos" or "sin"')
     c, p0, pn = _e1_printed(m, variant, kind)
-    assert _e1_dominates(m, variant, kind)
+    _e1_dominates(m, variant, kind)
     return float(c) * float(N0) ** -p0 * float(n) ** -pn
 
 
@@ -418,7 +410,7 @@ def prop_4r_chain(m: int, n: int) -> float:
     if not (0 <= m <= n) or m % 2 != 0 or n < N0:
         raise ValueError("need even m with 0 <= m <= n and n >= 20")
     A = 4.0 ** (math.log(2.0) / 9.0) * math.exp(-((math.log(2.0) / 3.0) ** 2))
-    assert A <= 1.06
+    require(A <= 1.06, "Gaussian constant A exceeds 1.06")
     # sum over the coefficient indices, Gaussian-peak times term count,
     # with the confluent top index folded in via the 103/100 factor
     s1 = 1.03 * (2.0 * math.exp(1 / 24) / math.sqrt(math.pi)) * (m + 1) ** -0.5 * (m / 2 + 1) * A ** (m + 1)
@@ -438,25 +430,20 @@ def prop_4r_chain(m: int, n: int) -> float:
             / (n * (n + m))
             * 4.0 ** -(2 * n + m)
         )
-        if not math.isclose(direct, chain, rel_tol=1e-9):
-            raise AssertionError("folded and direct proof chains disagree")
+        require(math.isclose(direct, chain, rel_tol=1e-9), "folded and direct chains disagree")
     return chain
 
 
 @lru_cache(maxsize=None)
-def _chain_dominated(m: int, n: int) -> bool:
-    return prop_4r_chain(m, n) <= n ** -1.0 * 0.35**n
+def _chain_dominated(m: int, n: int) -> None:
+    require(prop_4r_chain(m, n) <= n ** -1.0 * 0.35**n, f"4r chain fails at {m, n}")
 
 
 def prop_4r_bound(m: int, n: int, case: str) -> float:
     """The uniform bound n^-1 0.35^n on each of the four oscillatory sums."""
     if case not in ("i", "ii", "iii", "iv"):
         raise ValueError("case must be one of i, ii, iii, iv")
-    if m > n:
-        raise ValueError("m must not exceed n")
-    if m < 0 or m % 2 != 0 or n < N0:
-        raise ValueError("need even m >= 0 and n >= 20")
-    assert _chain_dominated(m, n)
+    _chain_dominated(m, n)  # prop_4r_chain rejects (m, n) outside its domain
     return n ** -1.0 * 0.35**n
 
 
@@ -472,8 +459,9 @@ def e2_prefactor(variant: str, kind: str) -> Rational:
 
 
 @lru_cache(maxsize=None)
-def _e2_prefactor_ok(variant: str) -> bool:
-    return all(e2_prefactor(variant, kind) <= _E2_PRINTED[variant] for kind in ("cos", "sin"))
+def _e2_prefactor_ok(variant: str) -> None:
+    for kind in ("cos", "sin"):
+        require(e2_prefactor(variant, kind) <= _E2_PRINTED[variant], f"e2 prefactor of {variant} fails")
 
 
 def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
@@ -482,9 +470,7 @@ def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
     _check_domain(m, n)
     if kind not in ("cos", "sin"):
         raise ValueError('kind must be "cos" or "sin"')
-    if variant not in _E2_PRINTED:
-        raise ValueError('variant must be "I0" or "I1"')
-    assert _e2_prefactor_ok(variant)
+    _e2_prefactor_ok(variant)  # coefficient_tables rejects an unknown variant
     theta, tau = (0.75, 6) if m == 4 else (0.6, 4)
     return float(_E2_PRINTED[variant]) * theta**N0 * float(n) ** -tau
 
@@ -500,8 +486,7 @@ _ABS_POLY = {"I0": (1, 6, 66, 1124, 26838, 840564), "I1": (1, 14, 102, 804, 2197
 def _abs_poly(variant: str) -> tuple[int, ...]:
     stored = _ABS_POLY[variant]
     derived = tuple(int(t.norm()) for t in product_expansion(_PRODUCT_TAG[variant]).terms)
-    if derived != stored:
-        raise AssertionError("absolute-coefficient polynomial does not re-derive")
+    require(derived == stored, "absolute-coefficient polynomial does not re-derive")
     return stored
 
 
@@ -578,9 +563,10 @@ def estimate_B_recomputed(m: int, variant: str) -> float:
 
 
 @lru_cache(maxsize=None)
-def _b_dominates(m: int, variant: str) -> bool:
+def _b_dominates(m: int, variant: str) -> None:
     c, tau = _b_printed(m, variant)
-    return estimate_B_recomputed(m, variant) <= float(c) / N0 * float(N0) ** -tau
+    bound = float(c) / N0 * float(N0) ** -tau
+    require(estimate_B_recomputed(m, variant) <= bound, f"B constant of {m, variant} fails")
 
 
 def estimate_B(m: int, n: int, variant: str) -> float:
@@ -589,7 +575,7 @@ def estimate_B(m: int, n: int, variant: str) -> float:
     if variant not in _STORED_TABLES:
         raise ValueError('variant must be "I0" or "I1"')
     c, tau = _b_printed(m, variant)
-    assert _b_dominates(m, variant)
+    _b_dominates(m, variant)
     return float(c) / N0 * float(n) ** -tau
 
 

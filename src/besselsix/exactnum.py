@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "CertificationError",
+    "require",
     "Rational",
     "ExactScalar",
     "gamma_half",
@@ -28,6 +30,18 @@ __all__ = [
 
 #: Exact rational numbers (arbitrary precision, always in lowest terms).
 Rational = Fraction
+
+
+class CertificationError(Exception):
+    """A recomputed proof quantity broke its printed constant, or a stored
+    table no longer re-derives.  Not a ValueError: the input was fine."""
+
+
+def require(condition: bool, message: str) -> None:
+    """The package's one check: unlike ``assert`` it also runs under ``python -O``."""
+    if not condition:
+        raise CertificationError(message)
+
 
 # sqrt(pi) to 45 digits; used only to convert ExactScalar to a float, so the
 # approximation error (~1e-45 relative) is far below half an ulp of the result.
@@ -231,7 +245,7 @@ def a_coeff(j: int, n: int) -> ExactScalar:
     if j < 0 or n < 0:
         raise ValueError("a_coeff requires j >= 0 and n >= 0")
     ratio = gamma_ratio(2 * (n + j) + 1, 2 * (n - j) + 1)
-    assert ratio.sqrtpi_power == 0
+    require(ratio.sqrtpi_power == 0, "a_coeff left a sqrt(pi) factor")
     return ExactScalar(ratio.coeff / (math.factorial(j) * 2**j))
 
 

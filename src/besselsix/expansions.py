@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import CertifiedValue, phase
-from .exactnum import Rational, a_coeff, gamma_ratio
+from .exactnum import Rational, a_coeff, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -230,20 +230,24 @@ def estimate_A_recomputed(variant: str) -> Fraction:
     tag = {"I0": "J000", "I1": "J110"}[variant]
     r6 = product_expansion(tag).remainders[6]
     a0 = gamma_ratio(29, 53).coeff * 20**12
-    assert a0 <= Fraction("1.21")
+    require(a0 <= Fraction("1.21"), "a0 = Gamma(29/2)/Gamma(53/2) * 20^12 exceeds 1.21")
     return (r6 / 16**6) * _sqrt_upper(a0) * _sqrt_upper(Fraction(64, 693))
+
+
+@lru_cache(maxsize=None)
+def _a_dominates(variant: str) -> None:
+    require(estimate_A_recomputed(variant) <= _A_PRINTED[variant], f"A constant of {variant} fails")
 
 
 def estimate_A(m: int, n: int, variant: str) -> float:
     """The tail bound c * n0^(-1/2) * (n+m)^(-6) with c = 0.74 (I0) or
     1.12 (I1), for n >= 20; the recomputed proof constant is checked
-    against the printed one on every call (cached)."""
+    against the printed one on first use."""
     if variant not in _A_PRINTED:
         raise ValueError('variant must be "I0" or "I1"')
     if n < 20:
         raise ValueError("the certified regime needs n >= 20")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    printed = _A_PRINTED[variant]
-    assert estimate_A_recomputed(variant) <= printed
-    return float(printed) / math.sqrt(20.0) * (n + m) ** -6.0
+    _a_dominates(variant)
+    return float(_A_PRINTED[variant]) / math.sqrt(20.0) * (n + m) ** -6.0

@@ -47,6 +47,7 @@ import numpy as np
 from .bessel import MAX_ORDER, CertifiedValue, _bessel_j_array, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
+from .exactnum import require
 
 __all__ = [
     "QuadratureScheme",
@@ -444,12 +445,8 @@ def _tail_error_pieces() -> tuple[float, ...]:
     rest = 42.0 * float(37**2 * 19**2 * 18**2) * quintic
     pieces = (mean_zero, refine, pairs, rest)
     for value, ceiling in zip(pieces, _TAIL_ERROR_CEILINGS):
-        if not value <= ceiling:
-            raise AssertionError(
-                f"recomputed tail error piece {value:g} exceeds its ceiling {ceiling:g}"
-            )
-    if not sum(pieces) <= 5.5e-9:
-        raise AssertionError("tail error pieces no longer sum below 5.5e-9")
+        require(value <= ceiling, f"tail error piece {value:g} exceeds its ceiling {ceiling:g}")
+    require(sum(pieces) <= 5.5e-9, "tail error pieces no longer sum below 5.5e-9")
     return pieces
 
 

@@ -218,6 +218,20 @@ def test_check_counts_deviation_and_width():
     assert report.passed == (report.deviation <= report.allowance)
 
 
+@pytest.mark.parametrize(
+    "m, n, variant", [(0, 25, "I0"), (2, 30, "I1"), (0, 40, "I0"), (4, 21, "I1")]
+)
+def test_check_is_exact_at_the_boundary(m, n, variant):
+    # A radius of exactly the float allowance passes a float comparison,
+    # but float(c) lies above the decimal c and the float main term is
+    # rounded, so the enclosure does not certifiably pass.
+    main = (NORMALIZATION * main_term(m, n, variant)).to_real()
+    c = theorem_constants(m, n, variant)
+    report = check_theorem(m, n, variant, CertifiedValue(main, c * n**-4))
+    assert report.deviation == report.allowance == c * float(n) ** -4
+    assert not report.passed
+
+
 def test_check_requires_applicable_cell():
     with pytest.raises(ValueError):
         check_theorem(0, 1, "I0", CertifiedValue(0.0, 0.0))

@@ -1,0 +1,72 @@
+"""Certification checks raise CertificationError, also under ``python -O``.
+
+Each case patches one printed constant or stored roll-up in a fresh
+``python -O`` interpreter, where ``assert`` statements are stripped, and
+requires the public entry point to refuse.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_PRELUDE = """
+from fractions import Fraction
+from besselsix import CertificationError, certify, cli, core_integrals
+print("debug" if __debug__ else "optimized")
+"""
+
+
+def _run_optimized(body: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", _PRELUDE + body],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        ('certify._ROLLED[(0, "I0")] = 1e-9', 'certify.predict(0, 25, "I0")'),
+        (
+            'core_integrals._E2_PRINTED["I0"] = Fraction("1e-9")',
+            'core_integrals.e2_bound(0, 25, "I0", "cos")',
+        ),
+        (
+            'core_integrals._E1_PRINTED[(0, "cos")] = (Fraction("1e-12"), Fraction("0.015"), 1, 4)',
+            'certify.predict(0, 25, "I0")',
+        ),
+    ],
+)
+def test_patched_constant_raises_under_optimize(patch, call):
+    body = f"{patch}\ntry:\n    {call}\nexcept CertificationError:\n    print('refused')\n"
+    result = _run_optimized(body)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["optimized", "refused"]
+
+
+def test_cli_exits_four_under_optimize():
+    body = (
+        'certify._ROLLED[(0, "I0")] = 1e-9\n'
+        'raise SystemExit(cli.main(["predict", "--variant", "0", "--m", "0", "--n", "25"]))\n'
+    )
+    result = _run_optimized(body)
+    assert result.returncode == 4
+    assert result.stdout.split() == ["optimized"]
+    assert result.stderr.startswith("certification error: ")
+
+
+def test_package_has_no_assert_statements():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "besselsix").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from besselsix import cli, quadrature
+from besselsix import certify, cli, quadrature
 from besselsix.bessel import CertifiedValue
 from besselsix.certify import THEOREM_MAP
 from besselsix.core_integrals import core_bound_breakdown
@@ -96,6 +96,17 @@ def test_scheme_override_must_keep_panels_integral(capsys):
 def test_predict_below_cutoff_is_domain_error(capsys):
     assert cli.main(["predict", "--variant", "0", "--m", "0", "--n", "10"]) == 3
     capsys.readouterr()
+
+
+def test_predict_certification_failure_exit_four(monkeypatch, capsys):
+    # a stored roll-up below its item sum must fail the prediction, not pass
+    certify._rolled_ok.cache_clear()
+    monkeypatch.setitem(certify._ROLLED, (0, "I0"), 1e-9)
+    try:
+        assert cli.main(["predict", "--variant", "0", "--m", "0", "--n", "25"]) == 4
+    finally:
+        certify._rolled_ok.cache_clear()
+    assert capsys.readouterr().err.startswith("certification error: ")
 
 
 def test_check_theorem_pass_exit_zero(capsys):

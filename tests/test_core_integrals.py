@@ -302,6 +302,15 @@ def test_e1_monotone_in_m_beyond_six(variant, kind, n):
     assert all(values[0] >= v for v in values[1:])
 
 
+@pytest.mark.parametrize("variant", ["I0", "I1"])
+def test_e1_bound_accepts_m_beyond_twenty(variant):
+    # the first-use check must evaluate the exact e1 only where n >= m
+    for m, n in ((22, 30), (22, 22), (40, 41)):
+        b = core_bound_breakdown(m, n, variant)
+        for kind in ("cos", "sin"):
+            assert 0 < abs(e1_exact(m, n, variant, kind)) <= getattr(b, f"e1_{kind}")
+
+
 def test_e1_domain():
     with pytest.raises(ValueError):
         e1_bound(0, 19, "I0", "cos")
