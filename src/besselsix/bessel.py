@@ -6,11 +6,13 @@ Three cooperating evaluators live here:
     Fast float evaluation for orders 0..40 and arguments up to ~70000,
     accurate to 1e-13 absolute.  Below the fixed switch radius r = 500 it
     delegates to scipy's well-tested C implementation (measured error
-    ~1e-14 absolute there); above it, it uses the Hankel asymptotic series
-    with our own extended-precision phase reduction, where the truncation
-    remainder is provably far below 1e-13.  Scalars and arrays share one
-    vectorized implementation, so a scalar call returns exactly the element
-    an array call would.
+    ~1e-14 absolute there).  Above it, J0 and J1 come from the 12-term
+    Hankel asymptotic series with our own extended-precision phase
+    reduction, where the truncation remainder is below 2^-100, and every
+    higher order from the forward recurrence J_{k+1} = (2k/r) J_k - J_{k-1},
+    which is stable for k <= 40 < r.  Scalars, arrays and multi-order grids
+    share one kernel, ``_bessel_rows``, so a scalar call returns exactly the
+    element an array or multi-order call would.
 
 ``bessel_series_oracle``
     A slow, independent validation oracle: the alternating power series
@@ -158,8 +160,6 @@ def _phase_array(n: int, r: np.ndarray) -> np.ndarray:
 # Hankel asymptotic evaluation
 # ---------------------------------------------------------------------------
 
-_ASYM_TERMS = 44  # truncation order used by bessel_j; valid for all n <= 40
-
 
 @lru_cache(maxsize=None)
 def _acoeff_fracs(n: int, count: int) -> tuple[Fraction, ...]:
@@ -195,7 +195,7 @@ def _asym_sums(n: int, r, ell: int):
 
 
 def _asym_mid(n: int, r: np.ndarray) -> np.ndarray:
-    """Midpoint of the ``_ASYM_TERMS``-term asymptotic evaluation."""
+    """Midpoint of the ``_ASYM_TERMS``-term asymptotic evaluation (n <= 1)."""
     p, q = _asym_sums(n, r, _ASYM_TERMS)
     omega = _phase_array(n, r)
     return np.sqrt(2.0 / (np.pi * r)) * (np.cos(omega) * p - np.sin(omega) * q)
@@ -214,6 +214,16 @@ def asymptotic_remainder(n: int, r: float, ell: int) -> float:
         raise ValueError("asymptotic remainder requires r > 0")
     a_ell = abs(float(a_coeff(ell, n).coeff))
     return math.sqrt(2.0 / (math.pi * r)) * a_ell * r ** float(-ell)
+
+
+# Truncation order of the J0 and J1 sums behind bessel_j: the least one whose
+# remainder stays below 2^-100 for every r >= _SWITCH_R (it falls with r).
+_ASYM_TERMS = 12
+require(
+    asymptotic_remainder(1, _SWITCH_R, _ASYM_TERMS) < 2.0**-100
+    <= asymptotic_remainder(1, _SWITCH_R, _ASYM_TERMS - 1),
+    f"{_ASYM_TERMS} is not the least Hankel term count with remainder below 2^-100",
+)
 
 
 def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
@@ -260,20 +270,40 @@ def bessel_j(n: int, r: float) -> float:
 
 def _bessel_j_array(n: int, r: np.ndarray) -> np.ndarray:
     """Vectorized ``bessel_j`` over nonnegative floats of any shape."""
-    n = int(n)
-    if not (0 <= n <= MAX_ORDER):
-        raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {n}")
     r = np.asarray(r, dtype=np.float64)
-    out = np.empty_like(r)
+    return _bessel_rows((n,), r.ravel())[0].reshape(r.shape)
+
+
+def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
+    """J_k(r) for each k in ``orders`` over the 1-d node vector r, one row each.
+
+    Below the switch radius every order takes scipy's ``jv``.  Above it J0
+    and J1 take the Hankel sums and each higher order one step of forward
+    recurrence, always started from J0 and J1, so a value depends only on
+    its order and node, never on the other orders requested.
+    """
+    orders = [int(k) for k in orders]
+    for k in orders:
+        if not (0 <= k <= MAX_ORDER):
+            raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {k}")
+    out = np.empty((len(orders), r.shape[0]))
     small = r < _SWITCH_R
     if np.any(small):
-        out[small] = _sp.jv(n, r[small])
-        zero = small & (r == 0.0)
-        if np.any(zero):
-            out[zero] = 1.0 if n == 0 else 0.0
+        rs = r[small]
+        zero = rs == 0.0
+        for i, k in enumerate(orders):
+            row = _sp.jv(k, rs)
+            row[zero] = 1.0 if k == 0 else 0.0
+            out[i][small] = row
     large = ~small
     if np.any(large):
-        out[large] = _asym_mid(n, r[large])
+        rl = r[large]
+        jk, jnext = _asym_mid(0, rl), _asym_mid(1, rl)  # J_k and J_{k+1} from k = 0
+        for k in range(max(orders) + 1):
+            for i, order in enumerate(orders):
+                if order == k:
+                    out[i][large] = jk
+            jk, jnext = jnext, (2.0 * (k + 1) / rl) * jnext - jk
     return out
 
 

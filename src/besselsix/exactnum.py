@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "CertificationError",
@@ -234,13 +235,16 @@ def stirling_gamma_bounds(x: float) -> tuple[float, float]:
     return lo, hi
 
 
+@lru_cache(maxsize=None)
 def a_coeff(j: int, n: int) -> ExactScalar:
     """Coefficient a_j(n) of the large-argument asymptotic series of J_n.
 
     a_j(n) = Gamma(n+j+1/2) / (Gamma(n-j+1/2) j! 2^j), always a pure rational
     (both Gamma arguments are half-integers, so the sqrt(pi) factors cancel).
     For j > n the denominator Gamma is evaluated at a negative half-integer,
-    which contributes the alternating sign of the reflected value.
+    which contributes the alternating sign of the reflected value.  Cached:
+    the exact error terms ask for the same few a_j(n) many times, and the
+    frozen result is safe to share.
     """
     if j < 0 or n < 0:
         raise ValueError("a_coeff requires j >= 0 and n >= 0")

@@ -24,12 +24,16 @@ are evaluated for small orders by splitting at two radii 0 < S < R:
   to an explicit four-piece budget valid throughout the tabulated order range.
 
 Integrands are vectorized: every callable handed to the composite rule
-takes a float ndarray of nodes and returns the values at those nodes.  All
-grid evaluation is deterministic: nodes are generated from integer indices,
-per-node values depend only on the node (never on chunk shape), and every
-weighted reduction is a single pairwise ``np.sum``.  Worker threads only
-partition the node vector into fixed 65536-point chunks written to disjoint
-slices, so results are bit-identical for any worker count.
+takes a float ndarray of nodes and returns the values at those nodes.  The
+grid sums of ``integral`` and ``build_table`` read per-order value rows
+over each region, evaluated by the multi-order kernel ``_bessel_rows`` (all
+missing orders of a request in one pass) and cached across cells.  All grid
+evaluation is deterministic: nodes are generated from integer indices,
+per-node values depend only on the node and the order (never on chunk shape
+or on the other orders evaluated with it), and every weighted reduction is a
+single pairwise ``np.sum``.  Worker threads only partition the node vector
+into fixed 65536-point chunks written to disjoint slices, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import MAX_ORDER, CertifiedValue, _bessel_j_array, phase
+from .bessel import MAX_ORDER, CertifiedValue, _bessel_rows, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
 from .exactnum import require
@@ -176,35 +180,39 @@ def _resolve_workers(workers) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _weight_vector(panels: int) -> np.ndarray:
-    """Node weights (times 140) for ``panels`` chained 7-point rules.
+def _weigh(values: np.ndarray) -> np.ndarray:
+    """Multiply the node values of chained 7-point rules in place by their
+    weights (times 140); returns ``values``.
 
     Interior panel boundaries are shared nodes and carry the combined
-    weight 41 + 41 = 82.
+    weight 41 + 41 = 82.  No weight vector is built: one fewer full-size
+    array per cell.
     """
     w = [float(140 * c) for c in _NC7_WEIGHTS]
-    wv = np.empty(6 * panels + 1)
     for j in range(1, 6):
-        wv[j::6] = w[j]
-    wv[0::6] = w[0] + w[6]
-    wv[0], wv[-1] = w[0], w[6]
-    return wv
+        values[j::6] *= w[j]
+    values[6:-1:6] *= w[0] + w[6]
+    values[0] *= w[0]
+    values[-1] *= w[6]
+    return values
 
 
-def _weighted_sum(values: np.ndarray, panels: int, w: float) -> float:
-    return (w / 140.0) * float(np.sum(_weight_vector(panels) * values))
+def _weighted_sum(values: np.ndarray, w: float) -> float:
+    """The composite rule's weighted sum; weighs ``values`` in place."""
+    return (w / 140.0) * float(np.sum(_weigh(values)))
 
 
-def _eval_chunked(f, nodes: np.ndarray, workers: int) -> np.ndarray:
-    """Evaluate the vectorized f over the node vector in fixed 65536-point chunks.
+def _eval_chunked(f, nodes: np.ndarray, rows: list, workers: int) -> None:
+    """Fill ``rows`` from f over the node vector in fixed 65536-point chunks.
 
-    Chunks are written to disjoint slices of the output, so the values never
-    depend on the worker count.
+    f maps a chunk of nodes to one value block per row.  Chunks are written
+    to disjoint slices of the rows, so the values never depend on the worker
+    count.
     """
-    out = np.empty(nodes.shape[0])
 
     def fill(lo):
-        out[lo:lo + _CHUNK] = f(nodes[lo:lo + _CHUNK])
+        for row, values in zip(rows, f(nodes[lo:lo + _CHUNK])):
+            row[lo:lo + _CHUNK] = values
 
     starts = range(0, nodes.shape[0], _CHUNK)
     if workers > 1 and len(starts) > 1:
@@ -213,7 +221,6 @@ def _eval_chunked(f, nodes: np.ndarray, workers: int) -> np.ndarray:
     else:
         for lo in starts:
             fill(lo)
-    return out
 
 
 def nc7_composite(f, a: float, b: float, w: float, workers=None) -> float:
@@ -227,8 +234,9 @@ def nc7_composite(f, a: float, b: float, w: float, workers=None) -> float:
     """
     panels = _panel_count(a, b, w)
     nodes = a + w * np.arange(6 * panels + 1)
-    values = _eval_chunked(f, nodes, _resolve_workers(workers))
-    return _weighted_sum(values, panels, w)
+    values = np.empty(nodes.shape[0])
+    _eval_chunked(lambda block: (f(block),), nodes, [values], _resolve_workers(workers))
+    return _weighted_sum(values, w)
 
 
 def deriv8_bound(region: str, scheme: QuadratureScheme | None = None) -> float:
@@ -276,7 +284,7 @@ def integrand(variant: str, m: int, n: int):
     """The function r -> J_{n+m} J_n J_m J_0^3 r (or J_1^2 J_0 for I1).
 
     The returned callable accepts a float or a float ndarray and evaluates
-    both through the vectorized evaluator behind ``bessel_j``, so a scalar
+    both through the multi-order kernel behind ``bessel_j``, so a scalar
     call returns exactly the element an array call would.
     """
     _check_variant(variant)
@@ -286,64 +294,91 @@ def integrand(variant: str, m: int, n: int):
     if n + m > MAX_ORDER:
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
 
+    orders = sorted(_cell_orders(variant, m, n))
+
     def f(r):
         r = np.asarray(r, dtype=np.float64)
-        top = _bessel_j_array(n + m, r)
-        mid = _bessel_j_array(n, r)
-        low = _bessel_j_array(m, r)
-        j0 = _bessel_j_array(0, r)
-        if variant == "I0":
-            return top * mid * low * j0 * j0 * j0 * r
-        j1 = _bessel_j_array(1, r)
-        return top * mid * low * j1 * j1 * j0 * r
+        nodes = r.ravel()
+        rows = dict(zip(orders, _bessel_rows(orders, nodes)))
+        return _cell_product(variant, m, n, rows, nodes).reshape(r.shape)[()]
 
     return f
 
 
-# Cached per-order value rows over a node grid.  A full default-scheme region
-# is ~1.2M nodes (9.6 MB), so two dozen rows stay near 230 MB while letting a
-# whole table run share the low-order rows across all its cells.  All callers
-# run on the single orchestrator thread.
+def _cell_orders(variant: str, m: int, n: int) -> set[int]:
+    return {n + m, n, m, 0, 1} if variant == "I1" else {n + m, n, m, 0}
+
+
+def _cell_product(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray) -> np.ndarray:
+    """J_{n+m} J_n J_m J_0^3 r (or J_1^2 J_0 for I1) from per-order value
+    rows, multiplied left to right in one new buffer."""
+    values = np.multiply(rows[n + m], rows[n])
+    values *= rows[m]
+    for k in (0, 0, 0) if variant == "I0" else (1, 1, 0):
+        values *= rows[k]
+    values *= nodes
+    return values
+
+
+# Cached per-order value rows over a node grid, keyed by (order, a, w, count).
+# A full default-scheme region is ~1.2M nodes (9.6 MB), so two dozen rows
+# stay near 230 MB.  That holds every row one table row needs (at most 21),
+# and lets a session re-read the rows of the cells it has already evaluated.
+# All callers run on the single orchestrator thread.
 _ROW_CACHE: OrderedDict = OrderedDict()
 _ROW_CACHE_MAX = 24
 
 
-def _order_row(order: int, a: float, w: float, count: int, workers: int) -> np.ndarray:
-    key = (order, a, w, count)
-    row = _ROW_CACHE.get(key)
-    if row is not None:
-        _ROW_CACHE.move_to_end(key)
-        return row
-    nodes = a + w * np.arange(count)
-    row = _eval_chunked(lambda block: _bessel_j_array(order, block), nodes, workers)
-    row.setflags(write=False)
-    _ROW_CACHE[key] = row
-    while len(_ROW_CACHE) > _ROW_CACHE_MAX:
-        _ROW_CACHE.popitem(last=False)
-    return row
+def _order_rows(orders, a: float, w: float, nodes: np.ndarray, workers: int) -> dict[int, np.ndarray]:
+    """The cached rows of ``orders`` over ``nodes`` = a + w * arange(count).
+
+    Missing orders are evaluated together in one chunked pass.  Least
+    recently used rows outside the request are evicted before the new rows
+    are allocated, and each row is its own array, so an evicted row is freed
+    at once.
+    """
+    keys = {k: (k, a, w, nodes.shape[0]) for k in sorted(set(orders))}
+    for key in keys.values():
+        if key in _ROW_CACHE:
+            _ROW_CACHE.move_to_end(key)
+    missing = [k for k, key in keys.items() if key not in _ROW_CACHE]
+    if missing:
+        wanted = set(keys.values())
+        stale = [key for key in _ROW_CACHE if key not in wanted]
+        for key in stale[:max(0, len(_ROW_CACHE) + len(missing) - _ROW_CACHE_MAX)]:
+            del _ROW_CACHE[key]
+        rows = [np.empty(nodes.shape[0]) for _ in missing]
+        _eval_chunked(lambda block: _bessel_rows(missing, block), nodes, rows, workers)
+        for k, row in zip(missing, rows):
+            row.setflags(write=False)
+            _ROW_CACHE[keys[k]] = row
+    return {k: _ROW_CACHE[key] for k, key in keys.items()}
 
 
-def _grid_composite(variant: str, m: int, n: int, a: float, w: float, panels: int, workers: int) -> float:
-    """One region's composite value, assembled from cached per-order rows."""
-    count = 6 * panels + 1
-    need = {n + m, n, m, 0}
-    if variant == "I1":
-        need.add(1)
-    row = {order: _order_row(order, a, w, count, workers) for order in sorted(need)}
-    nodes = a + w * np.arange(count)
-    if variant == "I0":
-        values = row[n + m] * row[n] * row[m] * row[0] * row[0] * row[0] * nodes
-    else:
-        values = row[n + m] * row[n] * row[m] * row[1] * row[1] * row[0] * nodes
-    return _weighted_sum(values, panels, w)
+def _grid_composite(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray, w: float) -> float:
+    """One cell's composite value over one region, weighted in the same buffer."""
+    return _weighted_sum(_cell_product(variant, m, n, rows, nodes), w)
+
+
+def _region_sums(cells, a: float, w: float, panels: int, workers: int) -> list[float]:
+    """The composite values of the (variant, m, n) ``cells`` over one region,
+    reading the union of their orders in one row lookup."""
+    nodes = a + w * np.arange(6 * panels + 1)
+    rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), a, w, nodes, workers)
+    return [_grid_composite(*cell, rows, nodes, w) for cell in cells]
+
+
+def _regions(scheme: QuadratureScheme) -> tuple[tuple[float, float, int], ...]:
+    """(start, node spacing, panel count) of [0, S] and of [S, R]."""
+    return (
+        (0.0, scheme.w_low, _panel_count(0.0, scheme.S, scheme.w_low)),
+        (scheme.S, scheme.w_high, _panel_count(scheme.S, scheme.R, scheme.w_high)),
+    )
 
 
 def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme, workers: int) -> float:
     """The composite rules over [0, S] and [S, R], summed."""
-    n_low = _panel_count(0.0, scheme.S, scheme.w_low)
-    n_high = _panel_count(scheme.S, scheme.R, scheme.w_high)
-    low = _grid_composite(variant, m, n, 0.0, scheme.w_low, n_low, workers)
-    high = _grid_composite(variant, m, n, scheme.S, scheme.w_high, n_high, workers)
+    low, high = (_region_sums([(variant, m, n)], *region, workers)[0] for region in _regions(scheme))
     return low + high
 
 
@@ -547,12 +582,19 @@ def build_table(n_range=None, scheme: QuadratureScheme | None = None, workers=No
             raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
     scheme = scheme or DEFAULT_SCHEME
     workers = _resolve_workers(workers)
+    # region-major: each table row reads the union of its cells' orders once
+    # per region, so a row evaluated for one cell serves all the others
+    by_row = [[(variant, m, n) for m in range(0, n + 1, 2) for variant in ("I0", "I1")] for n in rows]
+    low, high = (
+        [s for cells in by_row for s in _region_sums(cells, *region, workers)] for region in _regions(scheme)
+    )
+    quads = iter([lo + hi for lo, hi in zip(low, high)])
     entries = []
     for n in rows:
         for m in range(0, n + 1, 2):
             cell = []
             for variant in ("I0", "I1"):
-                quad = _composite_sum(variant, m, n, scheme, workers)
+                quad = next(quads)
                 main = (NORMALIZATION * main_term(m, n, variant)).to_real()
                 tail_const = _TAIL_MAIN_PRINTED[variant, _parity(n)]
                 cell.append((abs(main - tail_const - quad) + 0.9e-8) * (100.0 * float(n) ** 4))

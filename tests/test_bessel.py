@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from besselsix.bessel import (
     bessel_series_oracle,
     phase,
     _bessel_j_array,
+    _bessel_rows,
     _jn_wide,
 )
 
@@ -94,6 +96,43 @@ def test_vectorized_matches_scalar_bitwise():
         vec = _bessel_j_array(n, rs)
         sc = np.array([bessel_j(n, float(r)) for r in rs])
         assert np.array_equal(vec, sc)
+
+
+# ---------------------------------------------------------------------------
+# the multi-order kernel: scipy below r = 500, J0/J1 sums and recurrence above
+# ---------------------------------------------------------------------------
+
+
+def test_recurrence_within_independent_hankel_enclosure():
+    # every order above the switch radius against the 44-term expansion,
+    # whose certified radius covers its own truncation and float error
+    rng = np.random.default_rng(5)
+    rs = np.concatenate([[500.0, 500.5, 62999.5], rng.uniform(500.0, 2000.0, 12), rng.uniform(2000.0, 63000.0, 12)])
+    for n in range(MAX_ORDER + 1):
+        for r in rs:
+            ref = asymptotic_eval(n, float(r), 44)
+            assert abs(bessel_j(n, float(r)) - ref.mid) <= ref.rad + 1e-15, (n, r)
+
+
+def test_rows_match_single_order_bitwise_for_any_order_set():
+    rng = np.random.default_rng(11)
+    rs = np.concatenate([[0.0, 499.999, 500.0], rng.uniform(0.0, 500.0, 200), rng.uniform(500.0, 63000.0, 200)])
+    single = {k: _bessel_j_array(k, rs) for k in range(MAX_ORDER + 1)}
+    order_sets = [(40,), (40, 0), (7, 1, 7), tuple(range(MAX_ORDER + 1))[::-1]]
+    order_sets += [tuple(rng.choice(MAX_ORDER + 1, size=5, replace=False)) for _ in range(6)]
+    for orders in order_sets:
+        rows = _bessel_rows(orders, rs)
+        assert rows.shape == (len(orders), rs.shape[0])
+        for k, row in zip(orders, rows):
+            assert np.array_equal(row, single[k]), (orders, k)
+
+
+def test_values_below_switch_radius_are_scipy_bitwise():
+    rng = np.random.default_rng(3)
+    rs = np.concatenate([rng.uniform(0.0, 30.0, 200), rng.uniform(30.0, 500.0, 200), [499.999]])
+    rows = _bessel_rows(range(MAX_ORDER + 1), rs)
+    for k, row in enumerate(rows):
+        assert np.array_equal(row, scipy.special.jv(k, rs)), k
 
 
 # ---------------------------------------------------------------------------

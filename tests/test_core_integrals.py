@@ -28,6 +28,7 @@ from besselsix.core_integrals import (
     prop_4r_chain,
     trig_reduce,
 )
+from besselsix import core_integrals, exactnum
 from besselsix.exactnum import ExactScalar
 from besselsix.expansions import TrigPoly, product_expansion
 
@@ -309,6 +310,25 @@ def test_e1_bound_accepts_m_beyond_twenty(variant):
         b = core_bound_breakdown(m, n, variant)
         for kind in ("cos", "sin"):
             assert 0 < abs(e1_exact(m, n, variant, kind)) <= getattr(b, f"e1_{kind}")
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_e1_first_use_check_computes_each_coefficient_once(monkeypatch, kind):
+    # the check reads a few a_j(1000) at two orders n; each is one exact
+    # Gamma ratio Gamma(1000+j+1/2)/Gamma(1000-j+1/2) of ~2000 factors, so
+    # it must be computed once
+    calls = []
+    real = exactnum.gamma_ratio
+
+    def counting(two_a, two_b):
+        calls.append((two_a, two_b))
+        return real(two_a, two_b)
+
+    monkeypatch.setattr(exactnum, "gamma_ratio", counting)
+    exactnum.a_coeff.cache_clear()
+    core_integrals._e1_dominates.__wrapped__(1000, "I0", kind)
+    large = [call for call in calls if call[0] > 2000]
+    assert large and len(large) == len(set(large))
 
 
 def test_e1_domain():

@@ -1,12 +1,14 @@
 """Tests for the certified composite quadrature and tail evaluation."""
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from besselsix.bessel import CertifiedValue, _bessel_j_array
+from besselsix import quadrature
+from besselsix.bessel import CertifiedValue, _bessel_rows
 from besselsix.certify import NORMALIZATION
 from besselsix.core_integrals import main_term
 from besselsix.quadrature import (
@@ -16,10 +18,10 @@ from besselsix.quadrature import (
     TableEntry,
     _NC7_WEIGHTS,
     _eval_chunked,
-    _order_row,
+    _order_rows,
     _panel_count,
     _tail_error_pieces,
-    _weight_vector,
+    _weigh,
     build_table,
     deriv8_bound,
     error_budget,
@@ -103,11 +105,12 @@ def test_panel_count_values():
 
 
 def test_weight_vector_layout():
-    wv = _weight_vector(2)
+    wv = _weigh(np.ones(6 * 2 + 1))
     expected = [41, 216, 27, 272, 27, 216, 82, 216, 27, 272, 27, 216, 41]
     assert wv.tolist() == expected
+    assert _weigh(np.ones(7)).tolist() == [41, 216, 27, 272, 27, 216, 41]
     # per panel the weights sum to 6 * 140
-    assert float(np.sum(_weight_vector(5))) == 5 * 840.0
+    assert float(np.sum(_weigh(np.ones(6 * 5 + 1)))) == 5 * 840.0
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +363,11 @@ def test_rounding_allowance_is_generous():
     # real low-region composite; the difference must sit far inside the
     # 0.05e-8 allowance
     count = 6 * 200000 + 1
-    row0 = _order_row(0, 0.0, 0.003, count, 1)
-    row2 = _order_row(2, 0.0, 0.003, count, 1)
     nodes = 0.003 * np.arange(count)
+    rows = _order_rows((0, 2), 0.0, 0.003, nodes, 1)
+    row0, row2 = rows[0], rows[2]
     values = row2 * row2 * row0 * row0 * row0 * nodes
-    wv = _weight_vector(200000)
+    wv = _weigh(np.ones(count))
     plain = (0.003 / 140.0) * float(np.sum(wv * values))
     compensated = (0.003 / 140.0) * math.fsum((wv * values).tolist())
     assert abs(plain - compensated) <= 0.05e-8 / 100.0
@@ -377,17 +380,79 @@ def test_rounding_allowance_is_generous():
 
 def test_chunked_evaluation_worker_independent():
     nodes = 0.003 * np.arange(6 * 200000 + 1)
-    f = lambda block: _bessel_j_array(0, block)
-    one = _eval_chunked(f, nodes, 1)
-    eight = _eval_chunked(f, nodes, 8)
-    assert np.array_equal(one, eight)
+    orders = (0, 7, 30)
+    f = lambda block: _bessel_rows(orders, block)
+    one = [np.empty(nodes.shape[0]) for _ in orders]
+    eight = [np.empty(nodes.shape[0]) for _ in orders]
+    _eval_chunked(f, nodes, one, 1)
+    _eval_chunked(f, nodes, eight, 8)
+    for a, b in zip(one, eight):
+        assert np.array_equal(a, b)
 
 
 def test_order_rows_cached_and_frozen():
-    a = _order_row(0, 0.0, FAST.w_low, 6 * 200 + 1, 1)
-    b = _order_row(0, 0.0, FAST.w_low, 6 * 200 + 1, 1)
-    assert a is b
+    nodes = FAST.w_low * np.arange(6 * 200 + 1)
+    a = _order_rows((0,), 0.0, FAST.w_low, nodes, 1)[0]
+    b = _order_rows((0,), 0.0, FAST.w_low, nodes, 1)[0]
+    c = _order_rows((3, 0), 0.0, FAST.w_low, nodes, 1)[0]
+    assert a is b is c
     assert not a.flags.writeable
+
+
+def _count_kernel_rows(monkeypatch) -> list:
+    """Record (order, first node, node count) for every row the kernel
+    evaluates inside the quadrature module."""
+    evaluated = []
+
+    def counting(orders, r):
+        evaluated.extend((k, float(r[0]), r.shape[0]) for k in orders)
+        return _bessel_rows(orders, r)
+
+    monkeypatch.setattr(quadrature, "_bessel_rows", counting)
+    return evaluated
+
+
+def test_table_band_evaluates_each_row_once(monkeypatch):
+    # rows 7..9 read 16 distinct orders in each of the two regions; every
+    # FAST region fits in one chunk, so each row is one kernel row
+    monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
+    evaluated = _count_kernel_rows(monkeypatch)
+    build_table([7, 8, 9], scheme=FAST)
+    assert len(set(evaluated)) == 32
+    assert len(evaluated) == 32
+
+
+def test_repeated_integral_evaluates_no_row(monkeypatch):
+    scheme = QuadratureScheme(S=360.0, R=63000.0, w_low=0.03, w_high=0.5)
+    monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
+    evaluated = _count_kernel_rows(monkeypatch)
+    first = integral("I1", 2, 9, scheme=scheme)
+    assert evaluated
+    evaluated.clear()
+    assert integral("I1", 2, 9, scheme=scheme) == first
+    assert evaluated == []
+
+
+def test_row_lookup_evicts_before_allocating(monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(quadrature, "_ROW_CACHE", cache)
+    monkeypatch.setattr(quadrature, "_ROW_CACHE_MAX", 4)
+    nodes = FAST.w_low * np.arange(6 * 200 + 1)
+    first = _order_rows((0, 1, 2, 3), 0.0, FAST.w_low, nodes, 1)
+    sizes = []
+    real = quadrature._eval_chunked
+
+    def eval_noting_cache(f, nodes, rows, workers):
+        sizes.append(len(cache))
+        real(f, nodes, rows, workers)
+
+    monkeypatch.setattr(quadrature, "_eval_chunked", eval_noting_cache)
+    # order 1 is touched by the request, so 0 and 2 are the two least recently used
+    rows = _order_rows((1, 5, 6), 0.0, FAST.w_low, nodes, 1)
+    assert sizes == [2]
+    assert [key[0] for key in cache] == [3, 1, 5, 6]
+    assert rows[1] is first[1]
+    assert all(row.base is None for row in rows.values())
 
 
 def test_build_table_worker_independent_fast_scheme():
