@@ -34,6 +34,7 @@ from .expansions import (
 )
 from .quadrature import (
     DEFAULT_SCHEME,
+    PAPER_SCHEME,
     ErrorBudget,
     QuadratureScheme,
     _integral_and_budget,
@@ -109,8 +110,8 @@ def _add_orders(p) -> None:
 def _add_scheme_flags(p) -> None:
     p.add_argument("--S", type=float, default=None, help="split radius between fine and coarse grids")
     p.add_argument("--R", type=float, default=None, help="outer radius where the analytic tail takes over")
-    p.add_argument("--w-low", type=float, default=None, help="node spacing below S")
-    p.add_argument("--w-high", type=float, default=None, help="node spacing between S and R")
+    p.add_argument("--w-low", type=float, default=None, help="NC7 node spacing below S (selects the paper's rule)")
+    p.add_argument("--w-high", type=float, default=None, help="NC7 node spacing between S and R (selects the paper's rule)")
     p.add_argument("--workers", type=int, default=None, help="thread count (default: BESSELSIX_WORKERS or 1)")
 
 
@@ -360,8 +361,11 @@ def _emit(lines: list[str], path: str | None) -> None:
 
 
 def _scheme_from(config: RunConfig) -> QuadratureScheme:
+    """Gauss panels unless a node spacing is given; a spacing selects the
+    paper's NC7 rule, with the other spacing taken from ``PAPER_SCHEME``."""
     given = {"S": config.S, "R": config.R, "w_low": config.w_low, "w_high": config.w_high}
-    return replace(DEFAULT_SCHEME, **{k: v for k, v in given.items() if v is not None})
+    base = DEFAULT_SCHEME if config.w_low is None and config.w_high is None else PAPER_SCHEME
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,26 @@ The integrals
 
 are evaluated for small orders by splitting at two radii 0 < S < R:
 
-* ``[0, S]`` and ``[S, R]``: a composite 7-point closed Newton-Cotes rule
-  (weights (41, 216, 27, 272, 27, 216, 41)/140, exact through degree 7) with
-  panel widths ``6*w_low`` and ``6*w_high``.  The composite error over an
-  interval of length L is bounded by ``L * w^8 * (6^3/5) * M8 / 8!`` where
-  ``M8`` is a certified sup-bound on the eighth derivative of the integrand,
-  obtained from Cauchy's integral formula on unit circles; ``M8`` grows only
-  linearly in the interval endpoint, uniformly over both integrand families.
+* ``[0, S]`` and ``[S, R]``, by default: width-30 Gauss-Legendre panels, 76
+  points each below S and 66 above it, with nodes ``a + h(2p+1) + h x_i``
+  (h = 15, p the integer panel index).  The nodes and weights are data: the
+  stored floats are certified at first use, in exact integer arithmetic, by
+  the error they make on every Chebyshev polynomial T_k with k < 2n.  The
+  region error is then at most ``h * sum_k |a_k| |I(T_k) - Q(T_k)|`` per
+  panel (Trefethen, *Approximation Theory and Approximation Practice*, ch.
+  19), with the Chebyshev coefficients a_k bounded on the real panel and on
+  a Bernstein ellipse: there |J_k(z)| <= e^|Im z| below S and a Hankel
+  envelope (DLMF 10.17.14) above it.  The rounding of the node positions is
+  charged through a derivative bound.
+
+* ``[0, S]`` and ``[S, R]``, when the scheme gives node spacings: the paper's
+  composite 7-point closed Newton-Cotes rule (weights (41, 216, 27, 272, 27,
+  216, 41)/140, exact through degree 7) with panel widths ``6*w_low`` and
+  ``6*w_high``.  The composite error over an interval of length L is bounded
+  by ``L * w^8 * (6^3/5) * M8 / 8!`` where ``M8`` is a certified sup-bound on
+  the eighth derivative of the integrand, obtained from Cauchy's integral
+  formula on unit circles; ``M8`` grows only linearly in the interval
+  endpoint, uniformly over both integrand families.
 
 * ``[R, inf)``: after replacing every Bessel factor by its leading asymptotic
   term, the product collapses (by the quarter-period phase shifts) into one of
@@ -56,6 +69,7 @@ from .exactnum import require
 __all__ = [
     "QuadratureScheme",
     "DEFAULT_SCHEME",
+    "PAPER_SCHEME",
     "ErrorBudget",
     "TableEntry",
     "nc7_composite",
@@ -74,6 +88,16 @@ _CHUNK = 65536
 # The seven exact Newton-Cotes weights; their sum is 6, one panel width.
 _NC7_WEIGHTS = tuple(Fraction(c, 140) for c in (41, 216, 27, 272, 27, 216, 41))
 
+# Gauss-Legendre panels: half-width h, and per region (points per panel,
+# Bernstein-ellipse parameter rho of its error bound).
+_GAUSS_HALF = 15.0
+_GAUSS_LOW = (76, 3.0)
+_GAUSS_HIGH = (66, 2.0)
+
+# The largest n + m any certified cell reaches: the order range of the tail
+# constants, which every ``integral`` budget charges.
+_MAX_CELL_ORDER = 37
+
 
 def _panel_count(a: float, b: float, w: float) -> int:
     """Number of width-``6w`` panels tiling [a, b]; errors unless exact."""
@@ -91,25 +115,84 @@ def _panel_count(a: float, b: float, w: float) -> int:
 
 
 @dataclass(frozen=True)
-class QuadratureScheme:
-    """Grid configuration: split radii and node spacings for the two regimes.
+class _NC7Region:
+    """[a, b] tiled by chained 7-point Newton-Cotes panels of node spacing w."""
 
-    The defaults carry the certified error budget; any other values are
-    accepted (panel counts permitting) but get their quadrature error bounds
-    recomputed from ``deriv8_bound`` instead.
+    a: float
+    b: float
+    w: float
+
+    def __post_init__(self) -> None:
+        _panel_count(self.a, self.b, self.w)
+
+    def nodes(self) -> np.ndarray:
+        return self.a + self.w * np.arange(6 * _panel_count(self.a, self.b, self.w) + 1)
+
+    def weighted_sum(self, values: np.ndarray) -> float:
+        """The rule's sum over ``values`` at ``nodes()``; weighs them in place."""
+        return _weighted_sum(values, self.w)
+
+
+@dataclass(frozen=True)
+class _GaussRegion:
+    """[a, b] tiled by width-30 panels of ``points`` Gauss-Legendre nodes;
+    ``rho`` is the Bernstein-ellipse parameter of the region's error bound."""
+
+    a: float
+    b: float
+    points: int
+    rho: float
+
+    def __post_init__(self) -> None:
+        self.centers()
+
+    def centers(self) -> np.ndarray:
+        """The exact panel centers a + h(2p + 1): integer p, integer a."""
+        # a width-30 panel is six node spacings of 5
+        panels = _panel_count(self.a, self.b, 2.0 * _GAUSS_HALF / 6.0)
+        return self.a + _GAUSS_HALF * (2.0 * np.arange(panels) + 1.0)
+
+    def nodes(self) -> np.ndarray:
+        offsets = _GAUSS_HALF * _gauss_rule(self.points).nodes
+        return (self.centers()[:, None] + offsets).ravel()
+
+    def weighted_sum(self, values: np.ndarray) -> float:
+        """The rule's sum over ``values`` at ``nodes()``; weighs them in place."""
+        panels = values.reshape(-1, self.points)  # a view: weighs values in place
+        panels *= _gauss_rule(self.points).weights
+        return _GAUSS_HALF * float(np.sum(values))
+
+
+@dataclass(frozen=True)
+class QuadratureScheme:
+    """Grid configuration: split radii and, optionally, NC7 node spacings.
+
+    Without spacings (the default) both regions take Gauss-Legendre panels,
+    so S and R - S must be multiples of 30.  With both spacings the scheme is
+    the paper's composite Newton-Cotes rule (``PAPER_SCHEME`` is the paper's
+    own), whose error bound ``deriv8_bound`` recomputes for any values.
     """
 
     S: float = 3600.0
     R: float = 63000.0
-    w_low: float = 0.003
-    w_high: float = 0.05
+    w_low: float | None = None
+    w_high: float | None = None
 
     def __post_init__(self) -> None:
-        _panel_count(0.0, self.S, self.w_low)
-        _panel_count(self.S, self.R, self.w_high)
+        if (self.w_low is None) != (self.w_high is None):
+            raise ValueError("give both node spacings (the NC7 rule) or neither (Gauss panels)")
+        _regions(self)
+
+
+def _regions(scheme: QuadratureScheme):
+    """The grid regions [0, S] and [S, R] of a scheme; validates their panels."""
+    if scheme.w_low is None:
+        return (_GaussRegion(0.0, scheme.S, *_GAUSS_LOW), _GaussRegion(scheme.S, scheme.R, *_GAUSS_HIGH))
+    return (_NC7Region(0.0, scheme.S, scheme.w_low), _NC7Region(scheme.S, scheme.R, scheme.w_high))
 
 
 DEFAULT_SCHEME = QuadratureScheme()
+PAPER_SCHEME = QuadratureScheme(w_low=0.003, w_high=0.05)
 
 
 @dataclass(frozen=True)
@@ -239,22 +322,199 @@ def nc7_composite(f, a: float, b: float, w: float, workers=None) -> float:
     return _weighted_sum(values, w)
 
 
+# ---------------------------------------------------------------------------
+# The Gauss-Legendre panels and their certificate
+# ---------------------------------------------------------------------------
+
+# Fraction bits of the certificate's fixed-point arithmetic.
+_FIXED_BITS = 96
+
+# A stored n-point rule must integrate T_0 .. T_{2n-1} to within this much in
+# total; the float Gauss-Legendre rules in use miss by about 6e-13.
+_RULE_MOMENT_CEILING = Fraction(1, 10**12)
+
+# |J_nu(x)| <= 0.7858 x^(-1/3) for real x > 0 and nu >= 0 (L. J. Landau,
+# J. London Math. Soc. 61 (2000): c = 0.78574...), and |J_k(x)| <= 1, so on
+# the real axis the integrand is at most min(x, _LANDAU6 / x).
+_LANDAU6 = 0.7858**6
+
+# Relative pad on bounds summed in floating point: a few hundred rounded
+# operations on positive terms err by far less.
+_PAD = 1.0 + 1e-12
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A stored rule on [-1, 1] and its certificate: ``moment_errors[k]``
+    bounds |I(T_k) - Q(T_k)| for k < 2n and ``abs_weights`` bounds sum |w_i|."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    moment_errors: np.ndarray
+    abs_weights: float
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(points: int) -> _Rule:
+    """The float ``points``-point Gauss-Legendre rule, certified once per
+    process, at first use."""
+    return _certify_rule(*np.polynomial.legendre.leggauss(points))
+
+
+def _up(q: Fraction) -> float:
+    """The least float >= q."""
+    v = float(q)
+    return v if Fraction(v) >= q else math.nextafter(v, math.inf)
+
+
+def _fixed(v: float) -> int:
+    """v * 2^_FIXED_BITS as an exact integer."""
+    num, den = float(v).as_integer_ratio()
+    require((1 << _FIXED_BITS) % den == 0, f"stored value {v!r} has more than {_FIXED_BITS} fraction bits")
+    return num * ((1 << _FIXED_BITS) // den)
+
+
+def _certify_rule(x, w) -> _Rule:
+    """Certify a stored rule by its exact error on T_0 .. T_{2n-1}.
+
+    The stored floats are dyadic, so the rule's error on each T_k is a
+    property of the floats themselves, whatever they approximate.  The rule
+    must be exactly symmetric, so it integrates every odd T_k exactly.  For
+    even k, T_k at the nodes runs by T_{k+1} = 2x T_k - T_{k-1} in integers
+    scaled by 2^96, each product floored; the floors propagate through the
+    Chebyshev polynomials of the second kind, |U_j| <= j + 1 on [-1, 1], so
+    T_k is off by less than k(k - 1)/2 units.
+    """
+    x = np.array(x, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
+    n = x.shape[0]
+    require(n >= 2 and w.shape == (n,), "a stored rule needs n >= 2 nodes and one weight per node")
+    require(
+        -1.0 < x[0] and x[-1] < 1.0 and bool(np.all(np.diff(x) > 0)),
+        "stored nodes must increase strictly inside (-1, 1)",
+    )
+    require(np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), "stored rule is not exactly symmetric")
+    one = 1 << _FIXED_BITS
+    # the nodes x >= 0, each weighted for itself and its mirror image
+    X = np.array([_fixed(v) for v in x[n // 2:]], dtype=object)
+    W = np.array([_fixed(b) * (1 if a == 0 else 2) for a, b in zip(x[n // 2:], w[n // 2:])], dtype=object)
+    abs_w = sum(abs(v) for v in W)
+    errors = [abs(2 - Fraction(int(W.sum()), one)), Fraction(0)]
+    before, t = np.full(X.shape, one, dtype=object), X
+    for k in range(2, 2 * n):
+        before, t = t, ((2 * X * t) >> _FIXED_BITS) - before
+        if k % 2:
+            errors.append(Fraction(0))
+            continue
+        quad = Fraction(int(np.dot(W, t)), one * one)
+        errors.append(abs(Fraction(2, 1 - k * k) - quad) + Fraction(abs_w * (k * (k - 1) // 2), one * one))
+    total = sum(errors)
+    require(
+        total <= _RULE_MOMENT_CEILING,
+        f"stored {n}-point rule misses T_0..T_{2 * n - 1} by {float(total):.3g} in total, "
+        f"above {float(_RULE_MOMENT_CEILING):g}",
+    )
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return _Rule(x, w, np.array([_up(e) for e in errors]), _up(Fraction(abs_w, one)))
+
+
+def _envelope_factor(x, y):
+    """Bound on the product of the six order corrections of the Hankel
+    envelope, over every cell ``integral`` certifies.
+
+    For real nu, Re z >= x > 0 and |Im z| <= y,
+
+        |J_nu(z)| <= sqrt(2/(pi |z|)) cosh(y) (1 + mu e^mu),
+        mu = |nu^2 - 1/4| (x + y) / x^2.
+
+    By conjugation take Im z >= 0.  With one term, DLMF 10.17.14 bounds the
+    remainders of H^(1) and H^(2) by mu e^mu, where mu / |nu^2 - 1/4| is the
+    variation of t^-1 along a path from z to +i inf (resp. -i inf) on which
+    Im t is monotone.  The ray through z, closed at infinity, gives 1/|z|
+    for H^(1); the path straight down to Re z, out along the real axis and
+    closed at infinity gives at most y/x^2 + 1/x for H^(2).  Both factors
+    grow with nu, so over the cells (orders n + m, n, m with 0, 0, 0 or
+    1, 1, 0; even m <= n; n + m <= _MAX_CELL_ORDER) the product peaks at
+    n + m = _MAX_CELL_ORDER.  Elementwise in x; rounded outward.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    nu = np.arange(_MAX_CELL_ORDER + 1.0)
+    mu = np.multiply.outer(np.abs(nu**2 - 0.25), (x + y) / x**2)
+    g = 1.0 + mu * np.exp(mu)
+    top = _MAX_CELL_ORDER
+    pair = np.max([g[top - m] * g[m] for m in range(0, top // 2 + 1, 2)], axis=0)
+    return _PAD * g[top] * pair * np.maximum(g[0] ** 3, g[1] ** 2 * g[0])
+
+
+def _real_sup(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bound on |f| over each real interval [lo, hi] from min(x, _LANDAU6/x)."""
+    peak = math.sqrt(_LANDAU6)
+    return np.where(hi <= peak, hi, np.where(lo >= peak, _LANDAU6 / np.maximum(lo, peak), peak))
+
+
+@lru_cache(maxsize=None)
+def _gauss_error(region: _GaussRegion) -> float:
+    """Certified bound on |integral - rule| over one region, for every cell.
+
+    Per panel of center c, the Chebyshev coefficients of f(c + h t) obey
+    |a_k| <= min(2 s, 2 M rho^-k), with s a bound on |f| over the real panel
+    and M one over the Bernstein ellipse E_rho: |f(z)| <= |z| e^(6 |Im z|)
+    for the region at the origin, and the Hankel envelope of
+    ``_envelope_factor`` for a region past it.  The panel error is then
+    h sum_k |a_k| |I(T_k) - Q(T_k)|: certified moment errors for k < 2n,
+    and sum |w| + |I(T_k)| for the rest, a geometric tail.  Each stored node
+    c + h x_i is off its exact position by at most 2^-53 (h + |node|), which
+    |f'(x)| <= (1 + 6x) min(1, _LANDAU6/x^2) (from |J_k'| <= max |J_{k+-1}|)
+    charges.
+    """
+    rule = _gauss_rule(region.points)
+    n, rho, h = region.points, region.rho, _GAUSS_HALF
+    c = region.centers()
+    semi, height = h * (rho + 1.0 / rho) / 2.0, h * (rho - 1.0 / rho) / 2.0
+    zmax = c + semi + height
+    if region.a > 0:
+        xmin = c - semi
+        require(xmin[0] > 0, "the Hankel envelope needs every ellipse inside Re z > 0")
+        bound = zmax * (2.0 / (math.pi * xmin)) ** 3 * math.cosh(height) ** 6 * _envelope_factor(xmin, height)
+    else:
+        bound = zmax * math.exp(6.0 * height)
+    k = np.arange(2 * n)
+    coeffs = np.minimum(2.0 * _real_sup(c - h, c + h)[:, None], 2.0 * bound[:, None] * rho ** -k)
+    tail = 2.0 * bound * (rule.abs_weights + 2.0 / (4 * n * n - 1)) * rho ** (-2 * n) / (1.0 - 1.0 / rho)
+    x1 = np.maximum(c - h - 1.0, math.sqrt(_LANDAU6))
+    slope = (1.0 + 6.0 * x1) * np.minimum(1.0, _LANDAU6 / x1**2)
+    nodes = rule.abs_weights * 2.0**-52 * (c + 2.0 * h) * slope
+    return _PAD * h * float(np.sum(coeffs @ rule.moment_errors + tail + nodes))
+
+
+# ---------------------------------------------------------------------------
+# Error bounds of the two rules
+# ---------------------------------------------------------------------------
+
+
 def deriv8_bound(region: str, scheme: QuadratureScheme | None = None) -> float:
     """Certified sup-bound for the eighth derivative of either integrand.
 
     Both families are entire, so Cauchy's formula on the unit circle about r
     bounds f^(8)(r) by 8! times the sup of |f| on the circle.  Below S the
     trivial bound |J_nu(z)| <= e^|Im z| gives ``8! e^6 (S+1)``; past S the
-    asymptotic envelope sqrt(2/(pi|z|)) of each of the six factors applies,
-    with a factor 3 absorbing the finite-order corrections, giving
-    ``3 * 8! * (2/(pi(S-1)))^3 cosh(1)^6 (R+1)``.
+    circle lies in Re z >= S - 1, |Im z| <= 1, where the Hankel envelope
+    sqrt(2/(pi|z|)) cosh(1) of each of the six factors applies with the
+    order corrections of ``_envelope_factor``.  With their product rounded
+    up to ``F = max(3, product)`` that gives
+    ``F * 8! * (2/(pi(S-1)))^3 cosh(1)^6 (R+1)``; at S = 3600 the product is
+    2.43, so the printed budget's F = 3.
     """
     scheme = scheme or DEFAULT_SCHEME
     if region == "low":
         return math.factorial(8) * math.e**6 * (scheme.S + 1.0)
     if region == "high":
+        if not scheme.S > 1.0:
+            raise ValueError(f"the high-region envelope needs S > 1, got S = {scheme.S:g}")
+        factor = max(3.0, float(_envelope_factor(scheme.S - 1.0, 1.0)))
         return (
-            3.0
+            factor
             * math.factorial(8)
             * (2.0 / (math.pi * (scheme.S - 1.0))) ** 3
             * math.cosh(1.0) ** 6
@@ -264,14 +524,20 @@ def deriv8_bound(region: str, scheme: QuadratureScheme | None = None) -> float:
 
 
 def quad_error(region: str, scheme: QuadratureScheme | None = None) -> float:
-    """Composite-rule error bound for one region of the split."""
+    """Certified error bound of the scheme's rule over one region of the split.
+
+    Gauss panels carry the certificate of ``_gauss_error``; NC7 spacings the
+    composite law ``length * w^8 * (6^3/5) * deriv8_bound / 8!``.
+    """
     scheme = scheme or DEFAULT_SCHEME
+    if region not in ("low", "high"):
+        raise ValueError(f"region must be 'low' or 'high', got {region!r}")
+    if scheme.w_low is None:
+        return _gauss_error(_regions(scheme)[region == "high"])
     if region == "low":
         length, w = scheme.S, scheme.w_low
-    elif region == "high":
-        length, w = scheme.R - scheme.S, scheme.w_high
     else:
-        raise ValueError(f"region must be 'low' or 'high', got {region!r}")
+        length, w = scheme.R - scheme.S, scheme.w_high
     return length * w**8 * (216.0 / 5.0) * deriv8_bound(region, scheme) / math.factorial(8)
 
 
@@ -320,33 +586,37 @@ def _cell_product(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray) -
     return values
 
 
-# Cached per-order value rows over a node grid, keyed by (order, a, w, count).
-# A full default-scheme region is ~1.2M nodes (9.6 MB), so two dozen rows
-# stay near 230 MB.  That holds every row one table row needs (at most 21),
-# and lets a session re-read the rows of the cells it has already evaluated.
-# All callers run on the single orchestrator thread.
+# Cached per-order value rows over a region's nodes, keyed by (order,
+# region), and held to a byte cap: two dozen full-length rows of the NC7
+# region [0, 3600] (1.2M nodes, 9.6 MB each), about 230 MB.  That holds every
+# row of the default Gauss grids (all 38 table orders over both regions take
+# 42 MB), every row one NC7 table row needs (at most 21), and lets a session
+# re-read the rows of the cells it has already evaluated.  All callers run on
+# the single orchestrator thread.
 _ROW_CACHE: OrderedDict = OrderedDict()
-_ROW_CACHE_MAX = 24
+_ROW_CACHE_BYTES = 24 * 8 * (6 * 200000 + 1)
 
 
-def _order_rows(orders, a: float, w: float, nodes: np.ndarray, workers: int) -> dict[int, np.ndarray]:
-    """The cached rows of ``orders`` over ``nodes`` = a + w * arange(count).
+def _order_rows(orders, region, nodes: np.ndarray, workers: int) -> dict[int, np.ndarray]:
+    """The cached rows of ``orders`` over ``nodes`` = ``region.nodes()``.
 
     Missing orders are evaluated together in one chunked pass.  Least
-    recently used rows outside the request are evicted before the new rows
-    are allocated, and each row is its own array, so an evicted row is freed
-    at once.
+    recently used rows outside the request are evicted until the new rows
+    fit under the byte cap, before they are allocated, and each row is its
+    own array, so an evicted row is freed at once.
     """
-    keys = {k: (k, a, w, nodes.shape[0]) for k in sorted(set(orders))}
+    keys = {k: (k, region) for k in sorted(set(orders))}
     for key in keys.values():
         if key in _ROW_CACHE:
             _ROW_CACHE.move_to_end(key)
     missing = [k for k, key in keys.items() if key not in _ROW_CACHE]
     if missing:
         wanted = set(keys.values())
-        stale = [key for key in _ROW_CACHE if key not in wanted]
-        for key in stale[:max(0, len(_ROW_CACHE) + len(missing) - _ROW_CACHE_MAX)]:
-            del _ROW_CACHE[key]
+        held = sum(row.nbytes for row in _ROW_CACHE.values())
+        for key in [key for key in _ROW_CACHE if key not in wanted]:
+            if held + len(missing) * nodes.nbytes <= _ROW_CACHE_BYTES:
+                break
+            held -= _ROW_CACHE.pop(key).nbytes
         rows = [np.empty(nodes.shape[0]) for _ in missing]
         _eval_chunked(lambda block: _bessel_rows(missing, block), nodes, rows, workers)
         for k, row in zip(missing, rows):
@@ -355,30 +625,22 @@ def _order_rows(orders, a: float, w: float, nodes: np.ndarray, workers: int) -> 
     return {k: _ROW_CACHE[key] for k, key in keys.items()}
 
 
-def _grid_composite(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray, w: float) -> float:
-    """One cell's composite value over one region, weighted in the same buffer."""
-    return _weighted_sum(_cell_product(variant, m, n, rows, nodes), w)
+def _grid_composite(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray, region) -> float:
+    """One cell's rule value over one region, weighted in the same buffer."""
+    return region.weighted_sum(_cell_product(variant, m, n, rows, nodes))
 
 
-def _region_sums(cells, a: float, w: float, panels: int, workers: int) -> list[float]:
-    """The composite values of the (variant, m, n) ``cells`` over one region,
+def _region_sums(cells, region, workers: int) -> list[float]:
+    """The rule values of the (variant, m, n) ``cells`` over one region,
     reading the union of their orders in one row lookup."""
-    nodes = a + w * np.arange(6 * panels + 1)
-    rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), a, w, nodes, workers)
-    return [_grid_composite(*cell, rows, nodes, w) for cell in cells]
-
-
-def _regions(scheme: QuadratureScheme) -> tuple[tuple[float, float, int], ...]:
-    """(start, node spacing, panel count) of [0, S] and of [S, R]."""
-    return (
-        (0.0, scheme.w_low, _panel_count(0.0, scheme.S, scheme.w_low)),
-        (scheme.S, scheme.w_high, _panel_count(scheme.S, scheme.R, scheme.w_high)),
-    )
+    nodes = region.nodes()
+    rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, workers)
+    return [_grid_composite(*cell, rows, nodes, region) for cell in cells]
 
 
 def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme, workers: int) -> float:
-    """The composite rules over [0, S] and [S, R], summed."""
-    low, high = (_region_sums([(variant, m, n)], *region, workers)[0] for region in _regions(scheme))
+    """The rules over [0, S] and [S, R], summed."""
+    low, high = (_region_sums([(variant, m, n)], region, workers)[0] for region in _regions(scheme))
     return low + high
 
 
@@ -495,9 +757,9 @@ def tail_error_budget(variant: str, m: int, n: int, R: float = _TAIL_ERROR_R) ->
     m, n = int(m), int(n)
     if m < 0 or n < 0 or m % 2:
         raise ValueError(f"need nonnegative even m, got m={m}, n={n}")
-    if n + m > 37:
+    if n + m > _MAX_CELL_ORDER:
         raise ValueError(
-            f"n + m = {n + m} exceeds the order range (<= 37) the tail constants cover"
+            f"n + m = {n + m} exceeds the order range (<= {_MAX_CELL_ORDER}) the tail constants cover"
         )
     if float(R) != _TAIL_ERROR_R:
         raise ValueError(
@@ -586,7 +848,7 @@ def build_table(n_range=None, scheme: QuadratureScheme | None = None, workers=No
     # per region, so a row evaluated for one cell serves all the others
     by_row = [[(variant, m, n) for m in range(0, n + 1, 2) for variant in ("I0", "I1")] for n in rows]
     low, high = (
-        [s for cells in by_row for s in _region_sums(cells, *region, workers)] for region in _regions(scheme)
+        [s for cells in by_row for s in _region_sums(cells, region, workers)] for region in _regions(scheme)
     )
     quads = iter([lo + hi for lo, hi in zip(low, high)])
     entries = []

@@ -2,13 +2,11 @@
 
 Each test asserts one pipeline-level guarantee at its stated tolerance, so
 ``pytest -v tests/test_acceptance.py`` prints a single pass/fail line per
-check.  The quadrature-heavy checks share the module-level grid cache and
-the whole gate runs in about a minute; the full eighteen-row table sweep
-is opt-in via BESSELSIX_FULL_TABLE=1.
+check.  The quadrature-heavy checks share the module-level grid cache; the
+full eighteen-row table takes a few seconds on the default Gauss panels.
 """
 
 import math
-import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -48,6 +46,7 @@ from besselsix.expansions import (
     product_expansion,
 )
 from besselsix.quadrature import (
+    PAPER_SCHEME,
     build_table,
     integral,
     nc7_composite,
@@ -319,8 +318,8 @@ def test_criterion_5_tail_reproduction():
         assert enclosure.rad <= 1e-10
     assert tail_error_budget("I0", 18, 19) <= 5.5e-9
     assert tail_error_budget("I1", 0, 20) <= 5.5e-9
-    assert quad_error("low") <= 1.49e-9
-    assert quad_error("high") <= 1.42e-9
+    assert quad_error("low", PAPER_SCHEME) <= 1.49e-9
+    assert quad_error("high", PAPER_SCHEME) <= 1.42e-9
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +337,7 @@ def test_criterion_6_table_sampled_cells():
         _assert_cell_close(entries[(n, m)], top, bottom)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("BESSELSIX_FULL_TABLE"),
-    reason="full eighteen-row sweep is opt-in: set BESSELSIX_FULL_TABLE=1",
-)
-def test_criterion_6_full_table_opt_in():
+def test_criterion_6_full_table():
     entries = {(e.n, e.m): e for e in build_table()}
     for n, (top_row, bottom_row) in PUBLISHED_TABLE.items():
         for i, (top, bottom) in enumerate(zip(top_row, bottom_row)):

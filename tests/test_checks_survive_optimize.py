@@ -1,8 +1,8 @@
 """Certification checks raise CertificationError, also under ``python -O``.
 
-Each case patches one printed constant or stored roll-up in a fresh
-``python -O`` interpreter, where ``assert`` statements are stripped, and
-requires the public entry point to refuse.
+Each case patches one printed constant, stored roll-up or stored quadrature
+rule in a fresh ``python -O`` interpreter, where ``assert`` statements are
+stripped, and requires the public entry point to refuse.
 """
 
 import ast
@@ -30,6 +30,22 @@ def _run_optimized(body: str) -> subprocess.CompletedProcess:
     )
 
 
+# The stored Gauss-Legendre rule with its outermost node pair (index 0) or
+# weight pair (index 1) moved by delta, symmetry kept.
+_MOVED_RULE = """
+import numpy as np
+from besselsix import quadrature
+_real = np.polynomial.legendre.leggauss
+def _moved(points):
+    arrays = [a.copy() for a in _real(points)]
+    arrays[{index}][-1] += {delta}
+    arrays[{index}][0] += {delta} if {index} else -{delta}
+    return tuple(arrays)
+np.polynomial.legendre.leggauss = _moved
+"""
+_INTEGRAL = 'quadrature.integral("I0", 0, 7)'
+
+
 @pytest.mark.parametrize(
     "patch, call",
     [
@@ -42,6 +58,8 @@ def _run_optimized(body: str) -> subprocess.CompletedProcess:
             'core_integrals._E1_PRINTED[(0, "cos")] = (Fraction("1e-12"), Fraction("0.015"), 1, 4)',
             'certify.predict(0, 25, "I0")',
         ),
+        pytest.param(_MOVED_RULE.format(index=1, delta="1e-6"), _INTEGRAL, id="gauss-weight-1e-6"),
+        pytest.param(_MOVED_RULE.format(index=0, delta="1e-9"), _INTEGRAL, id="gauss-node-1e-9"),
     ],
 )
 def test_patched_constant_raises_under_optimize(patch, call):

@@ -93,6 +93,40 @@ def test_scheme_override_must_keep_panels_integral(capsys):
     assert "panels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], quadrature.DEFAULT_SCHEME),
+        (["--S", "360"], quadrature.QuadratureScheme(S=360.0)),
+        (["--w-low", "0.006"], quadrature.QuadratureScheme(w_low=0.006, w_high=0.05)),
+        (["--w-high", "0.1"], quadrature.QuadratureScheme(w_low=0.003, w_high=0.1)),
+        (["--w-low", "0.003", "--w-high", "0.05"], quadrature.PAPER_SCHEME),
+    ],
+)
+def test_scheme_flags_select_the_rule(flags, expected):
+    # no spacing: Gauss panels; any spacing: the paper's NC7 rule, the other
+    # spacing from PAPER_SCHEME
+    for argv in (
+        ["integrate", "--variant", "0", "--m", "0", "--n", "5", *flags],
+        ["table", "--rows", "3", *flags],
+    ):
+        assert cli._scheme_from(cli.parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("flags", [["--S", "3610"], ["--R", "63010"], ["--S", "360", "--R", "3650"]])
+def test_gauss_scheme_off_the_panel_grid_exits_three(flags, capsys):
+    assert cli.main(["integrate", "--variant", "0", "--m", "0", "--n", "5", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "width-30 panels" in err
+
+
+def test_default_table_matches_the_paper_rule(capsys):
+    assert cli.main(["table", "--rows", "2..3"]) == 0
+    gauss = capsys.readouterr().out
+    assert cli.main(["table", "--rows", "2..3", "--w-low", "0.003", "--w-high", "0.05"]) == 0
+    assert capsys.readouterr().out == gauss
+
+
 def test_predict_below_cutoff_is_domain_error(capsys):
     assert cli.main(["predict", "--variant", "0", "--m", "0", "--n", "10"]) == 3
     capsys.readouterr()

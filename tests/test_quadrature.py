@@ -1,8 +1,12 @@
 """Tests for the certified composite quadrature and tail evaluation."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +15,22 @@ from besselsix import quadrature
 from besselsix.bessel import CertifiedValue, _bessel_rows
 from besselsix.certify import NORMALIZATION
 from besselsix.core_integrals import main_term
+from besselsix.exactnum import CertificationError
 from besselsix.quadrature import (
     DEFAULT_SCHEME,
+    PAPER_SCHEME,
     ErrorBudget,
     QuadratureScheme,
     TableEntry,
     _NC7_WEIGHTS,
+    _NC7Region,
+    _envelope_factor,
     _eval_chunked,
+    _gauss_rule,
     _order_rows,
     _panel_count,
+    _region_sums,
+    _regions,
     _tail_error_pieces,
     _weigh,
     build_table,
@@ -33,8 +44,10 @@ from besselsix.quadrature import (
     tail_main,
 )
 
-# A coarse grid for tests that only exercise plumbing, not accuracy.
+# A coarse NC7 grid for tests that only exercise plumbing, not accuracy.
 FAST = QuadratureScheme(S=360.0, R=3600.0, w_low=0.03, w_high=0.5)
+# 200 FAST panels at the origin: 1201 nodes, one chunk.
+SMALL = _NC7Region(0.0, 36.0, FAST.w_low)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +132,15 @@ def test_weight_vector_layout():
 
 
 def test_default_scheme_values():
-    assert DEFAULT_SCHEME.S == 3600.0
-    assert DEFAULT_SCHEME.R == 63000.0
-    assert DEFAULT_SCHEME.w_low == 0.003
-    assert DEFAULT_SCHEME.w_high == 0.05
+    assert PAPER_SCHEME.S == 3600.0
+    assert PAPER_SCHEME.R == 63000.0
+    assert PAPER_SCHEME.w_low == 0.003
+    assert PAPER_SCHEME.w_high == 0.05
     assert sum(_NC7_WEIGHTS) == 6
     assert _NC7_WEIGHTS[0] == Fraction(41, 140)
+    # the default is the paper's split with Gauss panels
+    assert (DEFAULT_SCHEME.S, DEFAULT_SCHEME.R) == (PAPER_SCHEME.S, PAPER_SCHEME.R)
+    assert DEFAULT_SCHEME.w_low is None and DEFAULT_SCHEME.w_high is None
 
 
 def test_scheme_rejects_non_integer_panels():
@@ -132,6 +148,22 @@ def test_scheme_rejects_non_integer_panels():
         QuadratureScheme(S=3600.0, R=63000.0, w_low=0.007, w_high=0.05)
     with pytest.raises(ValueError):
         QuadratureScheme(S=3600.0, R=3599.0, w_low=0.003, w_high=0.05)
+
+
+@pytest.mark.parametrize(
+    "S, R",
+    [(3610.0, 63000.0), (3600.0, 63010.0), (15.0, 63000.0)],
+)
+def test_gauss_scheme_needs_width_30_panels(S, R):
+    with pytest.raises(ValueError, match="panels"):
+        QuadratureScheme(S=S, R=R)
+
+
+def test_scheme_takes_both_spacings_or_neither():
+    with pytest.raises(ValueError, match="both node spacings"):
+        QuadratureScheme(w_low=0.003)
+    with pytest.raises(ValueError, match="both node spacings"):
+        QuadratureScheme(w_high=0.05)
 
 
 def test_error_budget_total_must_match_items():
@@ -166,14 +198,59 @@ def test_deriv8_high_printed_form():
     assert deriv8_bound("high") == expected
 
 
+def _envelope_corrections(x, y, orders):
+    """The six factors 1 + mu e^mu of the Hankel envelope, one cell."""
+    out = 1.0
+    for nu in orders:
+        mu = abs(nu * nu - 0.25) * (x + y) / x**2
+        out *= 1.0 + mu * math.exp(mu)
+    return out
+
+
+def test_envelope_factor_derives_the_printed_three():
+    # the derived factor at the paper's S sits below the printed 3 and
+    # dominates every cell integral certifies
+    derived = float(_envelope_factor(3599.0, 1.0))
+    assert 2.4 < derived <= 3.0
+    cells = [
+        (n + m, n, m, *low)
+        for n in range(0, 38)
+        for m in range(0, n + 1, 2)
+        if n + m <= 37
+        for low in ((0, 0, 0), (1, 1, 0))
+    ]
+    worst = max(_envelope_corrections(3599.0, 1.0, orders) for orders in cells)
+    assert worst <= derived <= worst * (1 + 1e-11)
+    # elementwise over panel positions, falling with x
+    xs = np.array([3596.25, 10000.0, 60000.0])
+    assert np.array_equal(_envelope_factor(xs, 11.25), [float(_envelope_factor(x, 11.25)) for x in xs])
+    assert np.all(np.diff(_envelope_factor(xs, 11.25)) < 0)
+
+
+def test_quad_error_high_carries_the_derived_factor():
+    # at S = 360 the order corrections reach ~3e4, far past the printed 3
+    derived = float(_envelope_factor(FAST.S - 1.0, 1.0))
+    assert derived > 1e4
+    expected = (
+        derived
+        * math.factorial(8)
+        * (2.0 / (math.pi * (FAST.S - 1.0))) ** 3
+        * math.cosh(1.0) ** 6
+        * (FAST.R + 1.0)
+    )
+    assert deriv8_bound("high", FAST) == expected
+    length = FAST.R - FAST.S
+    assert quad_error("high", FAST) == length * FAST.w_high**8 * (216.0 / 5.0) * expected / math.factorial(8)
+
+
 def test_deriv8_region_validated():
     with pytest.raises(ValueError):
         deriv8_bound("mid")
 
 
 def test_quad_error_below_printed_ceilings():
-    low = quad_error("low")
-    high = quad_error("high")
+    low = quad_error("low", PAPER_SCHEME)
+    high = quad_error("high", PAPER_SCHEME)
     assert 1.4e-9 < low <= 1.49e-9
     assert 1.4e-9 < high <= 1.42e-9
 
@@ -183,6 +260,144 @@ def test_quad_error_follows_the_composite_law():
     for region, length, w in (("low", FAST.S, FAST.w_low), ("high", FAST.R - FAST.S, FAST.w_high)):
         expected = length * w**8 * (216.0 / 5.0) * deriv8_bound(region, FAST) / math.factorial(8)
         assert quad_error(region, FAST) == expected
+
+
+# ---------------------------------------------------------------------------
+# the certified Gauss-Legendre panels
+# ---------------------------------------------------------------------------
+
+
+def test_gauss_nodes_tile_the_regions():
+    low, high = _regions(DEFAULT_SCHEME)
+    assert (low.points, high.points) == (76, 66)
+    for region in (low, high):
+        nodes = region.nodes()
+        panels = round((region.b - region.a) / 30.0)
+        assert nodes.shape == (panels * region.points,)
+        assert region.a < nodes[0] and nodes[-1] < region.b
+        assert np.all(np.diff(nodes) > 0)
+        centers = region.centers()
+        assert np.array_equal(centers, region.a + 15.0 * (2.0 * np.arange(panels) + 1.0))
+    # 139,800 nodes per cell, against 2.39M for the paper's NC7 grids
+    assert sum(r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME)) == 139800
+    assert sum(r.nodes().shape[0] for r in _regions(PAPER_SCHEME)) == 2388002
+
+
+def test_gauss_weighted_sum_is_the_panel_rule():
+    # exact for polynomials through degree 2n - 1 on every panel
+    low = _regions(DEFAULT_SCHEME)[0]
+    nodes = low.nodes()
+    t = (nodes - 1800.0) / 1800.0
+    # 1800 * integral_{-1}^{1} (t^9 + 3 t^2) dt
+    assert low.weighted_sum(t**9 + 3.0 * t**2) == pytest.approx(3600.0, rel=1e-13)
+    assert low.weighted_sum(np.ones(nodes.shape[0])) == pytest.approx(3600.0, rel=1e-14)
+
+
+def test_gauss_rule_certificate():
+    for points in (76, 66):
+        rule = _gauss_rule(points)
+        assert rule.moment_errors.shape == (2 * points,)
+        assert np.all(rule.moment_errors[1::2] == 0.0)
+        assert 0 < float(np.sum(rule.moment_errors)) <= 1e-12
+        assert rule.abs_weights == pytest.approx(2.0, abs=1e-14)
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+
+@pytest.mark.parametrize("points", [7, 20])
+def test_rule_certificate_bounds_the_exact_moment_errors(points):
+    # plain Fraction arithmetic on the stored floats, small rules only
+    x, w = np.polynomial.legendre.leggauss(points)
+    rule = quadrature._certify_rule(x, w)
+    xs, ws = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in w]
+    t_prev, t = [Fraction(1)] * points, list(xs)
+    for k in range(2 * points):
+        if k >= 2:
+            t_prev, t = t, [2 * a * b - c for a, b, c in zip(xs, t, t_prev)]
+        values = [Fraction(1)] * points if k == 0 else t
+        exact_integral = Fraction(2, 1 - k * k) if k % 2 == 0 else Fraction(0)
+        exact = abs(exact_integral - sum(a * b for a, b in zip(ws, values)))
+        assert exact <= Fraction(float(rule.moment_errors[k])) <= exact * (1 + Fraction(1, 10**15)) + Fraction(1, 10**24), k
+
+
+def _perturbed(index: int, delta: float, symmetric: bool):
+    """A Gauss-Legendre source whose node (index 0) or weight (index 1) at
+    the outermost position is moved by delta, on both sides when symmetric."""
+    real = np.polynomial.legendre.leggauss
+
+    def source(points):
+        arrays = [np.array(a) for a in real(points)]
+        arrays[index][-1] += delta
+        if symmetric:
+            arrays[index][0] += -delta if index == 0 else delta
+        return tuple(arrays)
+
+    return source
+
+
+@pytest.mark.parametrize(
+    "index, delta, symmetric, message",
+    [
+        (1, 1e-6, True, "misses T_0"),
+        (0, 1e-9, True, "misses T_0"),
+        (1, 1e-6, False, "symmetric"),
+        (0, 1e-9, False, "symmetric"),
+    ],
+)
+def test_perturbed_stored_rule_is_refused(monkeypatch, index, delta, symmetric, message):
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _perturbed(index, delta, symmetric))
+    _gauss_rule.cache_clear()
+    try:
+        with pytest.raises(CertificationError, match=message):
+            _gauss_rule(76)
+    finally:
+        _gauss_rule.cache_clear()
+
+
+_COUNT_CERTIFICATES = """
+import numpy as np
+made = []
+_leggauss = np.polynomial.legendre.leggauss
+np.polynomial.legendre.leggauss = lambda n: made.append(n) or _leggauss(n)
+import besselsix
+from besselsix import quadrature
+certified = []
+_certify = quadrature._certify_rule
+quadrature._certify_rule = lambda x, w: certified.append(len(x)) or _certify(x, w)
+print(made, quadrature._gauss_rule.cache_info().currsize)
+besselsix.integral("I0", 0, 7)
+besselsix.integral("I1", 2, 9)
+besselsix.build_table([2, 3])
+print(sorted(made), sorted(certified))
+"""
+
+
+def test_fresh_process_certifies_each_rule_once():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _COUNT_CERTIFICATES],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # import builds no rule; two integrals and a table certify each rule once
+    assert result.stdout.splitlines() == ["[] 0", "[66, 76] [66, 76]"]
+
+
+def test_default_budget_meets_the_radius_target():
+    for variant, m, n in (("I0", 0, 2), ("I1", 0, 7), ("I0", 4, 11), ("I1", 18, 19)):
+        b = error_budget(variant, m, n)
+        assert b.quad_low + b.quad_high <= 1e-10
+        assert b.total <= 0.9e-8
+    # the paper's NC7 budget is unchanged
+    paper = error_budget("I0", 0, 7, PAPER_SCHEME)
+    assert (paper.quad_low, paper.quad_high) == (quad_error("low", PAPER_SCHEME), quad_error("high", PAPER_SCHEME))
+
+
+@pytest.mark.parametrize("cell", [("I0", 0, 7), ("I1", 4, 11), ("I0", 18, 19)])
+def test_gauss_and_nc7_region_sums_agree(cell):
+    for gauss, nc7 in zip(_regions(DEFAULT_SCHEME), _regions(PAPER_SCHEME)):
+        g = _region_sums([cell], gauss, 1)[0]
+        p = _region_sums([cell], nc7, 1)[0]
+        assert abs(g - p) <= 1e-15, (cell, gauss.a, g - p)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +578,10 @@ def test_rounding_allowance_is_generous():
     # real low-region composite; the difference must sit far inside the
     # 0.05e-8 allowance
     count = 6 * 200000 + 1
-    nodes = 0.003 * np.arange(count)
-    rows = _order_rows((0, 2), 0.0, 0.003, nodes, 1)
+    region = _NC7Region(0.0, 3600.0, 0.003)
+    nodes = region.nodes()
+    assert np.array_equal(nodes, 0.003 * np.arange(count))
+    rows = _order_rows((0, 2), region, nodes, 1)
     row0, row2 = rows[0], rows[2]
     values = row2 * row2 * row0 * row0 * row0 * nodes
     wv = _weigh(np.ones(count))
@@ -391,10 +608,10 @@ def test_chunked_evaluation_worker_independent():
 
 
 def test_order_rows_cached_and_frozen():
-    nodes = FAST.w_low * np.arange(6 * 200 + 1)
-    a = _order_rows((0,), 0.0, FAST.w_low, nodes, 1)[0]
-    b = _order_rows((0,), 0.0, FAST.w_low, nodes, 1)[0]
-    c = _order_rows((3, 0), 0.0, FAST.w_low, nodes, 1)[0]
+    nodes = SMALL.nodes()
+    a = _order_rows((0,), SMALL, nodes, 1)[0]
+    b = _order_rows((0,), SMALL, nodes, 1)[0]
+    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, FAST.w_low), nodes, 1)[0]
     assert a is b is c
     assert not a.flags.writeable
 
@@ -422,6 +639,20 @@ def test_table_band_evaluates_each_row_once(monkeypatch):
     assert len(evaluated) == 32
 
 
+def test_full_default_table_evaluates_each_row_once(monkeypatch):
+    # rows 2..19 read 38 distinct orders in each region: 76 rows, all of
+    # which the byte cap holds, so no row is evaluated twice.  The [S, R]
+    # grid spans two chunks, so count nodes rather than kernel calls.
+    monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
+    evaluated = _count_kernel_rows(monkeypatch)
+    build_table()
+    assert len(set(evaluated)) == len(evaluated)
+    low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
+    assert {k for k, _, _ in evaluated} == set(range(38))
+    assert sum(count for _, _, count in evaluated) == 38 * (low + high)
+    assert len(quadrature._ROW_CACHE) == 76
+
+
 def test_repeated_integral_evaluates_no_row(monkeypatch):
     scheme = QuadratureScheme(S=360.0, R=63000.0, w_low=0.03, w_high=0.5)
     monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
@@ -436,9 +667,9 @@ def test_repeated_integral_evaluates_no_row(monkeypatch):
 def test_row_lookup_evicts_before_allocating(monkeypatch):
     cache = OrderedDict()
     monkeypatch.setattr(quadrature, "_ROW_CACHE", cache)
-    monkeypatch.setattr(quadrature, "_ROW_CACHE_MAX", 4)
-    nodes = FAST.w_low * np.arange(6 * 200 + 1)
-    first = _order_rows((0, 1, 2, 3), 0.0, FAST.w_low, nodes, 1)
+    nodes = SMALL.nodes()
+    monkeypatch.setattr(quadrature, "_ROW_CACHE_BYTES", 4 * nodes.nbytes)
+    first = _order_rows((0, 1, 2, 3), SMALL, nodes, 1)
     sizes = []
     real = quadrature._eval_chunked
 
@@ -448,7 +679,7 @@ def test_row_lookup_evicts_before_allocating(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_eval_chunked", eval_noting_cache)
     # order 1 is touched by the request, so 0 and 2 are the two least recently used
-    rows = _order_rows((1, 5, 6), 0.0, FAST.w_low, nodes, 1)
+    rows = _order_rows((1, 5, 6), SMALL, nodes, 1)
     assert sizes == [2]
     assert [key[0] for key in cache] == [3, 1, 5, 6]
     assert rows[1] is first[1]
