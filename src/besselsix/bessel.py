@@ -194,11 +194,16 @@ def _asym_sums(n: int, r, ell: int):
     return _horner(_alternating(a[0::2]), u), _horner(_alternating(a[1::2]), u) / r
 
 
-def _asym_mid(n: int, r: np.ndarray) -> np.ndarray:
-    """Midpoint of the ``_ASYM_TERMS``-term asymptotic evaluation (n <= 1)."""
-    p, q = _asym_sums(n, r, _ASYM_TERMS)
-    omega = _phase_array(n, r)
-    return np.sqrt(2.0 / (np.pi * r)) * (np.cos(omega) * p - np.sin(omega) * q)
+def _asym_j0_j1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of the ``_ASYM_TERMS``-term asymptotic J0 and J1, from one
+    phase reduction: omega_1 = omega_0 - pi/2, so cos omega_1 = sin omega_0
+    and sin omega_1 = -cos omega_0."""
+    p0, q0 = _asym_sums(0, r, _ASYM_TERMS)
+    p1, q1 = _asym_sums(1, r, _ASYM_TERMS)
+    omega = _phase_array(0, r)
+    c, s = np.cos(omega), np.sin(omega)
+    amp = np.sqrt(2.0 / (np.pi * r))
+    return amp * (c * p0 - s * q0), amp * (s * p1 + c * q1)
 
 
 def asymptotic_remainder(n: int, r: float, ell: int) -> float:
@@ -298,7 +303,7 @@ def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
     large = ~small
     if np.any(large):
         rl = r[large]
-        jk, jnext = _asym_mid(0, rl), _asym_mid(1, rl)  # J_k and J_{k+1} from k = 0
+        jk, jnext = _asym_j0_j1(rl)  # J_k and J_{k+1} from k = 0
         for k in range(max(orders) + 1):
             for i, order in enumerate(orders):
                 if order == k:

@@ -86,7 +86,6 @@ class RunConfig:
     w_high: float | None = None
     output: str = "human"
     csv_path: str | None = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.output not in ("human", "json", "csv"):
@@ -112,7 +111,6 @@ def _add_scheme_flags(p) -> None:
     p.add_argument("--R", type=float, default=None, help="outer radius where the analytic tail takes over")
     p.add_argument("--w-low", type=float, default=None, help="NC7 node spacing below S (selects the paper's rule)")
     p.add_argument("--w-high", type=float, default=None, help="NC7 node spacing between S and R (selects the paper's rule)")
-    p.add_argument("--workers", type=int, default=None, help="thread count (default: BESSELSIX_WORKERS or 1)")
 
 
 def _build_parser() -> _Parser:
@@ -214,14 +212,11 @@ def parse_args(argv) -> RunConfig:
         elif command == "predict":
             kwargs.update(budget=ns.budget)
         elif command == "integrate":
-            kwargs.update(
-                S=ns.S, R=ns.R, w_low=ns.w_low, w_high=ns.w_high,
-                workers=ns.workers, output="json" if ns.json else "human",
-            )
+            kwargs.update(S=ns.S, R=ns.R, w_low=ns.w_low, w_high=ns.w_high, output="json" if ns.json else "human")
     elif command == "table":
         kwargs.update(
             rows=_parse_rows(ns.rows), csv_path=ns.csv, output="csv",
-            S=ns.S, R=ns.R, w_low=ns.w_low, w_high=ns.w_high, workers=ns.workers,
+            S=ns.S, R=ns.R, w_low=ns.w_low, w_high=ns.w_high,
         )
     elif command == "figure1":
         kwargs.update(csv_path=ns.csv, output="csv")
@@ -449,7 +444,7 @@ def _cmd_theorem_map(config: RunConfig) -> int:
 
 def _cmd_integrate(config: RunConfig) -> int:
     scheme = _scheme_from(config)
-    value, budget = _integral_and_budget(config.variant, config.m, config.n, scheme, config.workers)
+    value, budget = _integral_and_budget(config.variant, config.m, config.n, scheme)
     if config.output == "json":
         print(_json_dumps(integrate_payload(config, value, budget)))
         return EXIT_OK
@@ -461,7 +456,7 @@ def _cmd_integrate(config: RunConfig) -> int:
 
 def _cmd_table(config: RunConfig) -> int:
     scheme = _scheme_from(config)
-    entries = build_table(config.rows, scheme=scheme, workers=config.workers)
+    entries = build_table(config.rows, scheme=scheme)
     lines = ["n,m,top,bottom"]
     for e in entries:
         lines.append(f"{e.n},{e.m},{_ceil2(e.top):.2f},{_ceil2(e.bottom):.2f}")

@@ -40,21 +40,18 @@ Integrands are vectorized: every callable handed to the composite rule
 takes a float ndarray of nodes and returns the values at those nodes.  The
 grid sums of ``integral`` and ``build_table`` read per-order value rows
 over each region, evaluated by the multi-order kernel ``_bessel_rows`` (all
-missing orders of a request in one pass) and cached across cells.  All grid
+missing orders of a request in one pass) and memoized for the scheme in
+use; asking for another scheme frees the last one's rows.  All grid
 evaluation is deterministic: nodes are generated from integer indices,
-per-node values depend only on the node and the order (never on chunk shape
+per-node values depend only on the node and the order (never on the chunk
 or on the other orders evaluated with it), and every weighted reduction is a
-single pairwise ``np.sum``.  Worker threads only partition the node vector
-into fixed 65536-point chunks written to disjoint slices, so results are
-bit-identical for any worker count.
+single pairwise ``np.sum``.  Nodes are evaluated on one thread in fixed
+65536-point chunks, which only bound the kernel's temporaries.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -130,7 +127,7 @@ class _NC7Region:
 
     def weighted_sum(self, values: np.ndarray) -> float:
         """The rule's sum over ``values`` at ``nodes()``; weighs them in place."""
-        return _weighted_sum(values, self.w)
+        return (self.w / 140.0) * float(np.sum(_weigh(values)))
 
 
 @dataclass(frozen=True)
@@ -249,15 +246,6 @@ def _parity(n: int) -> str:
     return "even" if n % 2 == 0 else "odd"
 
 
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        workers = os.environ.get("BESSELSIX_WORKERS", "1")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # The composite rule
 # ---------------------------------------------------------------------------
@@ -280,33 +268,15 @@ def _weigh(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _weighted_sum(values: np.ndarray, w: float) -> float:
-    """The composite rule's weighted sum; weighs ``values`` in place."""
-    return (w / 140.0) * float(np.sum(_weigh(values)))
+def _eval_chunked(f, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[..., i]`` with f at ``nodes[i]``, one fixed 65536-point
+    chunk of nodes at a time; returns ``out``."""
+    for lo in range(0, nodes.shape[0], _CHUNK):
+        out[..., lo:lo + _CHUNK] = f(nodes[lo:lo + _CHUNK])
+    return out
 
 
-def _eval_chunked(f, nodes: np.ndarray, rows: list, workers: int) -> None:
-    """Fill ``rows`` from f over the node vector in fixed 65536-point chunks.
-
-    f maps a chunk of nodes to one value block per row.  Chunks are written
-    to disjoint slices of the rows, so the values never depend on the worker
-    count.
-    """
-
-    def fill(lo):
-        for row, values in zip(rows, f(nodes[lo:lo + _CHUNK])):
-            row[lo:lo + _CHUNK] = values
-
-    starts = range(0, nodes.shape[0], _CHUNK)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
-
-
-def nc7_composite(f, a: float, b: float, w: float, workers=None) -> float:
+def nc7_composite(f, a: float, b: float, w: float) -> float:
     """Composite 7-point Newton-Cotes approximation of integral_a^b f.
 
     ``f`` must be vectorized: it is called with a float ndarray of nodes and
@@ -315,11 +285,9 @@ def nc7_composite(f, a: float, b: float, w: float, workers=None) -> float:
     degree 7; for C^8 integrands the error is bounded by
     ``(b - a) * w^8 * (6^3/5) * sup|f^(8)| / 8!``.
     """
-    panels = _panel_count(a, b, w)
-    nodes = a + w * np.arange(6 * panels + 1)
-    values = np.empty(nodes.shape[0])
-    _eval_chunked(lambda block: (f(block),), nodes, [values], _resolve_workers(workers))
-    return _weighted_sum(values, w)
+    region = _NC7Region(a, b, w)
+    nodes = region.nodes()
+    return region.weighted_sum(_eval_chunked(f, nodes, np.empty(nodes.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -586,43 +554,26 @@ def _cell_product(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray) -
     return values
 
 
-# Cached per-order value rows over a region's nodes, keyed by (order,
-# region), and held to a byte cap: two dozen full-length rows of the NC7
-# region [0, 3600] (1.2M nodes, 9.6 MB each), about 230 MB.  That holds every
-# row of the default Gauss grids (all 38 table orders over both regions take
-# 42 MB), every row one NC7 table row needs (at most 21), and lets a session
-# re-read the rows of the cells it has already evaluated.  All callers run on
-# the single orchestrator thread.
-_ROW_CACHE: OrderedDict = OrderedDict()
-_ROW_CACHE_BYTES = 24 * 8 * (6 * 200000 + 1)
+@lru_cache(maxsize=1)
+def _scheme_rows(scheme: QuadratureScheme) -> dict:
+    """The per-order value rows evaluated so far under ``scheme``, keyed by
+    (order, region).  One scheme at a time: asking for another frees these.
+    All 38 table orders over both default Gauss regions take 42 MB; over the
+    paper's NC7 grids they take 0.73 GB, which buys evaluating each row once."""
+    return {}
 
 
-def _order_rows(orders, region, nodes: np.ndarray, workers: int) -> dict[int, np.ndarray]:
-    """The cached rows of ``orders`` over ``nodes`` = ``region.nodes()``.
-
-    Missing orders are evaluated together in one chunked pass.  Least
-    recently used rows outside the request are evicted until the new rows
-    fit under the byte cap, before they are allocated, and each row is its
-    own array, so an evicted row is freed at once.
-    """
-    keys = {k: (k, region) for k in sorted(set(orders))}
-    for key in keys.values():
-        if key in _ROW_CACHE:
-            _ROW_CACHE.move_to_end(key)
-    missing = [k for k, key in keys.items() if key not in _ROW_CACHE]
+def _order_rows(orders, region, nodes: np.ndarray, memo: dict) -> dict[int, np.ndarray]:
+    """The rows of ``orders`` over ``nodes`` = ``region.nodes()``, read from
+    and added to ``memo``.  Missing orders are evaluated together in one
+    pass, into one frozen block whose rows are views."""
+    missing = sorted({k for k in orders if (k, region) not in memo})
     if missing:
-        wanted = set(keys.values())
-        held = sum(row.nbytes for row in _ROW_CACHE.values())
-        for key in [key for key in _ROW_CACHE if key not in wanted]:
-            if held + len(missing) * nodes.nbytes <= _ROW_CACHE_BYTES:
-                break
-            held -= _ROW_CACHE.pop(key).nbytes
-        rows = [np.empty(nodes.shape[0]) for _ in missing]
-        _eval_chunked(lambda block: _bessel_rows(missing, block), nodes, rows, workers)
-        for k, row in zip(missing, rows):
-            row.setflags(write=False)
-            _ROW_CACHE[keys[k]] = row
-    return {k: _ROW_CACHE[key] for k, key in keys.items()}
+        block = np.empty((len(missing), nodes.shape[0]))
+        _eval_chunked(lambda chunk: _bessel_rows(missing, chunk), nodes, block)
+        block.setflags(write=False)
+        memo.update(((k, region), row) for k, row in zip(missing, block))
+    return {k: memo[k, region] for k in orders}
 
 
 def _grid_composite(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray, region) -> float:
@@ -630,17 +581,18 @@ def _grid_composite(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray,
     return region.weighted_sum(_cell_product(variant, m, n, rows, nodes))
 
 
-def _region_sums(cells, region, workers: int) -> list[float]:
+def _region_sums(cells, region, memo: dict) -> list[float]:
     """The rule values of the (variant, m, n) ``cells`` over one region,
     reading the union of their orders in one row lookup."""
     nodes = region.nodes()
-    rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, workers)
+    rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, memo)
     return [_grid_composite(*cell, rows, nodes, region) for cell in cells]
 
 
-def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme, workers: int) -> float:
+def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme) -> float:
     """The rules over [0, S] and [S, R], summed."""
-    low, high = (_region_sums([(variant, m, n)], region, workers)[0] for region in _regions(scheme))
+    memo = _scheme_rows(scheme)
+    low, high = (_region_sums([(variant, m, n)], region, memo)[0] for region in _regions(scheme))
     return low + high
 
 
@@ -717,29 +669,30 @@ def tail_main(variant: str, n_parity: str, R: float = 63000.0) -> CertifiedValue
 
 
 # The four-piece budget for everything the tail's main profile discards: the
-# 2^6 - 1 products mixing at least one asymptotic error factor.  Pieces are
-# uniform over the tabulated orders via (n+m)^2 <= 37^2, n^2 <= 19^2,
-# m^2 <= 18^2, and each recomputed value is checked against its printed
-# ceiling once per process.
+# 2^6 - 1 products mixing at least one asymptotic error factor.  The pieces
+# at order cap N hold for every cell with n + m <= 37 and max(n, m) <= N,
+# via (n+m)^2 <= 37^2, max(n, m)^2 <= N^2 and min(n, m)^2 <= 18^2.  Every
+# table cell (n <= 19) shares the N = 19 pieces; each recomputed value is
+# checked against its printed ceiling once per cap.
 _TAIL_ERROR_R = 63000.0
 _TAIL_ERROR_CEILINGS = (2.1e-11, 1.64e-9, 3.32e-9, 4.5e-10)
 
 
-@lru_cache(maxsize=1)
-def _tail_error_pieces() -> tuple[float, ...]:
+@lru_cache(maxsize=None)
+def _tail_error_pieces(N: int) -> tuple[float, ...]:
     R = _TAIL_ERROR_R
     quartic = (8.0 / math.pi**3) / (3.0 * R**3)  # integral_R^inf (2/pi)^3 r^-4 dr
     quintic = (8.0 / math.pi**3) / (4.0 * R**4)  # integral_R^inf (2/pi)^3 r^-5 dr
     # six second-order boundary pieces: the product of six trig factors is odd
     # about pi/4, so only the deviation of r^-3 from its per-period mean
     # (below 6 pi r^-4) survives
-    mean_zero = 3.0 * math.pi * (37**2 + 19**2 + 18**2 + 3) * quartic
+    mean_zero = 3.0 * math.pi * (37**2 + N**2 + 18**2 + 3) * quartic
     # six remainders beyond the two-term refinement of each error factor
-    refine = 0.25 * (37**4 + 19**4 + 18**4 + 3) * quartic
+    refine = 0.25 * (37**4 + N**4 + 18**4 + 3) * quartic
     # fifteen products with exactly two error factors: one extra r^-1 each
-    pairs = float(37**2 * 19**2 + 37**2 * 18**2 + 19**2 * 18**2 + 12 * 36**2) * quartic
+    pairs = float(37**2 * N**2 + 37**2 * 18**2 + N**2 * 18**2 + 12 * 36**2) * quartic
     # the remaining forty-two products decay at least like r^-5
-    rest = 42.0 * float(37**2 * 19**2 * 18**2) * quintic
+    rest = 42.0 * float(37**2 * N**2 * 18**2) * quintic
     pieces = (mean_zero, refine, pairs, rest)
     for value, ceiling in zip(pieces, _TAIL_ERROR_CEILINGS):
         require(value <= ceiling, f"tail error piece {value:g} exceeds its ceiling {ceiling:g}")
@@ -748,10 +701,11 @@ def _tail_error_pieces() -> tuple[float, ...]:
 
 
 def tail_error_budget(variant: str, m: int, n: int, R: float = _TAIL_ERROR_R) -> float:
-    """Certified bound for |I_high - tail_main| over the tabulated orders.
+    """Certified bound for |I_high - tail_main| on the cell (m, n).
 
-    Valid only for the default split radius and n + m <= 37, the range the
-    uniform order constants cover.
+    Valid only for the default split radius and n + m <= 37.  The pieces
+    are taken at the order cap max(19, n, m): the product is symmetric in n
+    and m, and the smaller of the two is at most 18.
     """
     _check_variant(variant)
     m, n = int(m), int(n)
@@ -765,7 +719,7 @@ def tail_error_budget(variant: str, m: int, n: int, R: float = _TAIL_ERROR_R) ->
         raise ValueError(
             f"tail error constants are certified only for R = {_TAIL_ERROR_R:g}, got {R:g}"
         )
-    a, b, c, d = _tail_error_pieces()
+    a, b, c, d = _tail_error_pieces(max(19, n, m))
     return a + b + c + d
 
 
@@ -798,7 +752,6 @@ def integral(
     m: int,
     n: int,
     scheme: QuadratureScheme | None = None,
-    workers=None,
 ) -> CertifiedValue:
     """Certified evaluation of I0(m, n) or I1(m, n).
 
@@ -806,11 +759,11 @@ def integral(
     the radius is the full error budget.  Under the default scheme the
     radius stays below 0.9e-8.
     """
-    return _integral_and_budget(variant, m, n, scheme, workers)[0]
+    return _integral_and_budget(variant, m, n, scheme)[0]
 
 
 def _integral_and_budget(
-    variant: str, m: int, n: int, scheme: QuadratureScheme | None, workers
+    variant: str, m: int, n: int, scheme: QuadratureScheme | None
 ) -> tuple[CertifiedValue, ErrorBudget]:
     """``integral`` together with the budget behind its radius, computing
     the tail and the budget once each."""
@@ -823,14 +776,13 @@ def _integral_and_budget(
     if n + m > MAX_ORDER:
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
     scheme = scheme or DEFAULT_SCHEME
-    workers = _resolve_workers(workers)
     tail = tail_main(variant, _parity(n), scheme.R)
     budget = _itemized_budget(variant, m, n, scheme, tail)
-    mid = _composite_sum(variant, m, n, scheme, workers) + tail.mid
+    mid = _composite_sum(variant, m, n, scheme) + tail.mid
     return CertifiedValue(mid, budget.total), budget
 
 
-def build_table(n_range=None, scheme: QuadratureScheme | None = None, workers=None) -> list[TableEntry]:
+def build_table(n_range=None, scheme: QuadratureScheme | None = None) -> list[TableEntry]:
     """The verification table for rows n in ``n_range`` (default 2..19).
 
     Each cell holds, for both integral families, the quantity
@@ -843,12 +795,12 @@ def build_table(n_range=None, scheme: QuadratureScheme | None = None, workers=No
         if not 2 <= n <= 19:
             raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
     scheme = scheme or DEFAULT_SCHEME
-    workers = _resolve_workers(workers)
+    memo = _scheme_rows(scheme)
     # region-major: each table row reads the union of its cells' orders once
     # per region, so a row evaluated for one cell serves all the others
     by_row = [[(variant, m, n) for m in range(0, n + 1, 2) for variant in ("I0", "I1")] for n in rows]
     low, high = (
-        [s for cells in by_row for s in _region_sums(cells, region, workers)] for region in _regions(scheme)
+        [s for cells in by_row for s in _region_sums(cells, region, memo)] for region in _regions(scheme)
     )
     quads = iter([lo + hi for lo, hi in zip(low, high)])
     entries = []

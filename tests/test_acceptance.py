@@ -2,7 +2,7 @@
 
 Each test asserts one pipeline-level guarantee at its stated tolerance, so
 ``pytest -v tests/test_acceptance.py`` prints a single pass/fail line per
-check.  The quadrature-heavy checks share the module-level grid cache; the
+check.  The quadrature-heavy checks share the default scheme's row memo; the
 full eighteen-row table takes a few seconds on the default Gauss panels.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from scipy.special import jv
 
 import hiprec
-from besselsix import certify, cli
+from besselsix import certify, cli, quadrature
 from besselsix.closed_form import (
     CoreIntegralKey,
     kapteyn,
@@ -398,7 +398,7 @@ def test_criterion_8_containment_property():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_quadrature_law(capsys):
+def test_criterion_9_quadrature_law(capsys, monkeypatch):
     # exact on polynomials through degree seven
     rng = np.random.default_rng(99)
     for _ in range(25):
@@ -414,11 +414,13 @@ def test_criterion_9_quadrature_law(capsys):
     err_half = abs(nc7_composite(f, 0.0, 1.2, 0.1) - exact)
     assert err_w / err_half == pytest.approx(256.0, rel=0.01)
 
-    # worker count never changes a byte of table output
+    # the chunk size of the node vector never changes a byte of table output
     argv = ["table", "--rows", "2..4", "--S", "360", "--R", "3600", "--w-low", "0.03", "--w-high", "0.5"]
-    assert cli.main([*argv, "--workers", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert cli.main([*argv, "--workers", "8"]) == 0
-    threaded = capsys.readouterr().out
-    assert serial == threaded
-    assert serial.startswith("n,m,top,bottom\n")
+    quadrature._scheme_rows.cache_clear()
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    quadrature._scheme_rows.cache_clear()
+    monkeypatch.setattr(quadrature, "_CHUNK", 4096)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == default
+    assert default.startswith("n,m,top,bottom\n")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiprec
+from besselsix import bessel
 from besselsix.bessel import (
     MAX_ORDER,
     CertifiedValue,
@@ -112,6 +113,30 @@ def test_recurrence_within_independent_hankel_enclosure():
         for r in rs:
             ref = asymptotic_eval(n, float(r), 44)
             assert abs(bessel_j(n, float(r)) - ref.mid) <= ref.rad + 1e-15, (n, r)
+
+
+def test_j0_j1_share_one_phase_reduction(monkeypatch):
+    # reference: each order with its own reduced phase omega_n
+    rng = np.random.default_rng(17)
+    rs = np.concatenate([[500.0, 62999.5], rng.uniform(500.0, 63000.0, 2000)])
+    amp = np.sqrt(2.0 / (np.pi * rs))
+    ref = []
+    for n in (0, 1):
+        p, q = bessel._asym_sums(n, rs, bessel._ASYM_TERMS)
+        omega = bessel._phase_array(n, rs)
+        ref.append(amp * (np.cos(omega) * p - np.sin(omega) * q))
+    calls = []
+    real = bessel._phase_array
+
+    def counting(n, r):
+        calls.append(n)
+        return real(n, r)
+
+    monkeypatch.setattr(bessel, "_phase_array", counting)
+    j0, j1 = _bessel_rows((0, 1), rs)
+    assert calls == [0]
+    assert np.array_equal(j0, ref[0])
+    assert np.max(np.abs(j1 - ref[1])) <= 1e-16
 
 
 def test_rows_match_single_order_bitwise_for_any_order_set():

@@ -27,7 +27,6 @@ def test_parse_integrate():
     assert config.variant == "I1"
     assert (config.m, config.n) == (2, 9)
     assert config.output == "human"
-    assert config.workers is None
 
 
 def test_parse_table_rows():
@@ -291,26 +290,10 @@ def test_table_csv_to_file(tmp_path, capsys):
     assert content.endswith("\n")
 
 
-def test_table_workers_byte_identical(capsys):
-    argv = ["table", "--rows", "2..4", *FAST_FLAGS]
-    assert cli.main([*argv, "--workers", "1"]) == 0
-    one = capsys.readouterr().out
-    assert cli.main([*argv, "--workers", "8"]) == 0
-    eight = capsys.readouterr().out
-    assert one == eight
-
-
-def test_table_workers_env(monkeypatch, capsys):
-    argv = ["table", "--rows", "2", *FAST_FLAGS]
-    assert cli.main(argv) == 0
-    default = capsys.readouterr().out
-    monkeypatch.setenv("BESSELSIX_WORKERS", "6")
-    assert cli.main(argv) == 0
-    from_env = capsys.readouterr().out
-    # flag > env > default; either path must land on identical bytes
-    assert cli.main([*argv, "--workers", "2"]) == 0
-    from_flag = capsys.readouterr().out
-    assert default == from_env == from_flag
+def test_workers_flag_is_gone(capsys):
+    argv = ["table", "--rows", "2", *FAST_FLAGS, "--workers", "2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_ceil2_is_an_upper_bound():

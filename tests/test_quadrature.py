@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from besselsix.quadrature import (
     _NC7_WEIGHTS,
     _NC7Region,
     _envelope_factor,
-    _eval_chunked,
     _gauss_rule,
     _order_rows,
     _panel_count,
@@ -395,8 +394,8 @@ def test_default_budget_meets_the_radius_target():
 @pytest.mark.parametrize("cell", [("I0", 0, 7), ("I1", 4, 11), ("I0", 18, 19)])
 def test_gauss_and_nc7_region_sums_agree(cell):
     for gauss, nc7 in zip(_regions(DEFAULT_SCHEME), _regions(PAPER_SCHEME)):
-        g = _region_sums([cell], gauss, 1)[0]
-        p = _region_sums([cell], nc7, 1)[0]
+        g = _region_sums([cell], gauss, {})[0]
+        p = _region_sums([cell], nc7, {})[0]
         assert abs(g - p) <= 1e-15, (cell, gauss.a, g - p)
 
 
@@ -501,7 +500,7 @@ def test_tail_argument_validation():
 
 
 def test_tail_error_pieces_below_printed_ceilings():
-    pieces = _tail_error_pieces()
+    pieces = _tail_error_pieces(19)
     ceilings = (2.1e-11, 1.64e-9, 3.32e-9, 4.5e-10)
     assert len(pieces) == 4
     for piece, ceiling in zip(pieces, ceilings):
@@ -511,15 +510,29 @@ def test_tail_error_pieces_below_printed_ceilings():
 def test_tail_error_second_kind_piece_formula():
     quartic = (8.0 / math.pi**3) / (3.0 * 63000.0**3)
     expected = 3.0 * math.pi * (37**2 + 19**2 + 18**2 + 3) * quartic
-    assert _tail_error_pieces()[0] == expected
+    assert _tail_error_pieces(19)[0] == expected
 
 
 def test_tail_error_budget_value():
     total = tail_error_budget("I0", 0, 20)
-    assert total == sum(_tail_error_pieces())
+    assert total == sum(_tail_error_pieces(20))
+    assert total == pytest.approx(6.12e-10, rel=1e-3)
     assert total <= 5.5e-9
-    # same constants for every order in range
-    assert tail_error_budget("I1", 18, 19) == total
+    # every table cell (n <= 19) shares the constants of the order cap 19
+    table = sum(_tail_error_pieces(19))
+    assert tail_error_budget("I1", 18, 19) == tail_error_budget("I0", 0, 2) == table < total
+
+
+def test_tail_error_budget_grows_past_nineteen():
+    # the pieces are taken at the cell's own orders once n exceeds 19
+    budgets = [tail_error_budget("I0", 0, n) for n in range(19, 38)]
+    assert all(a < b for a, b in zip(budgets, budgets[1:]))
+    assert budgets[-1] == pytest.approx(1.40e-9, rel=1e-2)
+    # the product is symmetric in n and m: the larger of the two sets the cap
+    assert tail_error_budget("I0", 36, 1) == tail_error_budget("I0", 0, 36)
+    # every piece stays under its printed ceiling up to the largest cell
+    assert all(p <= c for p, c in zip(_tail_error_pieces(37), (2.1e-11, 1.64e-9, 3.32e-9, 4.5e-10)))
+    assert integral("I0", 0, 37).rad <= 0.9e-8
 
 
 def test_tail_error_budget_domain():
@@ -581,7 +594,7 @@ def test_rounding_allowance_is_generous():
     region = _NC7Region(0.0, 3600.0, 0.003)
     nodes = region.nodes()
     assert np.array_equal(nodes, 0.003 * np.arange(count))
-    rows = _order_rows((0, 2), region, nodes, 1)
+    rows = _order_rows((0, 2), region, nodes, {})
     row0, row2 = rows[0], rows[2]
     values = row2 * row2 * row0 * row0 * row0 * nodes
     wv = _weigh(np.ones(count))
@@ -595,25 +608,32 @@ def test_rounding_allowance_is_generous():
 # ---------------------------------------------------------------------------
 
 
-def test_chunked_evaluation_worker_independent():
-    nodes = 0.003 * np.arange(6 * 200000 + 1)
+def test_order_rows_chunk_independent(monkeypatch):
+    # the fixed chunks are the only partition of the node vector; rows must
+    # not depend on it, across the scipy/Hankel switch and many chunks
     orders = (0, 7, 30)
-    f = lambda block: _bessel_rows(orders, block)
-    one = [np.empty(nodes.shape[0]) for _ in orders]
-    eight = [np.empty(nodes.shape[0]) for _ in orders]
-    _eval_chunked(f, nodes, one, 1)
-    _eval_chunked(f, nodes, eight, 8)
-    for a, b in zip(one, eight):
-        assert np.array_equal(a, b)
+    regions = _regions(DEFAULT_SCHEME)
+    default = [_order_rows(orders, region, region.nodes(), {}) for region in regions]
+    monkeypatch.setattr(quadrature, "_CHUNK", 4096)
+    small = [_order_rows(orders, region, region.nodes(), {}) for region in regions]
+    assert all(region.nodes().shape[0] > 4096 for region in regions)
+    for a, b in zip(default, small):
+        for k in orders:
+            assert np.array_equal(a[k], b[k])
 
 
 def test_order_rows_cached_and_frozen():
     nodes = SMALL.nodes()
-    a = _order_rows((0,), SMALL, nodes, 1)[0]
-    b = _order_rows((0,), SMALL, nodes, 1)[0]
-    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, FAST.w_low), nodes, 1)[0]
+    memo = {}
+    a = _order_rows((0,), SMALL, nodes, memo)[0]
+    b = _order_rows((0,), SMALL, nodes, memo)[0]
+    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, FAST.w_low), nodes, memo)[0]
     assert a is b is c
     assert not a.flags.writeable
+    # the orders missing from one request share one frozen block
+    rows = _order_rows((1, 5, 6), SMALL, nodes, memo)
+    assert rows[1].base is rows[5].base is rows[6].base is not a.base
+    assert not rows[5].base.flags.writeable
 
 
 def _count_kernel_rows(monkeypatch) -> list:
@@ -632,7 +652,7 @@ def _count_kernel_rows(monkeypatch) -> list:
 def test_table_band_evaluates_each_row_once(monkeypatch):
     # rows 7..9 read 16 distinct orders in each of the two regions; every
     # FAST region fits in one chunk, so each row is one kernel row
-    monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
+    quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
     build_table([7, 8, 9], scheme=FAST)
     assert len(set(evaluated)) == 32
@@ -641,21 +661,21 @@ def test_table_band_evaluates_each_row_once(monkeypatch):
 
 def test_full_default_table_evaluates_each_row_once(monkeypatch):
     # rows 2..19 read 38 distinct orders in each region: 76 rows, all of
-    # which the byte cap holds, so no row is evaluated twice.  The [S, R]
-    # grid spans two chunks, so count nodes rather than kernel calls.
-    monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
+    # of which the scheme's memo holds, so no row is evaluated twice.  The
+    # [S, R] grid spans two chunks, so count nodes rather than kernel calls.
+    quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
     build_table()
     assert len(set(evaluated)) == len(evaluated)
     low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
     assert {k for k, _, _ in evaluated} == set(range(38))
     assert sum(count for _, _, count in evaluated) == 38 * (low + high)
-    assert len(quadrature._ROW_CACHE) == 76
+    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 76
 
 
 def test_repeated_integral_evaluates_no_row(monkeypatch):
     scheme = QuadratureScheme(S=360.0, R=63000.0, w_low=0.03, w_high=0.5)
-    monkeypatch.setattr(quadrature, "_ROW_CACHE", OrderedDict())
+    quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
     first = integral("I1", 2, 9, scheme=scheme)
     assert evaluated
@@ -664,32 +684,15 @@ def test_repeated_integral_evaluates_no_row(monkeypatch):
     assert evaluated == []
 
 
-def test_row_lookup_evicts_before_allocating(monkeypatch):
-    cache = OrderedDict()
-    monkeypatch.setattr(quadrature, "_ROW_CACHE", cache)
-    nodes = SMALL.nodes()
-    monkeypatch.setattr(quadrature, "_ROW_CACHE_BYTES", 4 * nodes.nbytes)
-    first = _order_rows((0, 1, 2, 3), SMALL, nodes, 1)
-    sizes = []
-    real = quadrature._eval_chunked
-
-    def eval_noting_cache(f, nodes, rows, workers):
-        sizes.append(len(cache))
-        real(f, nodes, rows, workers)
-
-    monkeypatch.setattr(quadrature, "_eval_chunked", eval_noting_cache)
-    # order 1 is touched by the request, so 0 and 2 are the two least recently used
-    rows = _order_rows((1, 5, 6), SMALL, nodes, 1)
-    assert sizes == [2]
-    assert [key[0] for key in cache] == [3, 1, 5, 6]
-    assert rows[1] is first[1]
-    assert all(row.base is None for row in rows.values())
-
-
-def test_build_table_worker_independent_fast_scheme():
-    one = build_table([2, 3], scheme=FAST, workers=1)
-    eight = build_table([2, 3], scheme=FAST, workers=8)
-    assert one == eight
+def test_second_scheme_frees_the_first_schemes_rows():
+    quadrature._scheme_rows.cache_clear()
+    build_table([2], scheme=FAST)
+    blocks = {id(row.base): weakref.ref(row.base) for row in quadrature._scheme_rows(FAST).values()}
+    assert len(blocks) == 2  # one block per region
+    other = QuadratureScheme(S=360.0, R=3600.0, w_low=0.03, w_high=0.25)
+    build_table([2], scheme=other)
+    assert all(ref() is None for ref in blocks.values())
+    assert {region for _, region in quadrature._scheme_rows(other)} == set(_regions(other))
 
 
 # ---------------------------------------------------------------------------
