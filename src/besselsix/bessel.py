@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as _sp
 
-from .exactnum import a_coeff, require
+from .exactnum import a_coeff, as_order, require
 
 __all__ = [
     "CertifiedValue",
@@ -287,7 +287,7 @@ def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
     recurrence, always started from J0 and J1, so a value depends only on
     its order and node, never on the other orders requested.
     """
-    orders = [int(k) for k in orders]
+    orders = [as_order(k) for k in orders]
     for k in orders:
         if not (0 <= k <= MAX_ORDER):
             raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {k}")

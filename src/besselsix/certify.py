@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import core_integrals, expansions
 from .bessel import CertifiedValue
 from .core_integrals import N0, _check_domain, main_term
-from .exactnum import ExactScalar, require
+from .exactnum import ExactScalar, as_order, check_variant, require
 
 __all__ = [
     "NORMALIZATION",
@@ -38,9 +38,6 @@ __all__ = [
 
 #: The kernel normalization 4/pi^2, kept exact.
 NORMALIZATION = ExactScalar(Fraction(4), -4)
-
-_VARIANTS = ("I0", "I1")
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -63,11 +60,6 @@ class Prediction:
 # ---------------------------------------------------------------------------
 # the itemized budget
 # ---------------------------------------------------------------------------
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError('variant must be "I0" or "I1"')
 
 
 def _budget_constants(m: int, variant: str) -> dict[str, float]:
@@ -117,8 +109,8 @@ def predict(m: int, n: int, variant: str) -> Prediction:
     checks behind the four bounds run first, so a printed constant that
     fails its recomputation fails the prediction too.
     """
-    _check_variant(variant)
-    _check_domain(m, n)
+    check_variant(variant)
+    m, n = _check_domain(m, n)
     expansions._a_dominates(variant)
     core_integrals._b_dominates(m, variant)
     core_integrals._e1_dominates(m, variant, "cos")
@@ -167,7 +159,8 @@ def theorem_constants(m: int, n: int, variant: str) -> float | None:
     None means no certified constant covers that cell (in particular any
     cell with m > n).
     """
-    _check_variant(variant)
+    check_variant(variant)
+    m, n = as_order(m), as_order(n)
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be even and nonnegative")
     if n < 0:

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -80,10 +80,7 @@ class RunConfig:
     budget: bool = False
     breakdown: bool = False
     rows: tuple[int, ...] = ()
-    S: float | None = None
-    R: float | None = None
-    w_low: float | None = None
-    w_high: float | None = None
+    paper: bool = False
     output: str = "human"
     csv_path: str | None = None
 
@@ -106,11 +103,8 @@ def _add_orders(p) -> None:
     p.add_argument("--n", required=True, type=int)
 
 
-def _add_scheme_flags(p) -> None:
-    p.add_argument("--S", type=float, default=None, help="split radius between fine and coarse grids")
-    p.add_argument("--R", type=float, default=None, help="outer radius where the analytic tail takes over")
-    p.add_argument("--w-low", type=float, default=None, help="NC7 node spacing below S (selects the paper's rule)")
-    p.add_argument("--w-high", type=float, default=None, help="NC7 node spacing between S and R (selects the paper's rule)")
+def _add_paper_flag(p) -> None:
+    p.add_argument("--paper", action="store_true", help="the paper's NC7 rule instead of the Gauss panels")
 
 
 def _build_parser() -> _Parser:
@@ -146,13 +140,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("integrate", help="certified quadrature evaluation")
     _add_variant(p)
     _add_orders(p)
-    _add_scheme_flags(p)
+    _add_paper_flag(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table", help="the verification table for 2 <= n <= 19")
     p.add_argument("--csv", nargs="?", const="-", default="-", metavar="PATH", help="write CSV to PATH (default: stdout)")
     p.add_argument("--rows", default="2..19", help="row selection, e.g. 7 or 2..19")
-    _add_scheme_flags(p)
+    _add_paper_flag(p)
 
     p = sub.add_parser("check-theorem", help="test a quadrature enclosure against the theorem bound")
     _add_variant(p)
@@ -212,12 +206,9 @@ def parse_args(argv) -> RunConfig:
         elif command == "predict":
             kwargs.update(budget=ns.budget)
         elif command == "integrate":
-            kwargs.update(S=ns.S, R=ns.R, w_low=ns.w_low, w_high=ns.w_high, output="json" if ns.json else "human")
+            kwargs.update(paper=ns.paper, output="json" if ns.json else "human")
     elif command == "table":
-        kwargs.update(
-            rows=_parse_rows(ns.rows), csv_path=ns.csv, output="csv",
-            S=ns.S, R=ns.R, w_low=ns.w_low, w_high=ns.w_high,
-        )
+        kwargs.update(rows=_parse_rows(ns.rows), csv_path=ns.csv, output="csv", paper=ns.paper)
     elif command == "figure1":
         kwargs.update(csv_path=ns.csv, output="csv")
     return RunConfig(**kwargs)
@@ -273,24 +264,12 @@ def integrate_payload(config: RunConfig, value: CertifiedValue, budget: ErrorBud
         "n": config.n,
         "mid": float(value.mid),
         "rad": float(value.rad),
-        "budget": {
-            "quad_low": budget.quad_low,
-            "quad_high": budget.quad_high,
-            "tail_main_eval": budget.tail_main_eval,
-            "tail_error_terms": budget.tail_error_terms,
-            "rounding": budget.rounding,
-            "total": budget.total,
-        },
+        "budget": asdict(budget),
     }
 
 
 def integrate_from_payload(payload: dict) -> tuple[CertifiedValue, ErrorBudget]:
-    b = payload["budget"]
-    budget = ErrorBudget(
-        b["quad_low"], b["quad_high"], b["tail_main_eval"],
-        b["tail_error_terms"], b["rounding"], b["total"],
-    )
-    return CertifiedValue(payload["mid"], payload["rad"]), budget
+    return CertifiedValue(payload["mid"], payload["rad"]), ErrorBudget(**payload["budget"])
 
 
 def breakdown_payload(config: RunConfig, b: CoreBoundBreakdown) -> dict:
@@ -356,11 +335,7 @@ def _emit(lines: list[str], path: str | None) -> None:
 
 
 def _scheme_from(config: RunConfig) -> QuadratureScheme:
-    """Gauss panels unless a node spacing is given; a spacing selects the
-    paper's NC7 rule, with the other spacing taken from ``PAPER_SCHEME``."""
-    given = {"S": config.S, "R": config.R, "w_low": config.w_low, "w_high": config.w_high}
-    base = DEFAULT_SCHEME if config.w_low is None and config.w_high is None else PAPER_SCHEME
-    return replace(base, **{k: v for k, v in given.items() if v is not None})
+    return PAPER_SCHEME if config.paper else DEFAULT_SCHEME
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +424,7 @@ def _cmd_integrate(config: RunConfig) -> int:
         print(_json_dumps(integrate_payload(config, value, budget)))
         return EXIT_OK
     print(f"{config.variant}(m={config.m}, n={config.n}) = {float(value.mid):.17g} +/- {float(value.rad):.3g}")
-    for name in ("quad_low", "quad_high", "tail_main_eval", "tail_error_terms", "rounding"):
+    for name in (f.name for f in fields(ErrorBudget) if f.name != "total"):
         print(f"  {name:<18} {getattr(budget, name):.6g}")
     return EXIT_OK
 

@@ -23,6 +23,8 @@ from .exactnum import (
     ExactScalar,
     Rational,
     a_coeff,
+    as_order,
+    check_variant,
     gamma_half,
     gamma_ratio,
     gaussian_binomial_bound,
@@ -147,8 +149,7 @@ def coefficient_tables(variant: str) -> CoefficientTables:
     carrier cos/sin factor and reducing to the frequency basis; any
     mismatch fails loudly.
     """
-    if variant not in _STORED_TABLES:
-        raise ValueError('variant must be "I0" or "I1"')
+    check_variant(variant)
     stored = _STORED_TABLES[variant]
     total = TrigPoly(())
     for term in product_expansion(_PRODUCT_TAG[variant]).terms:
@@ -201,13 +202,16 @@ def _aj(j: int, m: int) -> Fraction:
     return a_coeff(j, m).coeff
 
 
-def _check_domain(m: int, n: int) -> None:
+def _check_domain(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints, if they lie in the certified regime."""
+    m, n = as_order(m), as_order(n)
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be even and nonnegative")
     if n < N0:
         raise ValueError(f"the certified regime needs n >= {N0}")
     if m >= 6 and m > n:
         raise ValueError("m must not exceed n")
+    return m, n
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +229,12 @@ def _poch_inv(n: int, lo: int, hi: int) -> Fraction:
 
 def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactScalar]:
     """(cosine-route, sine-route) main terms as exact rationals."""
+    m, n = as_order(m), as_order(n)
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be even and nonnegative")
     if n < 2:
         raise ValueError("main terms need n >= 2")
-    if variant not in _STORED_TABLES:
-        raise ValueError('variant must be "I0" or "I1"')
+    check_variant(variant)
     al = lambda i: _alpha(variant, i)
     eighth = Fraction(1, 8)
     if m == 0:
@@ -284,8 +288,7 @@ def e1_exact(m: int, n: int, variant: str, kind: str) -> Rational:
     _check_domain(m, n)
     if kind not in ("cos", "sin"):
         raise ValueError('kind must be "cos" or "sin"')
-    if variant not in _STORED_TABLES:
-        raise ValueError('variant must be "I0" or "I1"')
+    check_variant(variant)
     al = lambda i: _alpha(variant, i)
     e = Fraction(1, 8)
     if kind == "cos":
@@ -572,8 +575,7 @@ def _b_dominates(m: int, variant: str) -> None:
 def estimate_B(m: int, n: int, variant: str) -> float:
     """Printed remainder-contribution bound, revalidated on first use."""
     _check_domain(m, n)
-    if variant not in _STORED_TABLES:
-        raise ValueError('variant must be "I0" or "I1"')
+    check_variant(variant)
     c, tau = _b_printed(m, variant)
     _b_dominates(m, variant)
     return float(c) / N0 * float(n) ** -tau

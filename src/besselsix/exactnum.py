@@ -19,6 +19,8 @@ from functools import lru_cache
 __all__ = [
     "CertificationError",
     "require",
+    "as_order",
+    "check_variant",
     "Rational",
     "ExactScalar",
     "gamma_half",
@@ -42,6 +44,25 @@ def require(condition: bool, message: str) -> None:
     """The package's one check: unlike ``assert`` it also runs under ``python -O``."""
     if not condition:
         raise CertificationError(message)
+
+
+def as_order(x) -> int:
+    """``x`` as an int order: 7.0 and numpy ints pass; 7.5, inf, nan and
+    non-numbers raise ValueError."""
+    try:
+        k = int(x)
+    except (OverflowError, TypeError, ValueError):
+        k = None
+    if k is None or x != k:
+        raise ValueError(f"orders must be integers, got {x!r}")
+    return k
+
+
+def check_variant(variant: str) -> str:
+    """``variant`` itself, if it names one of the two integral families."""
+    if variant not in ("I0", "I1"):
+        raise ValueError(f"variant must be 'I0' or 'I1', got {variant!r}")
+    return variant
 
 
 # sqrt(pi) to 45 digits; used only to convert ExactScalar to a float, so the

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import CertifiedValue, phase
-from .exactnum import Rational, a_coeff, gamma_ratio, require
+from .exactnum import Rational, a_coeff, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -243,8 +243,7 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     """The tail bound c * n0^(-1/2) * (n+m)^(-6) with c = 0.74 (I0) or
     1.12 (I1), for n >= 20; the recomputed proof constant is checked
     against the printed one on first use."""
-    if variant not in _A_PRINTED:
-        raise ValueError('variant must be "I0" or "I1"')
+    check_variant(variant)
     if n < 20:
         raise ValueError("the certified regime needs n >= 20")
     if m < 0:

@@ -5,7 +5,8 @@ The integrals
     I0(m, n) = integral_0^inf J_{n+m} J_n J_m J_0^3 r dr
     I1(m, n) = integral_0^inf J_{n+m} J_n J_m J_1^2 J_0 r dr
 
-are evaluated for small orders by splitting at two radii 0 < S < R:
+are evaluated for small orders by splitting at the paper's two radii
+S = 3600 and R = 63000, with one of two rules on the grid regions:
 
 * ``[0, S]`` and ``[S, R]``, by default: width-30 Gauss-Legendre panels, 76
   points each below S and 66 above it, with nodes ``a + h(2p+1) + h x_i``
@@ -19,11 +20,11 @@ are evaluated for small orders by splitting at two radii 0 < S < R:
   envelope (DLMF 10.17.14) above it.  The rounding of the node positions is
   charged through a derivative bound.
 
-* ``[0, S]`` and ``[S, R]``, when the scheme gives node spacings: the paper's
-  composite 7-point closed Newton-Cotes rule (weights (41, 216, 27, 272, 27,
-  216, 41)/140, exact through degree 7) with panel widths ``6*w_low`` and
-  ``6*w_high``.  The composite error over an interval of length L is bounded
-  by ``L * w^8 * (6^3/5) * M8 / 8!`` where ``M8`` is a certified sup-bound on
+* ``[0, S]`` and ``[S, R]``, under ``PAPER_SCHEME``: the paper's composite
+  7-point closed Newton-Cotes rule (weights (41, 216, 27, 272, 27, 216,
+  41)/140, exact through degree 7) with node spacings w = 0.003 and 0.05.
+  The composite error over an interval of length L is bounded by
+  ``L * w^8 * (6^3/5) * M8 / 8!`` where ``M8`` is a certified sup-bound on
   the eighth derivative of the integrand, obtained from Cauchy's integral
   formula on unit circles; ``M8`` grows only linearly in the interval
   endpoint, uniformly over both integrand families.
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,7 +63,7 @@ import numpy as np
 from .bessel import MAX_ORDER, CertifiedValue, _bessel_rows, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
-from .exactnum import require
+from .exactnum import as_order, check_variant, require
 
 __all__ = [
     "QuadratureScheme",
@@ -81,6 +83,10 @@ __all__ = [
 ]
 
 _CHUNK = 65536
+
+# The paper's split radii: the grid regions [0, S] and [S, R], the tail past R.
+_S = 3600.0
+_R = 63000.0
 
 # The seven exact Newton-Cotes weights; their sum is 6, one panel width.
 _NC7_WEIGHTS = tuple(Fraction(c, 140) for c in (41, 216, 27, 272, 27, 216, 41))
@@ -160,36 +166,27 @@ class _GaussRegion:
         return _GAUSS_HALF * float(np.sum(values))
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Grid configuration: split radii and, optionally, NC7 node spacings.
+class QuadratureScheme(Enum):
+    """The rule on the grid regions [0, S] and [S, R]: ``GAUSS``, certified
+    Gauss-Legendre panels (the default), or ``PAPER``, the paper's composite
+    Newton-Cotes rule with node spacings 0.003 and 0.05."""
 
-    Without spacings (the default) both regions take Gauss-Legendre panels,
-    so S and R - S must be multiples of 30.  With both spacings the scheme is
-    the paper's composite Newton-Cotes rule (``PAPER_SCHEME`` is the paper's
-    own), whose error bound ``deriv8_bound`` recomputes for any values.
-    """
-
-    S: float = 3600.0
-    R: float = 63000.0
-    w_low: float | None = None
-    w_high: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.w_low is None) != (self.w_high is None):
-            raise ValueError("give both node spacings (the NC7 rule) or neither (Gauss panels)")
-        _regions(self)
+    GAUSS = "gauss"
+    PAPER = "paper"
 
 
-def _regions(scheme: QuadratureScheme):
-    """The grid regions [0, S] and [S, R] of a scheme; validates their panels."""
-    if scheme.w_low is None:
-        return (_GaussRegion(0.0, scheme.S, *_GAUSS_LOW), _GaussRegion(scheme.S, scheme.R, *_GAUSS_HIGH))
-    return (_NC7Region(0.0, scheme.S, scheme.w_low), _NC7Region(scheme.S, scheme.R, scheme.w_high))
+DEFAULT_SCHEME = QuadratureScheme.GAUSS
+PAPER_SCHEME = QuadratureScheme.PAPER
 
 
-DEFAULT_SCHEME = QuadratureScheme()
-PAPER_SCHEME = QuadratureScheme(w_low=0.003, w_high=0.05)
+@lru_cache(maxsize=None)
+def _regions(scheme: QuadratureScheme) -> tuple:
+    """The grid regions [0, S] and [S, R] of a scheme, built once each."""
+    if scheme is DEFAULT_SCHEME:
+        return (_GaussRegion(0.0, _S, *_GAUSS_LOW), _GaussRegion(_S, _R, *_GAUSS_HIGH))
+    if scheme is PAPER_SCHEME:
+        return (_NC7Region(0.0, _S, 0.003), _NC7Region(_S, _R, 0.05))
+    raise ValueError(f"scheme must be DEFAULT_SCHEME or PAPER_SCHEME, got {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,6 @@ class TableEntry:
     def __post_init__(self) -> None:
         if self.top < 0 or self.bottom < 0:
             raise ValueError("table entries are nonnegative by construction")
-
-
-def _check_variant(variant: str) -> str:
-    if variant not in ("I0", "I1"):
-        raise ValueError(f"variant must be 'I0' or 'I1', got {variant!r}")
-    return variant
 
 
 def _parity(n: int) -> str:
@@ -461,7 +452,7 @@ def _gauss_error(region: _GaussRegion) -> float:
 # ---------------------------------------------------------------------------
 
 
-def deriv8_bound(region: str, scheme: QuadratureScheme | None = None) -> float:
+def deriv8_bound(region: str) -> float:
     """Certified sup-bound for the eighth derivative of either integrand.
 
     Both families are entire, so Cauchy's formula on the unit circle about r
@@ -469,44 +460,32 @@ def deriv8_bound(region: str, scheme: QuadratureScheme | None = None) -> float:
     trivial bound |J_nu(z)| <= e^|Im z| gives ``8! e^6 (S+1)``; past S the
     circle lies in Re z >= S - 1, |Im z| <= 1, where the Hankel envelope
     sqrt(2/(pi|z|)) cosh(1) of each of the six factors applies with the
-    order corrections of ``_envelope_factor``.  With their product rounded
-    up to ``F = max(3, product)`` that gives
-    ``F * 8! * (2/(pi(S-1)))^3 cosh(1)^6 (R+1)``; at S = 3600 the product is
-    2.43, so the printed budget's F = 3.
+    order corrections of ``_envelope_factor``.  Their product is 2.43 at
+    S = 3600, checked below the printed budget's factor 3, which gives
+    ``3 * 8! * (2/(pi(S-1)))^3 cosh(1)^6 (R+1)``.
     """
-    scheme = scheme or DEFAULT_SCHEME
     if region == "low":
-        return math.factorial(8) * math.e**6 * (scheme.S + 1.0)
+        return math.factorial(8) * math.e**6 * (_S + 1.0)
     if region == "high":
-        if not scheme.S > 1.0:
-            raise ValueError(f"the high-region envelope needs S > 1, got S = {scheme.S:g}")
-        factor = max(3.0, float(_envelope_factor(scheme.S - 1.0, 1.0)))
-        return (
-            factor
-            * math.factorial(8)
-            * (2.0 / (math.pi * (scheme.S - 1.0))) ** 3
-            * math.cosh(1.0) ** 6
-            * (scheme.R + 1.0)
-        )
+        derived = float(_envelope_factor(_S - 1.0, 1.0))
+        require(derived <= 3.0, f"the envelope's order corrections reach {derived:g}, above the printed 3")
+        return 3.0 * math.factorial(8) * (2.0 / (math.pi * (_S - 1.0))) ** 3 * math.cosh(1.0) ** 6 * (_R + 1.0)
     raise ValueError(f"region must be 'low' or 'high', got {region!r}")
 
 
-def quad_error(region: str, scheme: QuadratureScheme | None = None) -> float:
+def quad_error(region: str, scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
     """Certified error bound of the scheme's rule over one region of the split.
 
-    Gauss panels carry the certificate of ``_gauss_error``; NC7 spacings the
-    composite law ``length * w^8 * (6^3/5) * deriv8_bound / 8!``.
+    Gauss panels carry the certificate of ``_gauss_error``; the paper's NC7
+    region of length L and node spacing w the composite law
+    ``L * w^8 * (6^3/5) * deriv8_bound / 8!``.
     """
-    scheme = scheme or DEFAULT_SCHEME
     if region not in ("low", "high"):
         raise ValueError(f"region must be 'low' or 'high', got {region!r}")
-    if scheme.w_low is None:
-        return _gauss_error(_regions(scheme)[region == "high"])
-    if region == "low":
-        length, w = scheme.S, scheme.w_low
-    else:
-        length, w = scheme.R - scheme.S, scheme.w_high
-    return length * w**8 * (216.0 / 5.0) * deriv8_bound(region, scheme) / math.factorial(8)
+    grid = _regions(scheme)[region == "high"]
+    if scheme is DEFAULT_SCHEME:
+        return _gauss_error(grid)
+    return (grid.b - grid.a) * grid.w**8 * (216.0 / 5.0) * deriv8_bound(region) / math.factorial(8)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +500,8 @@ def integrand(variant: str, m: int, n: int):
     both through the multi-order kernel behind ``bessel_j``, so a scalar
     call returns exactly the element an array call would.
     """
-    _check_variant(variant)
-    m, n = int(m), int(n)
+    check_variant(variant)
+    m, n = as_order(m), as_order(n)
     if m < 0 or n < 0:
         raise ValueError("orders must be nonnegative")
     if n + m > MAX_ORDER:
@@ -616,7 +595,7 @@ _TAIL_PROFILES = {
     ("I1", "odd"): _S4C2,
 }
 
-# Printed reference values of the tail main integrals at R = 63000, used by
+# Printed reference values of the tail main integrals at R, used by
 # the verification table's fixed formula.
 _TAIL_MAIN_PRINTED = {
     ("I0", "even"): 1.2798e-6,
@@ -628,7 +607,7 @@ _TAIL_MAIN_PRINTED = {
 _TAIL_RADIUS_TARGET = 1e-10
 
 
-def tail_main(variant: str, n_parity: str, R: float = 63000.0) -> CertifiedValue:
+def tail_main(variant: str, n_parity: str) -> CertifiedValue:
     """Enclosure of integral_R^inf (2/(pi r))^3 T(omega_0) r dr.
 
     T is the parity-collapsed product of the six leading trigonometric
@@ -637,15 +616,10 @@ def tail_main(variant: str, n_parity: str, R: float = 63000.0) -> CertifiedValue
     boundary terms at R plus a remainder below 1/(2 k^2 R^3) in magnitude,
     which goes into the radius.
     """
-    _check_variant(variant)
+    check_variant(variant)
     if n_parity not in ("even", "odd"):
         raise ValueError(f"n_parity must be 'even' or 'odd', got {n_parity!r}")
-    R = float(R)
-    if not (R >= 1000.0):
-        raise ValueError(
-            f"R = {R:g} is too small: the integrated-by-parts remainder meets "
-            f"the {_TAIL_RADIUS_TARGET:g} radius target only for R >= 1000"
-        )
+    R = _R
     amp = 8.0 / math.pi**3
     mean, harmonics = _TAIL_PROFILES[variant, n_parity]
     mid = amp * float(mean) / R
@@ -661,10 +635,7 @@ def tail_main(variant: str, n_parity: str, R: float = 63000.0) -> CertifiedValue
         abs_terms += amp * abs(c) * (1.0 / (2 * k * R**2) + 1.0 / (2 * k**2 * R**3))
         remainder += amp * abs(c) / (2 * k**2 * R**3)
     rad = remainder + 2.0**-50 * abs_terms
-    if rad > _TAIL_RADIUS_TARGET:
-        raise ValueError(
-            f"tail radius {rad:g} misses the {_TAIL_RADIUS_TARGET:g} target at R = {R:g}"
-        )
+    require(rad <= _TAIL_RADIUS_TARGET, f"tail radius {rad:g} misses the {_TAIL_RADIUS_TARGET:g} target")
     return CertifiedValue(mid, rad)
 
 
@@ -674,13 +645,12 @@ def tail_main(variant: str, n_parity: str, R: float = 63000.0) -> CertifiedValue
 # via (n+m)^2 <= 37^2, max(n, m)^2 <= N^2 and min(n, m)^2 <= 18^2.  Every
 # table cell (n <= 19) shares the N = 19 pieces; each recomputed value is
 # checked against its printed ceiling once per cap.
-_TAIL_ERROR_R = 63000.0
 _TAIL_ERROR_CEILINGS = (2.1e-11, 1.64e-9, 3.32e-9, 4.5e-10)
 
 
 @lru_cache(maxsize=None)
 def _tail_error_pieces(N: int) -> tuple[float, ...]:
-    R = _TAIL_ERROR_R
+    R = _R
     quartic = (8.0 / math.pi**3) / (3.0 * R**3)  # integral_R^inf (2/pi)^3 r^-4 dr
     quintic = (8.0 / math.pi**3) / (4.0 * R**4)  # integral_R^inf (2/pi)^3 r^-5 dr
     # six second-order boundary pieces: the product of six trig factors is odd
@@ -700,24 +670,20 @@ def _tail_error_pieces(N: int) -> tuple[float, ...]:
     return pieces
 
 
-def tail_error_budget(variant: str, m: int, n: int, R: float = _TAIL_ERROR_R) -> float:
+def tail_error_budget(variant: str, m: int, n: int) -> float:
     """Certified bound for |I_high - tail_main| on the cell (m, n).
 
-    Valid only for the default split radius and n + m <= 37.  The pieces
-    are taken at the order cap max(19, n, m): the product is symmetric in n
-    and m, and the smaller of the two is at most 18.
+    Valid for n + m <= 37.  The pieces are taken at the order cap
+    max(19, n, m): the product is symmetric in n and m, and the smaller of
+    the two is at most 18.
     """
-    _check_variant(variant)
-    m, n = int(m), int(n)
+    check_variant(variant)
+    m, n = as_order(m), as_order(n)
     if m < 0 or n < 0 or m % 2:
         raise ValueError(f"need nonnegative even m, got m={m}, n={n}")
     if n + m > _MAX_CELL_ORDER:
         raise ValueError(
             f"n + m = {n + m} exceeds the order range (<= {_MAX_CELL_ORDER}) the tail constants cover"
-        )
-    if float(R) != _TAIL_ERROR_R:
-        raise ValueError(
-            f"tail error constants are certified only for R = {_TAIL_ERROR_R:g}, got {R:g}"
         )
     a, b, c, d = _tail_error_pieces(max(19, n, m))
     return a + b + c + d
@@ -736,23 +702,17 @@ def _itemized_budget(
     ql = quad_error("low", scheme)
     qh = quad_error("high", scheme)
     tm = tail.rad
-    te = tail_error_budget(variant, m, n, scheme.R)
+    te = tail_error_budget(variant, m, n)
     rounding = _ROUNDING_ALLOWANCE
     return ErrorBudget(ql, qh, tm, te, rounding, ql + qh + tm + te + rounding)
 
 
-def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme | None = None) -> ErrorBudget:
+def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> ErrorBudget:
     """The itemized absolute-error bound claimed by ``integral``."""
-    scheme = scheme or DEFAULT_SCHEME
-    return _itemized_budget(variant, m, n, scheme, tail_main(variant, _parity(n), scheme.R))
+    return _itemized_budget(variant, m, n, scheme, tail_main(variant, _parity(n)))
 
 
-def integral(
-    variant: str,
-    m: int,
-    n: int,
-    scheme: QuadratureScheme | None = None,
-) -> CertifiedValue:
+def integral(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> CertifiedValue:
     """Certified evaluation of I0(m, n) or I1(m, n).
 
     The midpoint is the two composite rules plus the tail's main profile;
@@ -763,26 +723,25 @@ def integral(
 
 
 def _integral_and_budget(
-    variant: str, m: int, n: int, scheme: QuadratureScheme | None
+    variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME
 ) -> tuple[CertifiedValue, ErrorBudget]:
     """``integral`` together with the budget behind its radius, computing
     the tail and the budget once each."""
-    _check_variant(variant)
-    m, n = int(m), int(n)
+    check_variant(variant)
+    m, n = as_order(m), as_order(n)
     if m % 2 or m < 0:
         raise ValueError(f"m must be even and nonnegative, got {m}")
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if n + m > MAX_ORDER:
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
-    scheme = scheme or DEFAULT_SCHEME
-    tail = tail_main(variant, _parity(n), scheme.R)
+    tail = tail_main(variant, _parity(n))
     budget = _itemized_budget(variant, m, n, scheme, tail)
     mid = _composite_sum(variant, m, n, scheme) + tail.mid
     return CertifiedValue(mid, budget.total), budget
 
 
-def build_table(n_range=None, scheme: QuadratureScheme | None = None) -> list[TableEntry]:
+def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list[TableEntry]:
     """The verification table for rows n in ``n_range`` (default 2..19).
 
     Each cell holds, for both integral families, the quantity
@@ -790,11 +749,10 @@ def build_table(n_range=None, scheme: QuadratureScheme | None = None) -> list[Ta
     the closed-form expression for that (m, n) (zero for m >= 6) and
     ``tail_const`` the printed parity-matched tail value.
     """
-    rows = list(range(2, 20)) if n_range is None else [int(n) for n in n_range]
+    rows = list(range(2, 20)) if n_range is None else [as_order(n) for n in n_range]
     for n in rows:
         if not 2 <= n <= 19:
             raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
-    scheme = scheme or DEFAULT_SCHEME
     memo = _scheme_rows(scheme)
     # region-major: each table row reads the union of its cells' orders once
     # per region, so a row evaluated for one cell serves all the others

@@ -19,6 +19,7 @@ from besselsix.certify import (
 from besselsix.core_integrals import e1_bound, e2_bound, estimate_B, main_term
 from besselsix.exactnum import ExactScalar
 from besselsix.expansions import estimate_A
+from besselsix.quadrature import integral
 
 NORM = 4.0 / math.pi**2
 
@@ -237,3 +238,24 @@ def test_check_requires_applicable_cell():
         check_theorem(0, 1, "I0", CertifiedValue(0.0, 0.0))
     with pytest.raises(ValueError):
         check_theorem(8, 6, "I1", CertifiedValue(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the two routes over their whole overlap
+# ---------------------------------------------------------------------------
+
+# every cell both routes certify: n >= 20 for predict, n + m <= 37 for the
+# quadrature's tail budget, even m
+OVERLAP = [(v, m, n) for n in range(20, 38) for m in range(0, 38 - n, 2) for v in ("I0", "I1")]
+
+
+def test_quadrature_and_prediction_agree_over_the_overlap():
+    assert len(OVERLAP) == 180
+    for variant, m, n in OVERLAP:
+        quad, p = integral(variant, m, n), predict(m, n, variant)
+        main = p.main.to_real()
+        # two rigorous enclosures of one number must meet
+        assert abs(quad.mid - main) <= quad.rad + p.radius, (variant, m, n)
+        # the analytic enclosure sits inside the theorem allowance (the
+        # quadrature's own, wider radius need not from n = 32 on)
+        assert check_theorem(m, n, variant, CertifiedValue(main, p.radius)).passed, (variant, m, n)

@@ -1,6 +1,8 @@
 """Command-line interface: parsing, exit codes, formats, round-trips."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,8 @@ from besselsix.certify import THEOREM_MAP
 from besselsix.core_integrals import core_bound_breakdown
 from besselsix.expansions import base_expansion, product_expansion
 
-# Coarse grids so table runs stay fast; table output never consults the
-# tail discard budget, so a small R is fine here.
-FAST_FLAGS = ["--S", "360", "--R", "3600", "--w-low", "0.03", "--w-high", "0.5"]
-
+README = Path(__file__).resolve().parent.parent / "README.md"
+BUDGET_ITEMS = ["quad_low", "quad_high", "tail_main_eval", "tail_error_terms", "rounding"]
 
 # ---------------------------------------------------------------------------
 # parsing and validation
@@ -68,6 +68,24 @@ def test_usage_error_exit_code(capsys):
     assert "even" in err
 
 
+def _readme_command_lines() -> list[str]:
+    """The ``besselsix ...`` lines of the README's "Command line" section."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line.strip() for line in section.splitlines() if line.strip().startswith("besselsix ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines]
+    assert len(argvs) == 12
+    assert ["table", "--rows", "7..9", "--paper"] in argvs
+    for line, argv in zip(lines, argvs):
+        try:
+            cli.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"README line {line!r}: {exc}")
+
+
 def test_config_rejects_unknown_output():
     with pytest.raises(ValueError):
         cli.RunConfig(command="table", output="xml")
@@ -84,27 +102,12 @@ def test_domain_error_exit_code(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
-def test_scheme_override_must_keep_panels_integral(capsys):
-    code = cli.main(
-        ["integrate", "--variant", "0", "--m", "0", "--n", "5", "--R", "70000"]
-    )
-    assert code == 3
-    assert "panels" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "flags, expected",
-    [
-        ([], quadrature.DEFAULT_SCHEME),
-        (["--S", "360"], quadrature.QuadratureScheme(S=360.0)),
-        (["--w-low", "0.006"], quadrature.QuadratureScheme(w_low=0.006, w_high=0.05)),
-        (["--w-high", "0.1"], quadrature.QuadratureScheme(w_low=0.003, w_high=0.1)),
-        (["--w-low", "0.003", "--w-high", "0.05"], quadrature.PAPER_SCHEME),
-    ],
+    [([], quadrature.DEFAULT_SCHEME), (["--paper"], quadrature.PAPER_SCHEME)],
 )
 def test_scheme_flags_select_the_rule(flags, expected):
-    # no spacing: Gauss panels; any spacing: the paper's NC7 rule, the other
-    # spacing from PAPER_SCHEME
+    # the split is fixed; --paper picks the paper's NC7 rule over Gauss panels
     for argv in (
         ["integrate", "--variant", "0", "--m", "0", "--n", "5", *flags],
         ["table", "--rows", "3", *flags],
@@ -112,17 +115,17 @@ def test_scheme_flags_select_the_rule(flags, expected):
         assert cli._scheme_from(cli.parse_args(argv)) == expected
 
 
-@pytest.mark.parametrize("flags", [["--S", "3610"], ["--R", "63010"], ["--S", "360", "--R", "3650"]])
-def test_gauss_scheme_off_the_panel_grid_exits_three(flags, capsys):
-    assert cli.main(["integrate", "--variant", "0", "--m", "0", "--n", "5", *flags]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("domain error: ") and "width-30 panels" in err
+@pytest.mark.parametrize("flags", [["--S", "3600"], ["--R", "63000"], ["--w-low", "0.003"], ["--w-high", "0.05"]])
+def test_removed_grid_flags_are_usage_errors(flags, capsys):
+    for command in (["integrate", "--variant", "0", "--m", "0", "--n", "5"], ["table", "--rows", "3"]):
+        assert cli.main([*command, *flags]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {flags[0]}")
 
 
 def test_default_table_matches_the_paper_rule(capsys):
     assert cli.main(["table", "--rows", "2..3"]) == 0
     gauss = capsys.readouterr().out
-    assert cli.main(["table", "--rows", "2..3", "--w-low", "0.003", "--w-high", "0.05"]) == 0
+    assert cli.main(["table", "--rows", "2..3", "--paper"]) == 0
     assert capsys.readouterr().out == gauss
 
 
@@ -238,6 +241,7 @@ def test_integrate_json_round_trip(capsys):
     payload = json.loads(capsys.readouterr().out)
     value, budget = cli.integrate_from_payload(payload)
     assert payload["schema"] == 1
+    assert list(payload["budget"]) == [*BUDGET_ITEMS, "total"]
     assert value.rad == budget.total
     # The rebuilt budget revalidates its own total; mids agree with a fresh run.
     from besselsix.quadrature import integral
@@ -245,6 +249,13 @@ def test_integrate_json_round_trip(capsys):
     again = integral("I0", 0, 7)
     assert value.mid == again.mid
     assert value.rad == again.rad
+
+
+def test_integrate_human_output_itemizes_the_budget(capsys):
+    assert cli.main(["integrate", "--variant", "0", "--m", "0", "--n", "7"]) == 0
+    head, *items = capsys.readouterr().out.splitlines()
+    assert head.startswith("I0(m=0, n=7) = ")
+    assert [line.split()[0] for line in items] == BUDGET_ITEMS
 
 
 def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
@@ -255,9 +266,8 @@ def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, name, counted)
-    # coarse grids; R keeps its default, the only one the tail budget covers
     argv = ["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json"]
-    assert cli.main([*argv, "--S", "360", "--w-low", "0.03", "--w-high", "0.5"]) == 0
+    assert cli.main(argv) == 0
     value, budget = cli.integrate_from_payload(json.loads(capsys.readouterr().out))
     assert value.rad == budget.total
     assert calls == {"tail_main": 1, "quad_error": 2, "tail_error_budget": 1}
@@ -269,7 +279,7 @@ def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
 
 
 def test_table_csv_format(capsys):
-    assert cli.main(["table", "--rows", "3", *FAST_FLAGS]) == 0
+    assert cli.main(["table", "--rows", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,m,top,bottom"
     assert len(lines) == 3  # header + (3,0) + (3,2)
@@ -283,7 +293,7 @@ def test_table_csv_format(capsys):
 
 def test_table_csv_to_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
-    assert cli.main(["table", "--rows", "3", "--csv", str(target), *FAST_FLAGS]) == 0
+    assert cli.main(["table", "--rows", "3", "--csv", str(target)]) == 0
     assert capsys.readouterr().out == ""
     content = target.read_text()
     assert content.startswith("n,m,top,bottom\n")
@@ -291,7 +301,7 @@ def test_table_csv_to_file(tmp_path, capsys):
 
 
 def test_workers_flag_is_gone(capsys):
-    argv = ["table", "--rows", "2", *FAST_FLAGS, "--workers", "2"]
+    argv = ["table", "--rows", "2", "--workers", "2"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "--workers" in capsys.readouterr().err
 

@@ -3,14 +3,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besselsix import certify, core_integrals, expansions, quadrature
+from besselsix.bessel import _bessel_rows, bessel_j
 from besselsix.exactnum import (
     ExactScalar,
     a_coeff,
     a_m4_bound,
+    as_order,
     gamma_half,
     gamma_ratio,
     gaussian_binomial_bound,
@@ -252,3 +256,69 @@ def test_gaussian_binomial_bound_domain():
         gaussian_binomial_bound(0.5, 0.0)
     with pytest.raises(ValueError):
         gaussian_binomial_bound(4.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# the order and variant checks every entry point shares
+# ---------------------------------------------------------------------------
+
+
+def test_as_order_keeps_integral_values():
+    for x in (7, 7.0, np.int64(7), np.float64(7.0), Fraction(14, 2)):
+        assert as_order(x) == 7 and type(as_order(x)) is int
+    for x in (7.5, 7.000001, float("nan"), float("inf"), "7", None):
+        with pytest.raises(ValueError, match="orders must be integers"):
+            as_order(x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_j(2.5, 10.0),
+        lambda: _bessel_rows([2, 2.5], np.array([1.0, 600.0])),
+        lambda: quadrature.integrand("I0", 0, 7.5),
+        lambda: quadrature.integral("I0", 0, 7.9),
+        lambda: quadrature._integral_and_budget("I1", 2.5, 9),
+        lambda: quadrature.build_table([7.5]),
+        lambda: quadrature.tail_error_budget("I0", 0, 20.5),
+        lambda: certify.predict(2, 25.5, "I0"),
+        lambda: core_integrals.estimate_B(2, 25.5, "I0"),
+        lambda: core_integrals.main_term(0, 7.5, "I0"),
+        lambda: certify.theorem_constants(2, 25.5, "I0"),
+    ],
+    ids=["bessel_j", "bessel_rows", "integrand", "integral", "integral_and_budget",
+         "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
+         "theorem_constants"],
+)
+def test_non_integral_orders_are_refused(call):
+    # each entry point used to truncate 7.5 to 7, pass it on, or (predict,
+    # main_term) raise TypeError
+    with pytest.raises(ValueError, match="orders must be integers"):
+        call()
+
+
+def test_integral_valued_floats_still_accepted():
+    assert bessel_j(2.0, 10.0) == bessel_j(2, 10.0)
+    assert quadrature.integral("I0", 0.0, np.int64(7)) == quadrature.integral("I0", 0, 7)
+    assert certify.predict(2.0, 25.0, "I0") == certify.predict(2, 25, "I0")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quadrature.integrand("I2", 0, 2),
+        lambda: quadrature.integral("I2", 0, 2),
+        lambda: quadrature.tail_main("I2", "even"),
+        lambda: quadrature.tail_error_budget("I2", 0, 2),
+        lambda: certify.predict(0, 25, "I2"),
+        lambda: certify.theorem_constants(0, 25, "I2"),
+        lambda: core_integrals.coefficient_tables("I2"),
+        lambda: core_integrals.main_term_parts(0, 25, "I2"),
+        lambda: core_integrals.e1_exact(0, 25, "I2", "cos"),
+        lambda: core_integrals.estimate_B(0, 25, "I2"),
+        lambda: expansions.estimate_A(0, 25, "I2"),
+    ],
+)
+def test_every_variant_check_says_the_same(call):
+    with pytest.raises(ValueError, match=r"^variant must be 'I0' or 'I1', got 'I2'$"):
+        call()

@@ -23,6 +23,7 @@ from besselsix.quadrature import (
     QuadratureScheme,
     TableEntry,
     _NC7_WEIGHTS,
+    _GaussRegion,
     _NC7Region,
     _envelope_factor,
     _gauss_rule,
@@ -43,10 +44,8 @@ from besselsix.quadrature import (
     tail_main,
 )
 
-# A coarse NC7 grid for tests that only exercise plumbing, not accuracy.
-FAST = QuadratureScheme(S=360.0, R=3600.0, w_low=0.03, w_high=0.5)
-# 200 FAST panels at the origin: 1201 nodes, one chunk.
-SMALL = _NC7Region(0.0, 36.0, FAST.w_low)
+# 200 coarse NC7 panels at the origin: 1201 nodes, one chunk.
+SMALL = _NC7Region(0.0, 36.0, 0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +130,33 @@ def test_weight_vector_layout():
 
 
 def test_default_scheme_values():
-    assert PAPER_SCHEME.S == 3600.0
-    assert PAPER_SCHEME.R == 63000.0
-    assert PAPER_SCHEME.w_low == 0.003
-    assert PAPER_SCHEME.w_high == 0.05
+    # two rules on the paper's split: Gauss panels by default, or NC7
+    assert list(QuadratureScheme) == [DEFAULT_SCHEME, PAPER_SCHEME]
+    gauss, paper = _regions(DEFAULT_SCHEME), _regions(PAPER_SCHEME)
+    split = [(0.0, 3600.0), (3600.0, 63000.0)]
+    assert [(r.a, r.b) for r in gauss] == [(r.a, r.b) for r in paper] == split
+    assert [r.w for r in paper] == [0.003, 0.05]
+    assert [(r.points, r.rho) for r in gauss] == [(76, 3.0), (66, 2.0)]
+    assert _regions(PAPER_SCHEME) is paper  # built once per scheme
     assert sum(_NC7_WEIGHTS) == 6
     assert _NC7_WEIGHTS[0] == Fraction(41, 140)
-    # the default is the paper's split with Gauss panels
-    assert (DEFAULT_SCHEME.S, DEFAULT_SCHEME.R) == (PAPER_SCHEME.S, PAPER_SCHEME.R)
-    assert DEFAULT_SCHEME.w_low is None and DEFAULT_SCHEME.w_high is None
+
+
+@pytest.mark.parametrize("scheme", [None, "paper", 0])
+def test_unknown_scheme_is_refused(scheme):
+    # None no longer stands for the default; only the two members are schemes
+    with pytest.raises(ValueError, match="scheme must be DEFAULT_SCHEME or PAPER_SCHEME"):
+        integral("I0", 0, 7, scheme)
+    with pytest.raises(ValueError, match="scheme must be DEFAULT_SCHEME or PAPER_SCHEME"):
+        build_table([2], scheme=scheme)
 
 
 def test_scheme_rejects_non_integer_panels():
+    # the regions a scheme is built from tile their interval exactly
     with pytest.raises(ValueError):
-        QuadratureScheme(S=3600.0, R=63000.0, w_low=0.007, w_high=0.05)
+        _NC7Region(0.0, 3600.0, 0.007)
     with pytest.raises(ValueError):
-        QuadratureScheme(S=3600.0, R=3599.0, w_low=0.003, w_high=0.05)
+        _NC7Region(3600.0, 3599.0, 0.05)
 
 
 @pytest.mark.parametrize(
@@ -155,14 +165,7 @@ def test_scheme_rejects_non_integer_panels():
 )
 def test_gauss_scheme_needs_width_30_panels(S, R):
     with pytest.raises(ValueError, match="panels"):
-        QuadratureScheme(S=S, R=R)
-
-
-def test_scheme_takes_both_spacings_or_neither():
-    with pytest.raises(ValueError, match="both node spacings"):
-        QuadratureScheme(w_low=0.003)
-    with pytest.raises(ValueError, match="both node spacings"):
-        QuadratureScheme(w_high=0.05)
+        _GaussRegion(S, R, 66, 2.0)
 
 
 def test_error_budget_total_must_match_items():
@@ -226,20 +229,13 @@ def test_envelope_factor_derives_the_printed_three():
     assert np.all(np.diff(_envelope_factor(xs, 11.25)) < 0)
 
 
-def test_quad_error_high_carries_the_derived_factor():
-    # at S = 360 the order corrections reach ~3e4, far past the printed 3
-    derived = float(_envelope_factor(FAST.S - 1.0, 1.0))
-    assert derived > 1e4
-    expected = (
-        derived
-        * math.factorial(8)
-        * (2.0 / (math.pi * (FAST.S - 1.0))) ** 3
-        * math.cosh(1.0) ** 6
-        * (FAST.R + 1.0)
-    )
-    assert deriv8_bound("high", FAST) == expected
-    length = FAST.R - FAST.S
-    assert quad_error("high", FAST) == length * FAST.w_high**8 * (216.0 / 5.0) * expected / math.factorial(8)
+def test_envelope_factor_above_three_is_refused(monkeypatch):
+    # the printed factor 3 stands only while the derived one stays below it
+    monkeypatch.setattr(quadrature, "_envelope_factor", lambda x, y: np.float64(3.01))
+    with pytest.raises(CertificationError, match="above the printed 3"):
+        deriv8_bound("high")
+    with pytest.raises(CertificationError, match="above the printed 3"):
+        quad_error("high", PAPER_SCHEME)
 
 
 def test_deriv8_region_validated():
@@ -255,10 +251,10 @@ def test_quad_error_below_printed_ceilings():
 
 
 def test_quad_error_follows_the_composite_law():
-    # length * w^8 * (6^3/5) * M8 / 8!, for any scheme
-    for region, length, w in (("low", FAST.S, FAST.w_low), ("high", FAST.R - FAST.S, FAST.w_high)):
-        expected = length * w**8 * (216.0 / 5.0) * deriv8_bound(region, FAST) / math.factorial(8)
-        assert quad_error(region, FAST) == expected
+    # length * w^8 * (6^3/5) * M8 / 8!, on each of the paper's two regions
+    for region, length, w in (("low", 3600.0, 0.003), ("high", 59400.0, 0.05)):
+        expected = length * w**8 * (216.0 / 5.0) * deriv8_bound(region) / math.factorial(8)
+        assert quad_error(region, PAPER_SCHEME) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +473,6 @@ def test_tail_parity_collapse_for_i1():
     assert abs(even.mid - odd.mid) <= 1e-10
 
 
-def test_tail_radius_target_near_lower_R():
-    tm = tail_main("I0", "even", 1000.0)
-    assert tm.rad <= 1e-10
-
-
-def test_tail_small_R_rejected():
-    with pytest.raises(ValueError):
-        tail_main("I0", "even", 999.0)
-
-
 def test_tail_argument_validation():
     with pytest.raises(ValueError):
         tail_main("I2", "even")
@@ -540,8 +526,6 @@ def test_tail_error_budget_domain():
         tail_error_budget("I0", 3, 5)  # odd m
     with pytest.raises(ValueError):
         tail_error_budget("I0", 18, 20)  # n + m = 38
-    with pytest.raises(ValueError):
-        tail_error_budget("I0", 0, 20, R=3600.0)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +611,7 @@ def test_order_rows_cached_and_frozen():
     memo = {}
     a = _order_rows((0,), SMALL, nodes, memo)[0]
     b = _order_rows((0,), SMALL, nodes, memo)[0]
-    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, FAST.w_low), nodes, memo)[0]
+    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, 0.03), nodes, memo)[0]
     assert a is b is c
     assert not a.flags.writeable
     # the orders missing from one request share one frozen block
@@ -650,13 +634,16 @@ def _count_kernel_rows(monkeypatch) -> list:
 
 
 def test_table_band_evaluates_each_row_once(monkeypatch):
-    # rows 7..9 read 16 distinct orders in each of the two regions; every
-    # FAST region fits in one chunk, so each row is one kernel row
+    # rows 7..9 read 16 distinct orders in each of the two regions: 32 rows,
+    # each evaluated over its whole region once (the [S, R] grid spans two
+    # chunks, so count nodes rather than kernel calls)
     quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
-    build_table([7, 8, 9], scheme=FAST)
-    assert len(set(evaluated)) == 32
-    assert len(evaluated) == 32
+    build_table([7, 8, 9])
+    assert len(set(evaluated)) == len(evaluated)
+    low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
+    assert sum(count for _, _, count in evaluated) == 16 * (low + high)
+    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 32
 
 
 def test_full_default_table_evaluates_each_row_once(monkeypatch):
@@ -674,25 +661,24 @@ def test_full_default_table_evaluates_each_row_once(monkeypatch):
 
 
 def test_repeated_integral_evaluates_no_row(monkeypatch):
-    scheme = QuadratureScheme(S=360.0, R=63000.0, w_low=0.03, w_high=0.5)
     quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
-    first = integral("I1", 2, 9, scheme=scheme)
+    first = integral("I1", 2, 9)
     assert evaluated
     evaluated.clear()
-    assert integral("I1", 2, 9, scheme=scheme) == first
+    assert integral("I1", 2, 9) == first
     assert evaluated == []
 
 
 def test_second_scheme_frees_the_first_schemes_rows():
     quadrature._scheme_rows.cache_clear()
-    build_table([2], scheme=FAST)
-    blocks = {id(row.base): weakref.ref(row.base) for row in quadrature._scheme_rows(FAST).values()}
+    build_table([2])
+    blocks = {id(row.base): weakref.ref(row.base) for row in quadrature._scheme_rows(DEFAULT_SCHEME).values()}
     assert len(blocks) == 2  # one block per region
-    other = QuadratureScheme(S=360.0, R=3600.0, w_low=0.03, w_high=0.25)
-    build_table([2], scheme=other)
+    build_table([2], scheme=PAPER_SCHEME)
     assert all(ref() is None for ref in blocks.values())
-    assert {region for _, region in quadrature._scheme_rows(other)} == set(_regions(other))
+    assert {region for _, region in quadrature._scheme_rows(PAPER_SCHEME)} == set(_regions(PAPER_SCHEME))
+    quadrature._scheme_rows.cache_clear()  # the paper's rows take 57 MB
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +686,8 @@ def test_second_scheme_frees_the_first_schemes_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_build_table_shape_fast_scheme():
-    entries = build_table([2, 3], scheme=FAST)
+def test_build_table_shape():
+    entries = build_table([2, 3])
     assert [(e.n, e.m) for e in entries] == [(2, 0), (2, 2), (3, 0), (3, 2)]
     assert all(e.top >= 0 and e.bottom >= 0 for e in entries)
 
