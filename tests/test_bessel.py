@@ -1,6 +1,7 @@
 """Tests for Bessel evaluation: fast path, oracles, asymptotics, phase."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ from besselsix.bessel import (
     phase,
     _bessel_j_array,
     _bessel_rows,
-    _jn_wide,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_vectorized_matches_scalar_bitwise():
     rs = np.concatenate([
         rng.uniform(0.0, 600.0, 300),
         rng.uniform(600.0, 63000.0, 300),
-        [0.0, 499.999, 500.0, 500.001],
+        [0.0, 1e-300, 2.0**-30, 49.999, 50.0, 499.999, 500.0, 500.001],
     ])
     for n in (0, 1, 13, 40):
         vec = _bessel_j_array(n, rs)
@@ -100,7 +100,8 @@ def test_vectorized_matches_scalar_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# the multi-order kernel: scipy below r = 500, J0/J1 sums and recurrence above
+# the multi-order kernel: series term, Miller below r = 50, J0/J1 sums and
+# forward recurrence above
 # ---------------------------------------------------------------------------
 
 
@@ -141,7 +142,7 @@ def test_j0_j1_share_one_phase_reduction(monkeypatch):
 
 def test_rows_match_single_order_bitwise_for_any_order_set():
     rng = np.random.default_rng(11)
-    rs = np.concatenate([[0.0, 499.999, 500.0], rng.uniform(0.0, 500.0, 200), rng.uniform(500.0, 63000.0, 200)])
+    rs = np.concatenate([[0.0, 1e-300, 49.999, 50.0, 499.999, 500.0], rng.uniform(0.0, 500.0, 200), rng.uniform(500.0, 63000.0, 200)])
     single = {k: _bessel_j_array(k, rs) for k in range(MAX_ORDER + 1)}
     order_sets = [(40,), (40, 0), (7, 1, 7), tuple(range(MAX_ORDER + 1))[::-1]]
     order_sets += [tuple(rng.choice(MAX_ORDER + 1, size=5, replace=False)) for _ in range(6)]
@@ -152,12 +153,37 @@ def test_rows_match_single_order_bitwise_for_any_order_set():
             assert np.array_equal(row, single[k]), (orders, k)
 
 
-def test_values_below_switch_radius_are_scipy_bitwise():
+def test_values_below_500_within_independent_enclosure():
+    # both sides of the r = 50 switch and the (200, 500) gap of the exact
+    # series oracle, against the independent interval-arithmetic enclosure
     rng = np.random.default_rng(3)
-    rs = np.concatenate([rng.uniform(0.0, 30.0, 200), rng.uniform(30.0, 500.0, 200), [499.999]])
-    rows = _bessel_rows(range(MAX_ORDER + 1), rs)
-    for k, row in enumerate(rows):
-        assert np.array_equal(row, scipy.special.jv(k, rs)), k
+    rs = np.concatenate([
+        [0.003, 49.999, 50.0],
+        rng.uniform(0.0, 50.0, 5),
+        rng.uniform(50.0, 200.0, 3),
+        rng.uniform(200.0, 500.0, 5),
+    ])
+    orders = (0, 1, 7, 20, 33, 40)
+    rows = _bessel_rows(orders, rs)
+    for k, row in zip(orders, rows):
+        for r, value in zip(rs, row):
+            lo, hi = hiprec.besselJ_encl(k, float(r))
+            assert lo - Fraction(1, 10**15) <= Fraction(value) <= hi + Fraction(1, 10**15), (k, r)
+
+
+@pytest.mark.parametrize("r", [5e-324, 1e-310, 1e-300, 1e-200, 1e-20, 1e-8])
+def test_tiny_and_subnormal_arguments(r):
+    # the series alternates with falling terms here, so J_k(r) lies within
+    # (r/2)^2 / (k+1) of its leading term (r/2)^k / k!, relatively
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [bessel_j(k, r) for k in range(MAX_ORDER + 1)]
+        assert np.array_equal(_bessel_rows(range(MAX_ORDER + 1), np.array([r]))[:, 0], values)
+    x = (Fraction(r) / 2) ** 2
+    for k, value in enumerate(values):
+        assert math.isfinite(value)
+        lead = (Fraction(r) / 2) ** k / math.factorial(k)
+        assert abs(Fraction(value) - lead) + lead * x / (k + 1) <= Fraction(1, 10**13), k
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +207,10 @@ def test_three_term_recurrence_residuals():
 
 
 def test_even_order_normalization():
-    # J_0 + 2 sum_{k<=60} J_{2k} = 1 (needs orders up to 120)
+    # J_0 + 2 sum_{k<=60} J_{2k} = 1 (needs orders up to 120).  The kernel
+    # normalizes by this identity below r = 50, so it is checked on scipy.
     for r in np.linspace(0.1, 50.0, 25):
-        total = _jn_wide(0, r) + 2 * sum(_jn_wide(2 * k, r) for k in range(1, 61))
+        total = scipy.special.jv(0, r) + 2 * sum(scipy.special.jv(2 * k, r) for k in range(1, 61))
         assert abs(total - 1.0) <= 1e-10, r
 
 

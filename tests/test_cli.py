@@ -1,7 +1,10 @@
 """Command-line interface: parsing, exit codes, formats, round-trips."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,8 +172,25 @@ def test_check_theorem_failure_exit_two(monkeypatch, capsys):
 def test_eval_bessel_output(capsys):
     assert cli.main(["eval-bessel", "--n", "5", "--r", "10", "--oracle"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("J_5(10) = -0.2340615281867936")
-    assert "enclosure" in out
+    value_line, enclosure_line = out.splitlines()
+    assert value_line.startswith("J_5(10) = ")
+    assert enclosure_line.startswith("series enclosure: ")
+    value = float(value_line.split("= ")[1])
+    mid, rad = (float(part) for part in enclosure_line.split(": ")[1].split(" +/- "))
+    assert abs(value - mid) <= rad + 1e-15  # J_5(10) = -0.23406152818679364...
+
+
+@pytest.mark.parametrize("code", [
+    "import besselsix",
+    "from besselsix import cli; cli.main(['integrate', '--variant', '0', '--m', '0', '--n', '7', '--json'])",
+], ids=["import", "integrate"])
+def test_scipy_is_never_imported(code):
+    # the package evaluates every Bessel factor with numpy alone
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    probe = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_closed_form_output(capsys):
