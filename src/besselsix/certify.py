@@ -70,7 +70,7 @@ def _budget_constants(m: int, variant: str) -> dict[str, float]:
     unnormalized radius.  A factor n^-k beyond n^-tau is relaxed to the
     anchor 20^-k; e1 and e2 add their cosine and sine routes.
     """
-    tau, theta = (6, 0.75) if m == 4 else (4, 0.6)
+    tau, theta = core_integrals._decay(m)
     c_b, tau_b = core_integrals._b_printed(m, variant)
     c_cos, p0, _ = core_integrals._e1_printed(m, variant, "cos")
     c_sin = core_integrals._e1_printed(m, variant, "sin")[0]
@@ -118,7 +118,7 @@ def predict(m: int, n: int, variant: str) -> Prediction:
     core_integrals._e2_prefactor_ok(variant)
     m_case = min(m, 6)
     _rolled_ok(m_case, variant)
-    tau = 6 if m == 4 else 4
+    tau, _ = core_integrals._decay(m)
     scale = 4.0 / math.pi**2 * float(n) ** -tau
     budget = tuple(
         (name, c * scale) for name, c in _budget_constants(m_case, variant).items()

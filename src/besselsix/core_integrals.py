@@ -7,9 +7,18 @@ over the basis {1, cos 2r, sin 2r, cos 4r, sin 4r} splits each integral
 into exactly computable constant terms (the main terms plus a first-kind
 error), frequency-2 terms that vanish by parity, and frequency-4 terms
 bounded by a superexponentially small second-kind error.  Estimate B
-bounds the expansion-remainder contribution.  Everything here is either
-an exact rational in n or a closed-form bound; printed constants are
-checked against their recomputed counterparts on first use.
+bounds the expansion-remainder contribution.
+
+The constant terms are one series of Weber-Schafheitlin integrals,
+
+    (-1)^(m/2)/8 * sum_{j,i} s_j a_j(m) alpha_i 16^-i WS(n, n+m, 1+j+i),
+
+over j <= m+3 and i <= 5, both even on the cosine route and both odd on
+the sine route (s_j the Hankel sign, alpha_i the coefficient tables).  The
+main term is the part with j + i <= max(m, 2) when m <= 4 and nothing when
+m >= 6; the first-kind error is the rest.  Everything here is either an
+exact rational in n or a closed-form bound; printed constants are checked
+against their recomputed counterparts on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .closed_form import weber_schafheitlin
 from .exactnum import (
     ExactScalar,
     Rational,
@@ -30,7 +40,7 @@ from .exactnum import (
     gaussian_binomial_bound,
     require,
 )
-from .expansions import TrigPoly, product_expansion
+from .expansions import _PRODUCT_TAG, TrigPoly, product_expansion
 
 __all__ = [
     "N0",
@@ -131,9 +141,6 @@ _STORED_TABLES = {
     ),
 }
 
-_PRODUCT_TAG = {"I0": "J000", "I1": "J110"}
-
-
 def _pick(reduced: dict[str, dict[int, Rational]], name: str, power: int) -> int:
     v = reduced.get(name, {}).get(power, Fraction(0))
     require(v.denominator == 1, f"non-integer reduced coefficient {v} at {name} t^{power}")
@@ -191,13 +198,6 @@ def coefficient_tables(variant: str) -> CoefficientTables:
     return stored
 
 
-def _alpha(variant: str, idx: int) -> Fraction:
-    t = coefficient_tables(variant)
-    if idx % 2 == 0:
-        return Fraction(t.alphas_cos[idx // 2])
-    return Fraction(t.alphas_sin[(idx - 1) // 2])
-
-
 def _aj(j: int, m: int) -> Fraction:
     return a_coeff(j, m).coeff
 
@@ -214,48 +214,65 @@ def _check_domain(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
+def _check_kind(kind: str) -> str:
+    """``kind`` itself, if it names one of the two routes."""
+    if kind not in ("cos", "sin"):
+        raise ValueError('kind must be "cos" or "sin"')
+    return kind
+
+
 # ---------------------------------------------------------------------------
-# main terms (exact rationals in n)
+# main terms and first-kind errors: one Weber-Schafheitlin series
 # ---------------------------------------------------------------------------
 
 
-def _poch_inv(n: int, lo: int, hi: int) -> Fraction:
-    """1 / ((n+lo)(n+lo+1)...(n+hi))."""
-    prod = 1
-    for d in range(lo, hi + 1):
-        prod *= n + d
-    return Fraction(1, prod)
+def _n_ratio(m: int, n: int, k: int) -> Fraction:
+    """Gamma((2n+m+1-k)/2) / Gamma((2n+m+1+k)/2), the n-dependent factor
+    of WS(n, n+m, k): a product of k factors for odd k."""
+    return gamma_ratio(2 * n + m + 1 - k, 2 * n + m + 1 + k).coeff
+
+
+@lru_cache(maxsize=None)
+def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int, Fraction], ...]:
+    """Pairs (k, w_k) with the part ("main" or "e1") of the kind's series,
+    as in the module docstring, equal to the sum of w_k * _n_ratio(m, n, k).
+
+    Term (j, i) has k = 1 + j + i and s_j = (-1)^ceil(j/2), the Hankel sign
+    of ``expansions.base_expansion``.  Its n-free factor, Weber-Schafheitlin's
+    constant included, is read off WS at n = k.
+    """
+    parity = 0 if kind == "cos" else 1
+    t = coefficient_tables(variant)
+    alphas = t.alphas_cos if kind == "cos" else t.alphas_sin
+    weights: dict[int, Fraction] = {}
+    for i, alpha in zip(range(parity, 6, 2), alphas):
+        # below j = m - i, WS(n, n+m, 1+j+i) vanishes: 1/Gamma((j+i+2-m)/2)
+        # has a pole there
+        for j in range(max(parity, m - i), m + 4, 2):
+            if (part == "main") != (m <= 4 and j + i <= max(m, 2)):
+                continue
+            k = 1 + j + i
+            ws = weber_schafheitlin(k, k + m, k).coeff / _n_ratio(m, k, k)
+            sign = (-1) ** (m // 2 + (j + 1) // 2)
+            weights[k] = weights.get(k, 0) + sign * _aj(j, m) * alpha * ws / (8 * 16**i)
+    return tuple(weights.items())
+
+
+def _series(m: int, n: int, variant: str, kind: str, part: str) -> Fraction:
+    return sum((w * _n_ratio(m, n, k) for k, w in _series_weights(m, variant, kind, part)), Fraction(0))
 
 
 def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactScalar]:
-    """(cosine-route, sine-route) main terms as exact rationals."""
+    """(cosine-route, sine-route) main terms as exact rationals: the terms
+    j + i <= max(m, 2) of the series for m <= 4; for m >= 6 orthogonality
+    leaves none."""
     m, n = as_order(m), as_order(n)
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be even and nonnegative")
     if n < 2:
         raise ValueError("main terms need n >= 2")
     check_variant(variant)
-    al = lambda i: _alpha(variant, i)
-    eighth = Fraction(1, 8)
-    if m == 0:
-        cos = eighth * al(0) / (2 * n)
-        cos += eighth * (_aj(0, 0) * al(2) / 16**2 - _aj(2, 0) * al(0)) * _poch_inv(n, -1, 1) / 4
-        cos = ExactScalar(cos)
-        sin = ExactScalar(-eighth * _aj(1, 0) * (al(1) / 16) * _poch_inv(n, -1, 1) / 4)
-    elif m == 2:
-        cos = eighth * (-_aj(0, 2) * al(2) / 16**2 + _aj(2, 2) * al(0)) * _poch_inv(n, 0, 2) / 8
-        cos = ExactScalar(cos)
-        sin = ExactScalar(eighth * (_aj(1, 2) * al(1) / 16) * _poch_inv(n, 0, 2) / 8)
-    elif m == 4:
-        bracket = _aj(0, 4) * al(4) / 16**4 - _aj(2, 4) * al(2) / 16**2 + _aj(4, 4) * al(0)
-        cos = ExactScalar(eighth * bracket * _poch_inv(n, 0, 4) / 32)
-        sbracket = _aj(1, 4) * al(3) / 16**3 - _aj(3, 4) * al(1) / 16
-        sin = ExactScalar(-eighth * sbracket * _poch_inv(n, 0, 4) / 32)
-    else:
-        # orthogonality: the surviving two-Bessel moments all vanish
-        cos = ExactScalar(0)
-        sin = ExactScalar(0)
-    return cos, sin
+    return tuple(ExactScalar(_series(m, n, variant, kind, "main")) for kind in ("cos", "sin"))
 
 
 def main_term(m: int, n: int, variant: str) -> ExactScalar:
@@ -265,100 +282,17 @@ def main_term(m: int, n: int, variant: str) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# first-kind errors: exact formulas and their printed bounds
+# first-kind errors: exact values and their printed bounds
 # ---------------------------------------------------------------------------
 
 
-def _g(p: int, q: int) -> Fraction:
-    """Gamma(p)/Gamma(q) for positive integers p <= q.
-
-    A short falling product; unlike the general half-integer ratio this
-    stays cheap when p and q are huge but close together.
-    """
-    if not 0 < p <= q:
-        raise ValueError("need 0 < p <= q")
-    prod = 1
-    for k in range(p, q):
-        prod *= k
-    return Fraction(1, prod)
-
-
 def e1_exact(m: int, n: int, variant: str, kind: str) -> Rational:
-    """The first-kind error term as an exact rational (signed)."""
-    _check_domain(m, n)
-    if kind not in ("cos", "sin"):
-        raise ValueError('kind must be "cos" or "sin"')
+    """The first-kind error term as an exact rational (signed): the terms
+    of the kind's series outside the main term."""
+    m, n = _check_domain(m, n)
+    _check_kind(kind)
     check_variant(variant)
-    al = lambda i: _alpha(variant, i)
-    e = Fraction(1, 8)
-    if kind == "cos":
-        a = lambda j: _aj(j, m)
-        if m == 0:
-            return (
-                e * (a(0) * al(4) / 16**4 - a(2) * al(2) / 16**2) * 3 * _g(n - 2, n + 3) / 16
-                + e * (-a(2) * al(4) / 16**4) * 5 * _g(n - 3, n + 4) / 32
-            )
-        if m == 2:
-            return (
-                e * (-a(0) * al(4) / 16**4 + a(2) * al(2) / 16**2 - a(4) * al(0)) * _g(n - 1, n + 4) / 8
-                + e * (a(2) * al(4) / 16**4 - a(4) * al(2) / 16**2) * 15 * _g(n - 2, n + 5) / 128
-                + e * (-a(4) * al(4) / 16**4) * 7 * _g(n - 3, n + 6) / 64
-            )
-        if m == 4:
-            return (
-                e * (-a(2) * al(4) / 16**4 + a(4) * al(2) / 16**2 - a(6) * al(0)) * 3 * _g(n - 1, n + 6) / 64
-                + e * (a(4) * al(4) / 16**4 - a(6) * al(2) / 16**2) * 7 * _g(n - 2, n + 7) / 128
-                + e * (-a(6) * al(4) / 16**4) * 15 * _g(n - 3, n + 8) / 256
-            )
-        return (
-            e * (a(m - 4) * al(4) / 16**4 - a(m - 2) * al(2) / 16**2 + a(m) * al(0))
-            * _g(n, n + m + 1) / 2 ** (m + 1)
-            + e * (-a(m - 2) * al(4) / 16**4 + a(m) * al(2) / 16**2 - a(m + 2) * al(0))
-            * (m + 2) * _g(n - 1, n + m + 2) / 2 ** (m + 3)
-            + e * (a(m) * al(4) / 16**4 - a(m + 2) * al(2) / 16**2)
-            * (m + 3) * (m + 4) * _g(n - 2, n + m + 3) / 2 ** (m + 6)
-            + e * (-a(m + 2) * al(4) / 16**4)
-            * (m + 4) * (m + 5) * (m + 6) * _g(n - 3, n + m + 4) / (3 * 2 ** (m + 8))
-        )
-    # sine route: the displays define the negated error term
-    a = lambda j: _aj(j, m)
-    if m == 0:
-        neg = (
-            e * (a(1) * al(3) / 16**3 - a(3) * al(1) / 16) * 3 * _g(n - 2, n + 3) / 16
-            + e * (a(1) * al(5) / 16**5 - a(3) * al(3) / 16**3) * 5 * _g(n - 3, n + 4) / 32
-            + e * (a(3) * al(5) / 16**5) * 35 * _g(n - 4, n + 5) / 256
-        )
-    elif m == 2:
-        neg = (
-            e * (-a(1) * al(3) / 16**3 + a(3) * al(1) / 16) * _g(n - 1, n + 4) / 8
-            + e * (-a(1) * al(5) / 16**5 - a(3) * al(3) / 16**3 - a(5) * al(1) / 16)
-            * 15 * _g(n - 2, n + 5) / 128
-            + e * (a(3) * al(5) / 16**5 - a(5) * al(3) / 16**3) * 7 * _g(n - 3, n + 6) / 64
-            + e * (-a(5) * al(5) / 16**5) * 105 * _g(n - 4, n + 7) / 1024
-        )
-    elif m == 4:
-        neg = (
-            e * (a(1) * al(5) / 16**5 - a(3) * al(3) / 16**3 + a(5) * al(1) / 16)
-            * 3 * _g(n - 1, n + 6) / 64
-            + e * (-a(3) * al(5) / 16**5 + a(5) * al(3) / 16**3 - a(7) * al(1) / 16)
-            * 7 * _g(n - 2, n + 7) / 128
-            + e * (a(5) * al(5) / 16**5 - a(7) * al(3) / 16**3) * 15 * _g(n - 3, n + 8) / 256
-            + e * (-a(7) * al(5) / 16**5) * 495 * _g(n - 4, n + 9) / 8192
-        )
-    else:
-        neg = (
-            e * (-a(m - 5) * al(5) / 16**5 + a(m - 3) * al(3) / 16**3 - a(m - 1) * al(1) / 16)
-            * _g(n, n + m + 1) / 2 ** (m + 1)
-            + e * (a(m - 3) * al(5) / 16**5 - a(m - 1) * al(3) / 16**3 + a(m + 1) * al(1) / 16)
-            * (m + 2) * _g(n - 1, n + m + 2) / 2 ** (m + 3)
-            + e * (-a(m - 1) * al(5) / 16**5 + a(m + 1) * al(3) / 16**3 - a(m + 3) * al(1) / 16)
-            * (m + 3) * (m + 4) * _g(n - 2, n + m + 3) / 2 ** (m + 6)
-            + e * (a(m + 1) * al(5) / 16**5 - a(m + 3) * al(3) / 16**3)
-            * (m + 4) * (m + 5) * (m + 6) * _g(n - 3, n + m + 4) / (3 * 2 ** (m + 8))
-            + e * (-a(m + 3) * al(5) / 16**5)
-            * (m + 5) * (m + 6) * (m + 7) * (m + 8) * _g(n - 4, n + m + 5) / (3 * 2 ** (m + 12))
-        )
-    return -neg
+    return _series(m, n, variant, kind, "e1")
 
 
 # printed first-kind bounds: {(m-case, kind): (c_I0, c_I1, n0-exponent, n-exponent)}
@@ -391,8 +325,7 @@ def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Printed bound on the first-kind error, validated on first use
     against the exact formula at n = max(20, m) and n = max(10^6, m)."""
     _check_domain(m, n)
-    if kind not in ("cos", "sin"):
-        raise ValueError('kind must be "cos" or "sin"')
+    _check_kind(kind)
     c, p0, pn = _e1_printed(m, variant, kind)
     _e1_dominates(m, variant, kind)
     return float(c) * float(N0) ** -p0 * float(n) ** -pn
@@ -410,6 +343,7 @@ def prop_4r_chain(m: int, n: int) -> float:
     4^-(2n+m) kernel factor; powers of two are folded together so the
     evaluation stays finite for any n.
     """
+    m, n = as_order(m), as_order(n)
     if not (0 <= m <= n) or m % 2 != 0 or n < N0:
         raise ValueError("need even m with 0 <= m <= n and n >= 20")
     A = 4.0 ** (math.log(2.0) / 9.0) * math.exp(-((math.log(2.0) / 3.0) ** 2))
@@ -453,10 +387,16 @@ def prop_4r_bound(m: int, n: int, case: str) -> float:
 _E2_PRINTED = {"I0": Fraction("0.39"), "I1": Fraction("0.30")}
 
 
+def _decay(m: int) -> tuple[int, float]:
+    """(tau, theta) of the second-kind error theta^20 n^-tau: the slower
+    (6, 0.75) exactly when m = 4, where the expansion ran one order higher."""
+    return (6, 0.75) if m == 4 else (4, 0.6)
+
+
 def e2_prefactor(variant: str, kind: str) -> Rational:
     """Recomputed weighted absolute-coefficient sum of the oscillatory part."""
     t = coefficient_tables(variant)
-    coeffs = t.betas_gammas_cos if kind == "cos" else t.gammas_betas_sin
+    coeffs = t.betas_gammas_cos if _check_kind(kind) == "cos" else t.gammas_betas_sin
     total = sum(Fraction(abs(c), 16**j) for j, c in enumerate(coeffs))
     return total / 8
 
@@ -468,13 +408,12 @@ def _e2_prefactor_ok(variant: str) -> None:
 
 
 def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
-    """Second-kind error: prefactor times theta^20 n^-tau, with the slower
-    (0.75, 6) pair exactly when the expansion ran one order higher."""
+    """Second-kind error: prefactor times theta^20 n^-tau, (tau, theta)
+    from ``_decay``."""
     _check_domain(m, n)
-    if kind not in ("cos", "sin"):
-        raise ValueError('kind must be "cos" or "sin"')
+    _check_kind(kind)
     _e2_prefactor_ok(variant)  # coefficient_tables rejects an unknown variant
-    theta, tau = (0.75, 6) if m == 4 else (0.6, 4)
+    tau, theta = _decay(m)
     return float(_E2_PRINTED[variant]) * theta**N0 * float(n) ** -tau
 
 
@@ -510,7 +449,7 @@ def pair_moment_constant_cs(m: int, ell: int) -> float:
         raise ValueError("need even m >= 2 and ell >= 2")
     inner = Fraction(math.factorial(2 * m + 2 * ell - 2), 2 ** (2 * m + 2 * ell - 1))
     inner /= 2 * Fraction(math.factorial(m + ell - 1)) ** 2
-    inner *= _g(21 - ell, 20 + 2 * m + ell) * Fraction(20) ** (2 * (m + ell) - 1)
+    inner *= gamma_ratio(2 * (21 - ell), 2 * (20 + 2 * m + ell)).coeff * Fraction(20) ** (2 * (m + ell) - 1)
     return math.sqrt(float(inner))
 
 

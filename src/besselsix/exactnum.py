@@ -174,16 +174,19 @@ class ExactScalar:
         return self.serialize()
 
 
-def _gamma_factor(two_x: int) -> tuple[Fraction, int] | None:
+def _is_pole(two_x: int) -> bool:
+    """Is two_x/2 a pole of Gamma, i.e. a nonpositive integer?"""
+    return two_x % 2 == 0 and two_x <= 0
+
+
+def _gamma_factor(two_x: int) -> tuple[Fraction, int]:
     """Decompose Gamma(two_x/2) = poch * Gamma(base), base in {1/2, 1}.
 
-    Returns ``(poch, base_two)`` with ``base_two`` in {1, 2}, or ``None`` if
-    the argument is a pole (a nonpositive integer).  Uses only the functional
-    equation Gamma(x+1) = x*Gamma(x), so the factor is exact and carries the
-    correct sign for negative half-integer arguments.
+    Returns ``(poch, base_two)`` with ``base_two`` in {1, 2}; two_x/2 must
+    not be a pole.  Uses only the functional equation Gamma(x+1) = x*Gamma(x),
+    so the factor is exact and carries the correct sign for negative
+    half-integer arguments.
     """
-    if two_x % 2 == 0 and two_x <= 0:
-        return None  # pole of Gamma
     x = Fraction(two_x, 2)
     poch = Fraction(1)
     while x > 1:
@@ -203,32 +206,39 @@ def gamma_half(two_x: int) -> ExactScalar:
     multiple of sqrt(pi); positive even ``two_x`` gives the exact factorial.
     Nonpositive integer arguments are poles and raise ValueError.
     """
-    decomposed = _gamma_factor(int(two_x))
-    if decomposed is None:
+    two_x = int(two_x)
+    if _is_pole(two_x):
         raise ValueError(f"Gamma pole at argument {two_x}/2")
-    poch, base_two = decomposed
+    poch, base_two = _gamma_factor(two_x)
     return ExactScalar(poch, 1 if base_two == 1 else 0)
 
 
 def gamma_ratio(two_a: int, two_b: int) -> ExactScalar:
     """Gamma(two_a/2) / Gamma(two_b/2), exact.
 
-    Both arguments are reduced to the base interval (0, 1] with the
-    functional equation, so no large intermediate values ever appear.  A pole
-    in the denominator yields exact zero (1/Gamma vanishes there); a pole in
-    the numerator -- alone or together with one in the denominator -- raises,
-    since the ratio is then not determined by this reduction.
+    When a - b is an integer the ratio is the short product
+    b(b+1)...(a-1), or the reciprocal of a(a+1)...(b-1), of |a - b|
+    factors however large a and b are; otherwise both arguments are reduced
+    to the base interval (0, 1] with the functional equation.  A pole in
+    the denominator yields exact zero (1/Gamma vanishes there); a pole in
+    the numerator -- alone or together with one in the denominator --
+    raises, since the ratio is then not determined.
     """
-    fa = _gamma_factor(int(two_a))
-    fb = _gamma_factor(int(two_b))
-    if fa is None:
+    two_a, two_b = int(two_a), int(two_b)
+    if _is_pole(two_a):
         raise ValueError(
             f"Gamma pole in numerator at argument {two_a}/2; ratio undefined here"
         )
-    if fb is None:
+    if _is_pole(two_b):
         return ExactScalar(Fraction(0))
-    poch_a, base_a = fa
-    poch_b, base_b = fb
+    if (two_a - two_b) % 2 == 0:
+        # each factor is two_x/2 for an even step of two_x between the two;
+        # none is zero, as neither argument is a pole
+        if two_a >= two_b:
+            return ExactScalar(Fraction(math.prod(range(two_b, two_a, 2)), 2 ** ((two_a - two_b) // 2)))
+        return ExactScalar(Fraction(2 ** ((two_b - two_a) // 2), math.prod(range(two_a, two_b, 2))))
+    poch_a, base_a = _gamma_factor(two_a)
+    poch_b, base_b = _gamma_factor(two_b)
     power = (1 if base_a == 1 else 0) - (1 if base_b == 1 else 0)
     return ExactScalar(poch_a / poch_b, power)
 

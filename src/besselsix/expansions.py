@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import CertifiedValue, phase
-from .exactnum import Rational, a_coeff, check_variant, gamma_ratio, require
+from .exactnum import Rational, a_coeff, as_order, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -190,6 +190,10 @@ def product_expansion(tag: str) -> RemainderedExpansion:
     raise ValueError('tag must be "J000" or "J110"')
 
 
+#: The triple product behind each integral family.
+_PRODUCT_TAG = {"I0": "J000", "I1": "J110"}
+
+
 def eval_expansion(e: RemainderedExpansion, r: float, K: int) -> CertifiedValue:
     """Evaluate the first K terms at r; radius = remainders[K] * (16r)^(-K).
 
@@ -227,8 +231,7 @@ def estimate_A_recomputed(variant: str) -> Fraction:
     """The proof's sharp pre-constant: (remainder_6 / 16^6) * sqrt(a0) *
     sqrt(64/693), with a0 = Gamma(29/2)/Gamma(53/2) * 20^12 <= 1.21,
     evaluated as a rigorous rational upper bound."""
-    tag = {"I0": "J000", "I1": "J110"}[variant]
-    r6 = product_expansion(tag).remainders[6]
+    r6 = product_expansion(_PRODUCT_TAG[variant]).remainders[6]
     a0 = gamma_ratio(29, 53).coeff * 20**12
     require(a0 <= Fraction("1.21"), "a0 = Gamma(29/2)/Gamma(53/2) * 20^12 exceeds 1.21")
     return (r6 / 16**6) * _sqrt_upper(a0) * _sqrt_upper(Fraction(64, 693))
@@ -244,9 +247,10 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     1.12 (I1), for n >= 20; the recomputed proof constant is checked
     against the printed one on first use."""
     check_variant(variant)
+    m, n = as_order(m), as_order(n)
     if n < 20:
         raise ValueError("the certified regime needs n >= 20")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if m < 0 or m % 2 != 0:
+        raise ValueError("m must be even and nonnegative")
     _a_dominates(variant)
     return float(_A_PRINTED[variant]) / math.sqrt(20.0) * (n + m) ** -6.0

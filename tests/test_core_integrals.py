@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix.closed_form import CoreIntegralKey, vanishes_freq2
+from besselsix.closed_form import CoreIntegralKey, vanishes_freq2, weber_schafheitlin
 from besselsix.core_integrals import (
     CoefficientTables,
     CoreBoundBreakdown,
@@ -29,7 +29,7 @@ from besselsix.core_integrals import (
     trig_reduce,
 )
 from besselsix import core_integrals, exactnum
-from besselsix.exactnum import ExactScalar
+from besselsix.exactnum import ExactScalar, a_coeff
 from besselsix.expansions import TrigPoly, product_expansion
 
 F = Fraction
@@ -315,8 +315,8 @@ def test_e1_bound_accepts_m_beyond_twenty(variant):
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 def test_e1_first_use_check_computes_each_coefficient_once(monkeypatch, kind):
     # the check reads a few a_j(1000) at two orders n; each is one exact
-    # Gamma ratio Gamma(1000+j+1/2)/Gamma(1000-j+1/2) of ~2000 factors, so
-    # it must be computed once
+    # Gamma ratio Gamma(1000+j+1/2)/Gamma(1000-j+1/2), a product of 2j
+    # factors, so it must be computed once
     calls = []
     real = exactnum.gamma_ratio
 
@@ -326,9 +326,59 @@ def test_e1_first_use_check_computes_each_coefficient_once(monkeypatch, kind):
 
     monkeypatch.setattr(exactnum, "gamma_ratio", counting)
     exactnum.a_coeff.cache_clear()
+    core_integrals._series_weights.cache_clear()
     core_integrals._e1_dominates.__wrapped__(1000, "I0", kind)
     large = [call for call in calls if call[0] > 2000]
     assert large and len(large) == len(set(large))
+
+
+def _series_by_terms(m, n, variant, kind, part):
+    """The main term or e1 of one route, summed term by term: (-1)^(m/2)/8
+    s_j a_j(m) alpha_i 16^-i WS(n, n+m, 1+j+i) over j <= m+3, i <= 5 of the
+    route's parity, s_j the Hankel sign; the main term takes j+i <= max(m, 2)
+    for m <= 4 and nothing beyond, e1 takes the rest."""
+    t = coefficient_tables(variant)
+    alpha = dict(zip((0, 2, 4), t.alphas_cos)) | dict(zip((1, 3, 5), t.alphas_sin))
+    parity = 0 if kind == "cos" else 1
+    total = F(0)
+    for j in range(parity, m + 4, 2):
+        hankel_sign = (-1) ** (j // 2) if j % 2 == 0 else (-1) ** ((j + 1) // 2)
+        for i in range(parity, 6, 2):
+            if (part == "main") != (m <= 4 and j + i <= max(m, 2)):
+                continue
+            ws = weber_schafheitlin(n, n + m, 1 + j + i)
+            assert ws.sqrtpi_power == 0
+            total += (-1) ** (m // 2) * hankel_sign * a_coeff(j, m).coeff * alpha[i] / 16**i * ws.coeff / 8
+    return total
+
+
+@pytest.mark.parametrize("variant", ["I0", "I1"])
+def test_main_terms_and_e1_are_one_weber_schafheitlin_series(variant):
+    for m in range(0, 42, 2):
+        for n in sorted({max(20, m), 137}):
+            for kind, main in zip(("cos", "sin"), main_term_parts(m, n, variant)):
+                assert main.coeff == _series_by_terms(m, n, variant, kind, "main"), (m, n, kind)
+                assert e1_exact(m, n, variant, kind) == _series_by_terms(m, n, variant, kind, "e1"), (m, n, kind)
+    for m in (0, 2, 4):
+        for n in (2, 3, 7, 19):
+            for kind, main in zip(("cos", "sin"), main_term_parts(m, n, variant)):
+                assert main.coeff == _series_by_terms(m, n, variant, kind, "main"), (m, n, kind)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: e1_exact(0, 20, "I0", "tan"),
+        lambda: e1_bound(0, 20, "I0", "tan"),
+        lambda: e2_prefactor("I0", "tan"),
+        lambda: e2_bound(0, 20, "I0", "tan"),
+    ],
+    ids=["e1_exact", "e1_bound", "e2_prefactor", "e2_bound"],
+)
+def test_every_route_check_says_the_same(call):
+    # e2_prefactor used to read any kind but "cos" as the sine route
+    with pytest.raises(ValueError, match=r'^kind must be "cos" or "sin"$'):
+        call()
 
 
 def test_e1_domain():

@@ -121,6 +121,21 @@ def test_gamma_ratio_identity_and_pole_cases():
         gamma_ratio(-2, -4)  # two poles do not cancel here
 
 
+def test_gamma_ratio_agrees_with_gamma_half_quotient():
+    # integer steps (the short product) and half-integer steps (the
+    # reduction), across negative half-integers; a pole in the denominator
+    # gives zero, one in the numerator raises
+    for two_a in range(-15, 24):
+        for two_b in range(-15, 24):
+            if two_a % 2 == 0 and two_a <= 0:
+                with pytest.raises(ValueError, match="pole in numerator"):
+                    gamma_ratio(two_a, two_b)
+            elif two_b % 2 == 0 and two_b <= 0:
+                assert gamma_ratio(two_a, two_b) == ExactScalar(Fraction(0))
+            else:
+                assert gamma_ratio(two_a, two_b) == gamma_half(two_a) / gamma_half(two_b), (two_a, two_b)
+
+
 @given(
     y2=st.integers(1, 40).filter(lambda t: t % 2 == 1),
     dx=st.integers(0, 20),
@@ -285,10 +300,12 @@ def test_as_order_keeps_integral_values():
         lambda: core_integrals.estimate_B(2, 25.5, "I0"),
         lambda: core_integrals.main_term(0, 7.5, "I0"),
         lambda: certify.theorem_constants(2, 25.5, "I0"),
+        lambda: expansions.estimate_A(0, 25.5, "I0"),
+        lambda: core_integrals.prop_4r_bound(0, 25.5, "i"),
     ],
     ids=["bessel_j", "bessel_rows", "integrand", "integral", "integral_and_budget",
          "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
-         "theorem_constants"],
+         "theorem_constants", "estimate_A", "prop_4r_bound"],
 )
 def test_non_integral_orders_are_refused(call):
     # each entry point used to truncate 7.5 to 7, pass it on, or (predict,

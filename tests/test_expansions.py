@@ -332,12 +332,14 @@ def test_estimate_A_domain():
         estimate_A(0, 19, "I0")
     with pytest.raises(ValueError):
         estimate_A(-2, 30, "I0")
+    with pytest.raises(ValueError, match="even"):
+        estimate_A(3, 25, "I0")
     with pytest.raises(ValueError):
         estimate_A(0, 30, "I2")
 
 
 @settings(max_examples=30)
-@given(st.integers(0, 40), st.integers(20, 200), st.sampled_from(["I0", "I1"]))
+@given(st.integers(0, 20).map(lambda k: 2 * k), st.integers(20, 200), st.sampled_from(["I0", "I1"]))
 def test_estimate_A_monotone(m, n, variant):
     assert estimate_A(m, n + 1, variant) < estimate_A(m, n, variant)
     assert estimate_A(m + 2, n, variant) < estimate_A(m, n, variant)
