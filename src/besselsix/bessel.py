@@ -3,10 +3,11 @@
 Three cooperating evaluators live here:
 
 ``bessel_j``
-    Fast float evaluation for orders 0..40 and arguments up to ~70000,
-    accurate to 1e-13 absolute, in numpy alone.  Below the fixed switch
-    radius r = 50 it runs Miller's backward recurrence from order 140,
-    normalized by J_0 + 2 sum J_{2k} = 1 (Olver, Math. Comp. 18 (1964));
+    Fast float evaluation for orders 0..40 and arguments 0 <= r < 5.27e7
+    (``_MAX_R``; larger r is refused), accurate to 1e-13 absolute, in numpy
+    alone.  Below the fixed switch radius r = 50 it runs Miller's backward
+    recurrence from order 140, normalized by J_0 + 2 sum J_{2k} = 1 (Olver,
+    Math. Comp. 18 (1964));
     below r = 2^-30 the leading series term (r/2)^k / k! is already exact to
     float precision.  From r = 50 on, J0 and J1 come from the 12-term Hankel
     asymptotic series with our own extended-precision phase reduction, where
@@ -123,14 +124,24 @@ def _trunc_sig_bits(x: float, bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", u))[0]
 
 
-# Three-word 2*pi: hi words carry 30 significand bits each, so products with
-# any integer k < 2**23 are exact in double precision.
-_TP_HI1 = _trunc_sig_bits(float(_TWO_PI_F), 30)
-_TP_HI2 = _trunc_sig_bits(float(_TWO_PI_F - Fraction(_TP_HI1)), 30)
+# Three-word 2*pi: hi words carry _TP_BITS significand bits each, so products
+# with any integer k of at most 53 - _TP_BITS bits are exact in double precision.
+_TP_BITS = 30
+_TP_HI1 = _trunc_sig_bits(float(_TWO_PI_F), _TP_BITS)
+_TP_HI2 = _trunc_sig_bits(float(_TWO_PI_F - Fraction(_TP_HI1)), _TP_BITS)
 _TP_LO = float(_TWO_PI_F - Fraction(_TP_HI1) - Fraction(_TP_HI2))
 require(
     abs(_TWO_PI_F - Fraction(_TP_HI1) - Fraction(_TP_HI2) - Fraction(_TP_LO)) < Fraction(1, 2**100),
     "three-word 2*pi split is not accurate to 2^-100",
+)
+# Below _MAX_R the reduction's multiple k = rint(r / 2pi) stays at or below
+# _K_MAX, whose products with the hi words are exact; every r >= _MAX_R is
+# refused.
+_K_MAX = 2 ** (53 - _TP_BITS) - 1
+_MAX_R = float(_K_MAX * _TWO_PI_F)
+require(
+    all(_K_MAX * Fraction(w) == Fraction(_K_MAX * w) for w in (_TP_HI1, _TP_HI2)),
+    f"k * 2pi is not exact for every k <= {_K_MAX}",
 )
 
 _INV_TWO_PI = float(1 / _TWO_PI_F)
@@ -149,22 +160,29 @@ for _i in range(-24, 25):
     _QTAB_LO[_i + _QTAB_OFFSET] = float(_v - Fraction(_vhi))
 
 
+def _check_r(r) -> np.ndarray:
+    """``r`` as a float array, if every element lies in [0, _MAX_R)."""
+    r = np.asarray(r, dtype=np.float64)
+    ok = (r >= 0) & (r < _MAX_R)
+    if not np.all(ok):
+        raise ValueError(f"r must lie in [0, {_MAX_R:.6g}), got {float(r[~ok].flat[0]):g}")
+    return r
+
+
 def phase(n: int, r: float) -> float:
     """The asymptotic phase omega_n = r - n pi/2 - pi/4, reduced to (-pi, pi].
 
     Argument reduction happens against a three-word 2*pi, so the absolute
-    error stays below ~4e-16 * (1 + log2(1 + r)) for all supported r.
+    error stays below ~4e-16 * (1 + log2(1 + r)) for all 0 <= r < _MAX_R.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ValueError(f"phase requires finite r >= 0, got {r}")
-    return float(_phase_array(n, np.float64(r)))
+    return float(_phase_array(as_order(n), _check_r(r)))
 
 
 def _phase_array(n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized ``phase`` for nonnegative floats; rounds half to even."""
+    """Vectorized ``phase`` for floats in [0, _MAX_R); rounds half to even."""
     k = np.rint(r * _INV_TWO_PI)
     e = ((r - k * _TP_HI1) - k * _TP_HI2) - k * _TP_LO
-    q = (2 * int(n) + 1) % 16
+    q = (2 * n + 1) % 16
     w = np.rint((e - q * (_PI / 4.0)) * _INV_TWO_PI)
     idx = (q + 8 * w).astype(np.intp) + _QTAB_OFFSET
     omega = (e - np.take(_QTAB_HI, idx)) - np.take(_QTAB_LO, idx)
@@ -283,11 +301,9 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
 
 
 def bessel_j(n: int, r: float) -> float:
-    """J_n(r) for 0 <= n <= 40, r >= 0, to 1e-13 absolute."""
-    r = float(r)
-    if r < 0 or not math.isfinite(r):
-        raise ValueError(f"argument must be finite and >= 0, got {r}")
-    return float(_bessel_j_array(n, np.float64(r)))
+    """J_n(r) for 0 <= n <= 40 and 0 <= r < _MAX_R (about 5.27e7), to 1e-13
+    absolute."""
+    return float(_bessel_j_array(n, _check_r(float(r))))
 
 
 def _bessel_j_array(n: int, r: np.ndarray) -> np.ndarray:
@@ -387,12 +403,10 @@ def bessel_series_oracle(n: int, r: float, precision_bits: int) -> CertifiedValu
     drops below one.  The returned midpoint and radius are exact rationals;
     the radius is far below 2^(4 - precision_bits) * max(1, |J_n(r)|).
     """
-    n = int(n)
+    n = as_order(n)
     if n < 0:
         raise ValueError("order must be nonnegative")
-    r = float(r)
-    if r < 0 or not math.isfinite(r):
-        raise ValueError(f"argument must be finite and >= 0, got {r}")
+    r = float(_check_r(r))
     if r > _ORACLE_MAX_R:
         raise ValueError(
             f"series oracle supports r <= {_ORACLE_MAX_R:g} (got {r:g}); "

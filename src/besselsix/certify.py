@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import core_integrals, expansions
 from .bessel import CertifiedValue
 from .core_integrals import N0, _check_domain, main_term
-from .exactnum import ExactScalar, as_order, check_variant, require
+from .exactnum import ExactScalar, as_even_order, as_order, check_variant, require
 
 __all__ = [
     "NORMALIZATION",
@@ -160,9 +160,7 @@ def theorem_constants(m: int, n: int, variant: str) -> float | None:
     cell with m > n).
     """
     check_variant(variant)
-    m, n = as_order(m), as_order(n)
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
+    m, n = as_even_order(m), as_order(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m > n:

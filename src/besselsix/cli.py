@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bessel import CertifiedValue, bessel_j, bessel_series_oracle
 from .certify import THEOREM_MAP, check_theorem, predict
 from .closed_form import kapteyn, weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
-from .exactnum import CertificationError, ExactScalar
+from .exactnum import CertificationError, ExactScalar, as_even_order
 from .expansions import (
     RemainderedExpansion,
     TrigPoly,
@@ -38,6 +38,7 @@ from .quadrature import (
     ErrorBudget,
     QuadratureScheme,
     _integral_and_budget,
+    _table_rows,
     build_table,
     integral,
     integrand,
@@ -47,7 +48,6 @@ SCHEMA_VERSION = 1
 
 _ORACLE_BITS = 120
 _VARIANT_BY_FLAG = {"0": "I0", "1": "I1"}
-_EXPANSION_BY_FLAG = {"j0": "J0", "j1": "J1", "j000": "J000", "j110": "J110"}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,30 +63,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated invocation, ready to dispatch."""
-
-    command: str
-    variant: str | None = None
-    m: int | None = None
-    n: int | None = None
-    k: int | None = None
-    r: float | None = None
-    which: str | None = None
-    oracle: bool = False
-    budget: bool = False
-    breakdown: bool = False
-    rows: tuple[int, ...] = ()
-    paper: bool = False
-    output: str = "human"
-    csv_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.output not in ("human", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,45 +91,55 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--r", required=True, type=float)
     p.add_argument("--oracle", action="store_true", help="also print the exact series enclosure")
+    p.set_defaults(run=_cmd_eval_bessel)
 
     p = sub.add_parser("closed-form", help="two-factor integral of J_n J_m r^-k in closed form")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
+    p.set_defaults(run=_cmd_closed_form)
 
     p = sub.add_parser("expansion", help="print a six-term remaindered expansion")
-    p.add_argument("--which", required=True, choices=tuple(_EXPANSION_BY_FLAG))
+    p.add_argument("--which", required=True, choices=("j0", "j1", "j000", "j110"))
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_expansion)
 
     p = sub.add_parser("core-bounds", help="main terms and error bounds of one core integral")
     _add_variant(p)
     _add_orders(p)
     p.add_argument("--breakdown", action="store_true", help="emit the full decomposition as JSON")
+    p.set_defaults(run=_cmd_core_bounds)
 
     p = sub.add_parser("predict", help="certified enclosure from the closed forms (n >= 20)")
     _add_variant(p)
     _add_orders(p)
     p.add_argument("--budget", action="store_true", help="itemize the radius")
+    p.set_defaults(run=_cmd_predict)
 
-    sub.add_parser("theorem-map", help="applicability table of the deviation constants")
+    p = sub.add_parser("theorem-map", help="applicability table of the deviation constants")
+    p.set_defaults(run=_cmd_theorem_map)
 
     p = sub.add_parser("integrate", help="certified quadrature evaluation")
     _add_variant(p)
     _add_orders(p)
     _add_paper_flag(p)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_integrate)
 
     p = sub.add_parser("table", help="the verification table for 2 <= n <= 19")
     p.add_argument("--csv", nargs="?", const="-", default="-", metavar="PATH", help="write CSV to PATH (default: stdout)")
     p.add_argument("--rows", default="2..19", help="row selection, e.g. 7 or 2..19")
     _add_paper_flag(p)
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("check-theorem", help="test a quadrature enclosure against the theorem bound")
     _add_variant(p)
     _add_orders(p)
+    p.set_defaults(run=_cmd_check_theorem)
 
     p = sub.add_parser("figure1", help="sample the J15 J9 J6 J1^2 J0 r curve on [0, 100]")
     p.add_argument("--csv", nargs="?", const="-", default="-", metavar="PATH", help="write CSV to PATH (default: stdout)")
+    p.set_defaults(run=_cmd_figure1)
 
     return parser
 
@@ -162,56 +148,38 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..")
-            lo, hi = int(lo_text), int(hi_text)
-            rows = tuple(range(lo, hi + 1))
+            rows = range(int(lo_text), int(hi_text) + 1)
         else:
             rows = (int(text),)
     except ValueError:
         raise UsageError(f"cannot parse row selection {text!r} (expected N or A..B)")
     if not rows:
         raise UsageError(f"empty row selection {text!r}")
-    for n in rows:
-        if not 2 <= n <= 19:
-            raise UsageError(f"table rows cover 2 <= n <= 19, got {n}")
-    return rows
+    return _table_rows(rows)
 
 
-def _check_orders(m: int, n: int) -> None:
-    if m % 2:
-        raise UsageError(f"m must be even, got {m}")
-    if m < 0:
-        raise UsageError(f"m must be nonnegative, got {m}")
+def _check_cell(m: int, n: int) -> None:
+    """Refuse a cell the integral commands do not define."""
+    as_even_order(m)
     if n < 2:
         raise UsageError(f"n must be at least 2, got {n}")
     if m > n:
         raise UsageError(f"m must not exceed n, got m={m}, n={n}")
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line; ``run(ns)`` executes it and returns the
+    exit status."""
     ns = _build_parser().parse_args(argv)
-    command = ns.command
-    kwargs: dict = {"command": command}
-
-    if command == "eval-bessel":
-        kwargs.update(n=ns.n, r=ns.r, oracle=ns.oracle)
-    elif command == "closed-form":
-        kwargs.update(n=ns.n, m=ns.m, k=ns.k)
-    elif command == "expansion":
-        kwargs.update(which=_EXPANSION_BY_FLAG[ns.which], output="json" if ns.json else "human")
-    elif command in ("core-bounds", "predict", "integrate", "check-theorem"):
-        _check_orders(ns.m, ns.n)
-        kwargs.update(variant=_VARIANT_BY_FLAG[ns.variant], m=ns.m, n=ns.n)
-        if command == "core-bounds":
-            kwargs.update(breakdown=ns.breakdown, output="json" if ns.breakdown else "human")
-        elif command == "predict":
-            kwargs.update(budget=ns.budget)
-        elif command == "integrate":
-            kwargs.update(paper=ns.paper, output="json" if ns.json else "human")
-    elif command == "table":
-        kwargs.update(rows=_parse_rows(ns.rows), csv_path=ns.csv, output="csv", paper=ns.paper)
-    elif command == "figure1":
-        kwargs.update(csv_path=ns.csv, output="csv")
-    return RunConfig(**kwargs)
+    try:
+        if "variant" in ns:
+            ns.variant = _VARIANT_BY_FLAG[ns.variant]
+            _check_cell(ns.m, ns.n)
+        if "rows" in ns:
+            ns.rows = _parse_rows(ns.rows)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +223,13 @@ def expansion_from_payload(payload: dict) -> RemainderedExpansion:
     return RemainderedExpansion(terms, remainders)
 
 
-def integrate_payload(config: RunConfig, value: CertifiedValue, budget: ErrorBudget) -> dict:
+def integrate_payload(ns: argparse.Namespace, value: CertifiedValue, budget: ErrorBudget) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": "integrate",
-        "variant": config.variant,
-        "m": config.m,
-        "n": config.n,
+        "variant": ns.variant,
+        "m": ns.m,
+        "n": ns.n,
         "mid": float(value.mid),
         "rad": float(value.rad),
         "budget": asdict(budget),
@@ -272,13 +240,13 @@ def integrate_from_payload(payload: dict) -> tuple[CertifiedValue, ErrorBudget]:
     return CertifiedValue(payload["mid"], payload["rad"]), ErrorBudget(**payload["budget"])
 
 
-def breakdown_payload(config: RunConfig, b: CoreBoundBreakdown) -> dict:
+def breakdown_payload(ns: argparse.Namespace, b: CoreBoundBreakdown) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": "core-bounds",
-        "variant": config.variant,
-        "m": config.m,
-        "n": config.n,
+        "variant": ns.variant,
+        "m": ns.m,
+        "n": ns.n,
         "main_cos": str(b.main_cos.coeff),
         "main_sin": str(b.main_sin.coeff),
         "e1_cos": b.e1_cos,
@@ -325,17 +293,17 @@ def _ceil2(x: float) -> float:
     return math.ceil(x * 100.0 - 1e-9) / 100.0
 
 
-def _emit(lines: list[str], path: str | None) -> None:
+def _emit(lines: list[str], path: str) -> None:
     text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
 
 
-def _scheme_from(config: RunConfig) -> QuadratureScheme:
-    return PAPER_SCHEME if config.paper else DEFAULT_SCHEME
+def _scheme_from(ns: argparse.Namespace) -> QuadratureScheme:
+    return PAPER_SCHEME if ns.paper else DEFAULT_SCHEME
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +311,28 @@ def _scheme_from(config: RunConfig) -> QuadratureScheme:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval_bessel(config: RunConfig) -> int:
-    value = bessel_j(config.n, config.r)
-    print(f"J_{config.n}({config.r:g}) = {value:.17g}")
-    if config.oracle:
-        enclosure = bessel_series_oracle(config.n, config.r, _ORACLE_BITS)
+def _cmd_eval_bessel(ns: argparse.Namespace) -> int:
+    value = bessel_j(ns.n, ns.r)
+    print(f"J_{ns.n}({ns.r:g}) = {value:.17g}")
+    if ns.oracle:
+        enclosure = bessel_series_oracle(ns.n, ns.r, _ORACLE_BITS)
         print(f"series enclosure: {float(enclosure.mid):.17g} +/- {float(enclosure.rad):.3g}")
     return EXIT_OK
 
 
-def _cmd_closed_form(config: RunConfig) -> int:
-    if config.k == 1:
-        value = kapteyn(config.n, config.m)
+def _cmd_closed_form(ns: argparse.Namespace) -> int:
+    if ns.k == 1:
+        value = kapteyn(ns.n, ns.m)
     else:
-        value = weber_schafheitlin(config.n, config.m, config.k)
-    print(f"integral of J_{config.n} J_{config.m} r^-{config.k}: {value} = {value.to_real():.17g}")
+        value = weber_schafheitlin(ns.n, ns.m, ns.k)
+    print(f"integral of J_{ns.n} J_{ns.m} r^-{ns.k}: {value} = {value.to_real():.17g}")
     return EXIT_OK
 
 
-def _cmd_expansion(config: RunConfig) -> int:
-    which = config.which
+def _cmd_expansion(ns: argparse.Namespace) -> int:
+    which = ns.which.upper()
     e = base_expansion(which) if which in ("J0", "J1") else product_expansion(which)
-    if config.output == "json":
+    if ns.json:
         print(_json_dumps(expansion_payload(which, e)))
         return EXIT_OK
     print(f"{which}: six terms in t = 1/(16r), c = cos(r - pi/4), s = sin(r - pi/4)")
@@ -375,12 +343,12 @@ def _cmd_expansion(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_core_bounds(config: RunConfig) -> int:
-    b = core_bound_breakdown(config.m, config.n, config.variant)
-    if config.output == "json":
-        print(_json_dumps(breakdown_payload(config, b)))
+def _cmd_core_bounds(ns: argparse.Namespace) -> int:
+    b = core_bound_breakdown(ns.m, ns.n, ns.variant)
+    if ns.breakdown:
+        print(_json_dumps(breakdown_payload(ns, b)))
         return EXIT_OK
-    print(f"core bound {config.variant}(m={config.m}, n={config.n}):")
+    print(f"core bound {ns.variant}(m={ns.m}, n={ns.n}):")
     print(f"  main cos part  = {b.main_cos.coeff}")
     print(f"  main sin part  = {b.main_sin.coeff}")
     print(f"  first-kind errors:  cos <= {b.e1_cos:.6g}, sin <= {b.e1_sin:.6g}")
@@ -388,18 +356,18 @@ def _cmd_core_bounds(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_predict(config: RunConfig) -> int:
-    p = predict(config.m, config.n, config.variant)
+def _cmd_predict(ns: argparse.Namespace) -> int:
+    p = predict(ns.m, ns.n, ns.variant)
     print(
         f"{p.variant}(m={p.m}, n={p.n}) = {p.main.to_real():.17g} +/- {p.radius:.6g}"
     )
-    if config.budget:
+    if ns.budget:
         for name, value in p.budget:
             print(f"  {name:<12} {value:.6g}")
     return EXIT_OK
 
 
-def _cmd_theorem_map(config: RunConfig) -> int:
+def _cmd_theorem_map(ns: argparse.Namespace) -> int:
     print("deviation constants: |I - main| < c * n^-4 when (m, n) is covered")
     for variant, m_lo, m_hi, n_lo, n_hi, constant in THEOREM_MAP:
         m_part = f"m = {m_lo}" if m_hi == m_lo else f"m >= {m_lo}"
@@ -417,76 +385,57 @@ def _cmd_theorem_map(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_integrate(config: RunConfig) -> int:
-    scheme = _scheme_from(config)
-    value, budget = _integral_and_budget(config.variant, config.m, config.n, scheme)
-    if config.output == "json":
-        print(_json_dumps(integrate_payload(config, value, budget)))
+def _cmd_integrate(ns: argparse.Namespace) -> int:
+    scheme = _scheme_from(ns)
+    value, budget = _integral_and_budget(ns.variant, ns.m, ns.n, scheme)
+    if ns.json:
+        print(_json_dumps(integrate_payload(ns, value, budget)))
         return EXIT_OK
-    print(f"{config.variant}(m={config.m}, n={config.n}) = {float(value.mid):.17g} +/- {float(value.rad):.3g}")
+    print(f"{ns.variant}(m={ns.m}, n={ns.n}) = {float(value.mid):.17g} +/- {float(value.rad):.3g}")
     for name in (f.name for f in fields(ErrorBudget) if f.name != "total"):
         print(f"  {name:<18} {getattr(budget, name):.6g}")
     return EXIT_OK
 
 
-def _cmd_table(config: RunConfig) -> int:
-    scheme = _scheme_from(config)
-    entries = build_table(config.rows, scheme=scheme)
+def _cmd_table(ns: argparse.Namespace) -> int:
+    scheme = _scheme_from(ns)
+    entries = build_table(ns.rows, scheme=scheme)
     lines = ["n,m,top,bottom"]
     for e in entries:
         lines.append(f"{e.n},{e.m},{_ceil2(e.top):.2f},{_ceil2(e.bottom):.2f}")
-    _emit(lines, config.csv_path)
+    _emit(lines, ns.csv)
     return EXIT_OK
 
 
-def _cmd_check_theorem(config: RunConfig) -> int:
-    value = integral(config.variant, config.m, config.n)
-    outcome = check_theorem(config.m, config.n, config.variant, value)
+def _cmd_check_theorem(ns: argparse.Namespace) -> int:
+    value = integral(ns.variant, ns.m, ns.n)
+    outcome = check_theorem(ns.m, ns.n, ns.variant, value)
     status = "PASS" if outcome.passed else "FAIL"
     print(
-        f"{config.variant}(m={config.m}, n={config.n}): deviation {outcome.deviation:.6g} "
+        f"{ns.variant}(m={ns.m}, n={ns.n}): deviation {outcome.deviation:.6g} "
         f"vs allowance {outcome.allowance:.6g} -> {status}"
     )
     return EXIT_OK if outcome.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_figure1(config: RunConfig) -> int:
+def _cmd_figure1(ns: argparse.Namespace) -> int:
     f = integrand("I1", 6, 9)
     r = np.linspace(0.0, 100.0, 2001)
     values = f(r)
     lines = ["r,value"]
     lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(r, values))
-    _emit(lines, config.csv_path)
+    _emit(lines, ns.csv)
     return EXIT_OK
-
-
-_DISPATCH = {
-    "eval-bessel": _cmd_eval_bessel,
-    "closed-form": _cmd_closed_form,
-    "expansion": _cmd_expansion,
-    "core-bounds": _cmd_core_bounds,
-    "predict": _cmd_predict,
-    "theorem-map": _cmd_theorem_map,
-    "integrate": _cmd_integrate,
-    "table": _cmd_table,
-    "check-theorem": _cmd_check_theorem,
-    "figure1": _cmd_figure1,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit status."""
-    return _DISPATCH[config.command](config)
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        ns = parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return run(config)
+        return ns.run(ns)
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the pipe; not our error.
         sys.stderr.close()

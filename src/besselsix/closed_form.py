@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactScalar, Rational, gamma_ratio, require
+from .exactnum import ExactScalar, Rational, as_order, gamma_ratio, require
 
 __all__ = [
     "CoreIntegralKey",
@@ -59,6 +59,7 @@ class CoreIntegralKey:
 def kapteyn(n: int, m: int) -> ExactScalar:
     """int_0^inf J_n J_m / r dr = (2/pi) sin((m-n)pi/2) / (m^2 - n^2),
     read as 1/(2n) in the confluent case n = m."""
+    n, m = as_order(n), as_order(m)
     if n < 0 or m < 0:
         raise ValueError("orders must be nonnegative")
     if n == m:
@@ -81,6 +82,7 @@ def weber_schafheitlin(n: int, m: int, k: int) -> ExactScalar:
     for 1 <= k <= n + m.  Parity makes the result either rational or
     rational/pi; a 1/Gamma zero in the denominator yields exact 0.
     """
+    n, m, k = as_order(n), as_order(m), as_order(k)
     if n < 0 or m < 0:
         raise ValueError("orders must be nonnegative")
     if not (1 <= k <= n + m):
@@ -119,6 +121,7 @@ def vanishes_freq2(key: CoreIntegralKey) -> bool:
 def descent_bound(n: int, m: int, k: int) -> Rational:
     """Bound 2^(k-1) 4^(-(n+m)) (n+m-k)! / (n! m!) dominating the modulus
     of the frequency-4 integral int J_n J_m r^(-k) e^(4ir) dr."""
+    n, m, k = as_order(n), as_order(m), as_order(k)
     if n < 0 or m < 0:
         raise ValueError("orders must be nonnegative")
     if not (1 <= k < n + m):

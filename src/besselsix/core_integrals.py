@@ -33,6 +33,7 @@ from .exactnum import (
     ExactScalar,
     Rational,
     a_coeff,
+    as_even_order,
     as_order,
     check_variant,
     gamma_half,
@@ -204,9 +205,7 @@ def _aj(j: int, m: int) -> Fraction:
 
 def _check_domain(m: int, n: int) -> tuple[int, int]:
     """(m, n) as ints, if they lie in the certified regime."""
-    m, n = as_order(m), as_order(n)
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
+    m, n = as_even_order(m), as_order(n)
     if n < N0:
         raise ValueError(f"the certified regime needs n >= {N0}")
     if m >= 6 and m > n:
@@ -266,9 +265,7 @@ def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactSca
     """(cosine-route, sine-route) main terms as exact rationals: the terms
     j + i <= max(m, 2) of the series for m <= 4; for m >= 6 orthogonality
     leaves none."""
-    m, n = as_order(m), as_order(n)
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
+    m, n = as_even_order(m), as_order(n)
     if n < 2:
         raise ValueError("main terms need n >= 2")
     check_variant(variant)
@@ -343,9 +340,7 @@ def prop_4r_chain(m: int, n: int) -> float:
     4^-(2n+m) kernel factor; powers of two are folded together so the
     evaluation stays finite for any n.
     """
-    m, n = as_order(m), as_order(n)
-    if not (0 <= m <= n) or m % 2 != 0 or n < N0:
-        raise ValueError("need even m with 0 <= m <= n and n >= 20")
+    m, n = _check_domain(m, n)
     A = 4.0 ** (math.log(2.0) / 9.0) * math.exp(-((math.log(2.0) / 3.0) ** 2))
     require(A <= 1.06, "Gaussian constant A exceeds 1.06")
     # sum over the coefficient indices, Gaussian-peak times term count,
@@ -445,8 +440,9 @@ def pair_moment_constant(ell: int) -> float:
 def pair_moment_constant_cs(m: int, ell: int) -> float:
     """Cauchy-Schwarz analogue for the mixed moment ∫ |J_n J_{n+m}| r^-(m+ell):
     bound c n^-(m+ell), anchored at n = 20."""
-    if m < 2 or m % 2 != 0 or ell < 2:
-        raise ValueError("need even m >= 2 and ell >= 2")
+    m = as_even_order(m)
+    if m < 2 or ell < 2:
+        raise ValueError("need m >= 2 and ell >= 2")
     inner = Fraction(math.factorial(2 * m + 2 * ell - 2), 2 ** (2 * m + 2 * ell - 1))
     inner /= 2 * Fraction(math.factorial(m + ell - 1)) ** 2
     inner *= gamma_ratio(2 * (21 - ell), 2 * (20 + 2 * m + ell)).coeff * Fraction(20) ** (2 * (m + ell) - 1)
@@ -456,8 +452,9 @@ def pair_moment_constant_cs(m: int, ell: int) -> float:
 def pair_moment_constant_tail(m: int, ell: int) -> float:
     """Large-m analogue: the coefficient-size lemma replaces the exact
     coefficient, leaving a constant that decreases in m."""
-    if m < 12 or m % 2 != 0 or ell < 2:
-        raise ValueError("need even m >= 12 and ell >= 2")
+    m = as_even_order(m)
+    if m < 12 or ell < 2:
+        raise ValueError("need m >= 12 and ell >= 2")
     prod = 1.0
     for k in range(2 * ell - 1):
         prod *= 21 - ell + k

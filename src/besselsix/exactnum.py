@@ -20,6 +20,7 @@ __all__ = [
     "CertificationError",
     "require",
     "as_order",
+    "as_even_order",
     "check_variant",
     "Rational",
     "ExactScalar",
@@ -56,6 +57,14 @@ def as_order(x) -> int:
     if k is None or x != k:
         raise ValueError(f"orders must be integers, got {x!r}")
     return k
+
+
+def as_even_order(m) -> int:
+    """``m`` as an int order, if it is even and nonnegative: the paper's m."""
+    m = as_order(m)
+    if m < 0 or m % 2:
+        raise ValueError(f"m must be even and nonnegative, got {m}")
+    return m
 
 
 def check_variant(variant: str) -> str:
@@ -277,6 +286,7 @@ def a_coeff(j: int, n: int) -> ExactScalar:
     the exact error terms ask for the same few a_j(n) many times, and the
     frozen result is safe to share.
     """
+    j, n = as_order(j), as_order(n)
     if j < 0 or n < 0:
         raise ValueError("a_coeff requires j >= 0 and n >= 0")
     ratio = gamma_ratio(2 * (n + j) + 1, 2 * (n - j) + 1)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import CertifiedValue, phase
-from .exactnum import Rational, a_coeff, as_order, check_variant, gamma_ratio, require
+from .exactnum import Rational, a_coeff, as_even_order, as_order, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -247,10 +247,8 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     1.12 (I1), for n >= 20; the recomputed proof constant is checked
     against the printed one on first use."""
     check_variant(variant)
-    m, n = as_order(m), as_order(n)
+    m, n = as_even_order(m), as_order(n)
     if n < 20:
         raise ValueError("the certified regime needs n >= 20")
-    if m < 0 or m % 2 != 0:
-        raise ValueError("m must be even and nonnegative")
     _a_dominates(variant)
     return float(_A_PRINTED[variant]) / math.sqrt(20.0) * (n + m) ** -6.0

@@ -60,10 +60,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import MAX_ORDER, CertifiedValue, _bessel_rows, phase
+from .bessel import MAX_ORDER, CertifiedValue, _bessel_rows, _check_r, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
-from .exactnum import as_order, check_variant, require
+from .exactnum import as_even_order, as_order, check_variant, require
 
 __all__ = [
     "QuadratureScheme",
@@ -510,7 +510,7 @@ def integrand(variant: str, m: int, n: int):
     orders = sorted(_cell_orders(variant, m, n))
 
     def f(r):
-        r = np.asarray(r, dtype=np.float64)
+        r = _check_r(r)
         nodes = r.ravel()
         rows = dict(zip(orders, _bessel_rows(orders, nodes)))
         return _cell_product(variant, m, n, rows, nodes).reshape(r.shape)[()]
@@ -670,6 +670,19 @@ def _tail_error_pieces(N: int) -> tuple[float, ...]:
     return pieces
 
 
+def _covered_cell(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints, if the tail constants cover the cell: even m,
+    n >= 0 and n + m <= _MAX_CELL_ORDER."""
+    m, n = as_even_order(m), as_order(n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n + m > _MAX_CELL_ORDER:
+        raise ValueError(
+            f"n + m = {n + m} exceeds the order range (<= {_MAX_CELL_ORDER}) the tail constants cover"
+        )
+    return m, n
+
+
 def tail_error_budget(variant: str, m: int, n: int) -> float:
     """Certified bound for |I_high - tail_main| on the cell (m, n).
 
@@ -678,13 +691,7 @@ def tail_error_budget(variant: str, m: int, n: int) -> float:
     the two is at most 18.
     """
     check_variant(variant)
-    m, n = as_order(m), as_order(n)
-    if m < 0 or n < 0 or m % 2:
-        raise ValueError(f"need nonnegative even m, got m={m}, n={n}")
-    if n + m > _MAX_CELL_ORDER:
-        raise ValueError(
-            f"n + m = {n + m} exceeds the order range (<= {_MAX_CELL_ORDER}) the tail constants cover"
-        )
+    m, n = _covered_cell(m, n)
     a, b, c, d = _tail_error_pieces(max(19, n, m))
     return a + b + c + d
 
@@ -728,17 +735,22 @@ def _integral_and_budget(
     """``integral`` together with the budget behind its radius, computing
     the tail and the budget once each."""
     check_variant(variant)
-    m, n = as_order(m), as_order(n)
-    if m % 2 or m < 0:
-        raise ValueError(f"m must be even and nonnegative, got {m}")
-    if not 0 <= m <= n:
+    m, n = _covered_cell(m, n)
+    if m > n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if n + m > MAX_ORDER:
-        raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
     tail = tail_main(variant, _parity(n))
     budget = _itemized_budget(variant, m, n, scheme, tail)
     mid = _composite_sum(variant, m, n, scheme) + tail.mid
     return CertifiedValue(mid, budget.total), budget
+
+
+def _table_rows(n_range) -> tuple[int, ...]:
+    """``n_range`` as int table rows, if each lies in 2..19."""
+    rows = tuple(as_order(n) for n in n_range)
+    for n in rows:
+        if not 2 <= n <= 19:
+            raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
+    return rows
 
 
 def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list[TableEntry]:
@@ -749,10 +761,7 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     the closed-form expression for that (m, n) (zero for m >= 6) and
     ``tail_const`` the printed parity-matched tail value.
     """
-    rows = list(range(2, 20)) if n_range is None else [as_order(n) for n in n_range]
-    for n in rows:
-        if not 2 <= n <= 19:
-            raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
+    rows = _table_rows(range(2, 20) if n_range is None else n_range)
     memo = _scheme_rows(scheme)
     # region-major: each table row reads the union of its cells' orders once
     # per region, so a row evaluated for one cell serves all the others

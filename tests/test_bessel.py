@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hiprec
 from besselsix import bessel
+from besselsix.quadrature import integrand
 from besselsix.bessel import (
     MAX_ORDER,
     CertifiedValue,
@@ -62,6 +63,13 @@ def test_domain_errors():
         bessel_j(0, -0.5)
     with pytest.raises(ValueError):
         bessel_j(0, math.inf)
+    # past _MAX_R (about 5.27e7) k * 2pi is no longer exact in the phase
+    # reduction; 1e9 used to pass at 3.1e-13 error, 1e20 to raise IndexError
+    f = integrand("I0", 0, 7)
+    for r in (1e9, 1e20, -1.0):
+        for call in (lambda: bessel_j(2, r), lambda: phase(0, r), lambda: f(r), lambda: f(np.array([1.0, r]))):
+            with pytest.raises(ValueError, match=r"r must lie in \[0, 5\.27072e\+07\)"):
+                call()
 
 
 def test_small_argument_bound():
@@ -261,11 +269,14 @@ def test_oracle_rejects_large_r():
 
 
 def test_oracle_agrees_with_fast_path_on_grid():
-    """Oracle midpoint vs bessel_j to 1e-13 on ~10^3 points of [0,20]x[0,50]."""
+    """Oracle midpoint vs bessel_j to 1e-13 on ~10^3 points of [0,20]x[0,50];
+    the fast values come from one kernel call, bitwise equal to scalar
+    calls (test_vectorized_matches_scalar_bitwise)."""
     rs = np.linspace(0.0, 50.0, 48)
+    fast = _bessel_rows(range(21), rs)
     for n in range(21):
-        for r in rs:
-            d = abs(float(bessel_series_oracle(n, float(r), 60).mid) - bessel_j(n, float(r)))
+        for r, value in zip(rs, fast[n]):
+            d = abs(float(bessel_series_oracle(n, float(r), 60).mid) - value)
             assert d <= 1e-13, (n, r)
 
 
@@ -342,6 +353,9 @@ def test_phase_range():
     r=st.floats(0.0, 70000.0, allow_nan=False),
 )
 @settings(max_examples=300, deadline=None)
+@example(n=0, r=1e6)
+@example(n=40, r=3.3e7)
+@example(n=7, r=math.nextafter(bessel._MAX_R, 0.0))  # the largest accepted r
 def test_phase_error_contract(n, r):
     """Reduction error <= 4e-16 * (1 + log2(1 + r)) against the exact value."""
     y, err = hiprec.phase_reduce(n, r)

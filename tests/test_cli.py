@@ -29,13 +29,13 @@ def test_parse_integrate():
     assert config.command == "integrate"
     assert config.variant == "I1"
     assert (config.m, config.n) == (2, 9)
-    assert config.output == "human"
+    assert not config.json
 
 
 def test_parse_table_rows():
     config = cli.parse_args(["table", "--rows", "3..5"])
     assert config.rows == (3, 4, 5)
-    assert config.csv_path == "-"
+    assert config.csv == "-"
     single = cli.parse_args(["table", "--rows", "7"])
     assert single.rows == (7,)
 
@@ -89,11 +89,6 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README line {line!r}: {exc}")
 
 
-def test_config_rejects_unknown_output():
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="table", output="xml")
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -103,6 +98,9 @@ def test_domain_error_exit_code(capsys):
     # The series oracle is only certified out to r = 200.
     assert cli.main(["eval-bessel", "--n", "3", "--r", "500", "--oracle"]) == 3
     assert "domain error" in capsys.readouterr().err
+    # the phase reduction is exact only below about 5.27e7; 1e20 used to exit 4
+    assert cli.main(["eval-bessel", "--n", "2", "--r", "1e20"]) == 3
+    assert capsys.readouterr().err.startswith("domain error: r must lie in [0, 5.27072e+07)")
 
 
 @pytest.mark.parametrize(

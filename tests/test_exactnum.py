@@ -8,12 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix import certify, core_integrals, expansions, quadrature
-from besselsix.bessel import _bessel_rows, bessel_j
+from besselsix import certify, closed_form, core_integrals, expansions, quadrature
+from besselsix.bessel import (
+    _bessel_rows,
+    asymptotic_eval,
+    asymptotic_remainder,
+    bessel_j,
+    bessel_series_oracle,
+    phase,
+)
 from besselsix.exactnum import (
     ExactScalar,
     a_coeff,
     a_m4_bound,
+    as_even_order,
     as_order,
     gamma_half,
     gamma_ratio,
@@ -302,15 +310,60 @@ def test_as_order_keeps_integral_values():
         lambda: certify.theorem_constants(2, 25.5, "I0"),
         lambda: expansions.estimate_A(0, 25.5, "I0"),
         lambda: core_integrals.prop_4r_bound(0, 25.5, "i"),
+        lambda: bessel_series_oracle(2.5, 1.0, 60),
+        lambda: bessel_series_oracle(-0.5, 1.0, 60),
+        lambda: phase(2.5, 100.0),
+        lambda: asymptotic_eval(2.5, 100.0, 12),
+        lambda: asymptotic_remainder(2.5, 100.0, 12),
+        lambda: a_coeff(1, 2.3),
+        lambda: closed_form.weber_schafheitlin(2.5, 3, 2),
+        lambda: closed_form.kapteyn(2.5, 3),
+        lambda: closed_form.descent_bound(2.5, 3, 1),
     ],
     ids=["bessel_j", "bessel_rows", "integrand", "integral", "integral_and_budget",
          "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
-         "theorem_constants", "estimate_A", "prop_4r_bound"],
+         "theorem_constants", "estimate_A", "prop_4r_bound", "series_oracle",
+         "series_oracle_negative", "phase", "asymptotic_eval", "asymptotic_remainder",
+         "a_coeff", "weber_schafheitlin", "kapteyn", "descent_bound"],
 )
 def test_non_integral_orders_are_refused(call):
-    # each entry point used to truncate 7.5 to 7, pass it on, or (predict,
-    # main_term) raise TypeError
+    # each entry point used to truncate 7.5 to 7 (the series oracle returned
+    # J_2(1) for order 2.5), pass it on, give a wrong value (a_coeff(1, 2.3)
+    # was 15/8, asymptotic_eval missed J_2.5(100)), or raise TypeError or
+    # CertificationError
     with pytest.raises(ValueError, match="orders must be integers"):
+        call()
+
+
+def test_as_even_order():
+    for x in (0, 4.0, np.int64(18)):
+        assert as_even_order(x) == x and type(as_even_order(x)) is int
+    for x in (3, -2):
+        with pytest.raises(ValueError, match=f"^m must be even and nonnegative, got {x}$"):
+            as_even_order(x)
+    with pytest.raises(ValueError, match="orders must be integers"):
+        as_even_order(2.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: core_integrals.estimate_B(3, 25, "I0"),
+        lambda: core_integrals.main_term_parts(3, 7, "I0"),
+        lambda: core_integrals.prop_4r_chain(3, 25),
+        lambda: core_integrals.pair_moment_constant_cs(3, 5),
+        lambda: core_integrals.pair_moment_constant_tail(13, 5),
+        lambda: certify.theorem_constants(3, 25, "I0"),
+        lambda: expansions.estimate_A(3, 25, "I0"),
+        lambda: quadrature.tail_error_budget("I0", 3, 7),
+        lambda: quadrature._integral_and_budget("I0", 3, 9),
+    ],
+    ids=["check_domain", "main_term_parts", "prop_4r_chain", "pair_moment_constant_cs",
+         "pair_moment_constant_tail", "theorem_constants", "estimate_A", "tail_error_budget",
+         "integral_and_budget"],
+)
+def test_odd_m_is_refused_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^m must be even and nonnegative, got 1?3$"):
         call()
 
 
