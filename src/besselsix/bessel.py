@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactnum import a_coeff, as_order, require
+from .exactnum import a_coeff, as_integer, as_order, require
 
 __all__ = [
     "CertifiedValue",
@@ -273,6 +273,7 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
     allowance for the floating-point evaluation of the truncated sums (a few
     ulp per term, plus the documented phase-reduction error).
     """
+    ell = as_integer(ell, "term counts")
     if ell < 1 or ell < n:
         raise ValueError(f"asymptotic_eval needs ell >= max(n - 1/2, 1); got ell={ell}, n={n}")
     if not (r > 0):
@@ -412,7 +413,7 @@ def bessel_series_oracle(n: int, r: float, precision_bits: int) -> CertifiedValu
             f"series oracle supports r <= {_ORACLE_MAX_R:g} (got {r:g}); "
             "the alternating series loses all significance beyond that"
         )
-    precision_bits = int(precision_bits)
+    precision_bits = as_integer(precision_bits, "precision bits")
     if precision_bits < 8:
         raise ValueError("precision_bits must be at least 8")
     if r == 0.0:

@@ -19,6 +19,7 @@ from functools import lru_cache
 __all__ = [
     "CertificationError",
     "require",
+    "as_integer",
     "as_order",
     "as_even_order",
     "check_variant",
@@ -47,16 +48,21 @@ def require(condition: bool, message: str) -> None:
         raise CertificationError(message)
 
 
-def as_order(x) -> int:
-    """``x`` as an int order: 7.0 and numpy ints pass; 7.5, inf, nan and
-    non-numbers raise ValueError."""
+def as_integer(x, what: str) -> int:
+    """``x`` as an int: 7.0 and numpy ints pass; 7.5, inf, nan and
+    non-numbers raise ValueError saying that ``what`` must be integers."""
     try:
         k = int(x)
     except (OverflowError, TypeError, ValueError):
         k = None
     if k is None or x != k:
-        raise ValueError(f"orders must be integers, got {x!r}")
+        raise ValueError(f"{what} must be integers, got {x!r}")
     return k
+
+
+def as_order(x) -> int:
+    """``x`` as an int order, by ``as_integer``."""
+    return as_integer(x, "orders")
 
 
 def as_even_order(m) -> int:

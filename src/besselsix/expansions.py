@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import CertifiedValue, phase
-from .exactnum import Rational, a_coeff, as_even_order, as_order, check_variant, gamma_ratio, require
+from .exactnum import Rational, a_coeff, as_even_order, as_integer, as_order, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -203,6 +203,7 @@ def eval_expansion(e: RemainderedExpansion, r: float, K: int) -> CertifiedValue:
     """
     if not (r > 0):
         raise ValueError("r must be positive")
+    K = as_integer(K, "term counts")
     if not (0 <= K <= 6):
         raise ValueError("K must lie in 0..6")
     w = phase(0, r)

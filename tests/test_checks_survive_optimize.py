@@ -33,15 +33,14 @@ def _run_optimized(body: str) -> subprocess.CompletedProcess:
 # The stored Gauss-Legendre rule with its outermost node pair (index 0) or
 # weight pair (index 1) moved by delta, symmetry kept.
 _MOVED_RULE = """
-import numpy as np
 from besselsix import quadrature
-_real = np.polynomial.legendre.leggauss
+_real = quadrature._legendre_rule
 def _moved(points):
     arrays = [a.copy() for a in _real(points)]
     arrays[{index}][-1] += {delta}
     arrays[{index}][0] += {delta} if {index} else -{delta}
     return tuple(arrays)
-np.polynomial.legendre.leggauss = _moved
+quadrature._legendre_rule = _moved
 """
 _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
 

@@ -191,6 +191,36 @@ def test_scipy_is_never_imported(code):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+_REFUSE_LINALG = """
+import contextlib, io
+import numpy as np
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise RuntimeError(f"numpy.linalg.{name} called")
+    return refuse
+for name in dir(np.linalg):
+    public = getattr(np.linalg, name)
+    if not name.startswith("_") and callable(public) and not isinstance(public, type):
+        setattr(np.linalg, name, _refuse(name))
+from besselsix import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (%r, %r)]
+print(codes)
+"""
+
+
+def test_no_cli_path_calls_linear_algebra():
+    # numpy.linalg starts the BLAS thread pool, which then spins for the rest
+    # of a short-lived CLI process; the Gauss rules are built without it
+    argvs = (["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json"], ["table", "--rows", "7..9"])
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _REFUSE_LINALG % argvs], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[0, 0]"], result.stderr
+
+
 def test_closed_form_output(capsys):
     assert cli.main(["closed-form", "--n", "1", "--m", "1", "--k", "2"]) == 0
     out = capsys.readouterr().out

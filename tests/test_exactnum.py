@@ -335,6 +335,22 @@ def test_non_integral_orders_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: asymptotic_eval(2, 100.0, 12.5), "term counts"),
+        (lambda: expansions.eval_expansion(expansions.base_expansion("J0"), 100.0, 2.5), "term counts"),
+        (lambda: bessel_series_oracle(2, 1.0, 60.5), "precision bits"),
+    ],
+    ids=["asymptotic_eval", "eval_expansion", "series_oracle"],
+)
+def test_non_integral_counts_are_refused(call, what):
+    # the first two raised TypeError from range(); the series oracle quietly
+    # worked to 60 bits
+    with pytest.raises(ValueError, match=f"^{what} must be integers, got "):
+        call()
+
+
 def test_as_even_order():
     for x in (0, 4.0, np.int64(18)):
         assert as_even_order(x) == x and type(as_even_order(x)) is int

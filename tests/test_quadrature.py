@@ -298,10 +298,18 @@ def test_gauss_rule_certificate():
         assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
-@pytest.mark.parametrize("points", [7, 20])
-def test_rule_certificate_bounds_the_exact_moment_errors(points):
+@pytest.mark.parametrize(
+    "source, points",
+    [
+        pytest.param(np.polynomial.legendre.leggauss, 7, id="7"),
+        pytest.param(np.polynomial.legendre.leggauss, 20, id="20"),
+        pytest.param(quadrature._legendre_rule, 7, id="newton-7"),
+        pytest.param(quadrature._legendre_rule, 20, id="newton-20"),
+    ],
+)
+def test_rule_certificate_bounds_the_exact_moment_errors(source, points):
     # plain Fraction arithmetic on the stored floats, small rules only
-    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = source(points)
     rule = quadrature._certify_rule(x, w)
     xs, ws = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in w]
     t_prev, t = [Fraction(1)] * points, list(xs)
@@ -317,7 +325,7 @@ def test_rule_certificate_bounds_the_exact_moment_errors(points):
 def _perturbed(index: int, delta: float, symmetric: bool):
     """A Gauss-Legendre source whose node (index 0) or weight (index 1) at
     the outermost position is moved by delta, on both sides when symmetric."""
-    real = np.polynomial.legendre.leggauss
+    real = quadrature._legendre_rule
 
     def source(points):
         arrays = [np.array(a) for a in real(points)]
@@ -339,7 +347,7 @@ def _perturbed(index: int, delta: float, symmetric: bool):
     ],
 )
 def test_perturbed_stored_rule_is_refused(monkeypatch, index, delta, symmetric, message):
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _perturbed(index, delta, symmetric))
+    monkeypatch.setattr(quadrature, "_legendre_rule", _perturbed(index, delta, symmetric))
     _gauss_rule.cache_clear()
     try:
         with pytest.raises(CertificationError, match=message):
@@ -349,12 +357,11 @@ def test_perturbed_stored_rule_is_refused(monkeypatch, index, delta, symmetric, 
 
 
 _COUNT_CERTIFICATES = """
-import numpy as np
-made = []
-_leggauss = np.polynomial.legendre.leggauss
-np.polynomial.legendre.leggauss = lambda n: made.append(n) or _leggauss(n)
 import besselsix
 from besselsix import quadrature
+made = []
+_source = quadrature._legendre_rule
+quadrature._legendre_rule = lambda n: made.append(n) or _source(n)
 certified = []
 _certify = quadrature._certify_rule
 quadrature._certify_rule = lambda x, w: certified.append(len(x)) or _certify(x, w)
