@@ -27,6 +27,7 @@ from .closed_form import kapteyn, weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
 from .exactnum import CertificationError, ExactScalar, as_even_order
 from .expansions import (
+    _PRODUCT_TAG,
     RemainderedExpansion,
     TrigPoly,
     base_expansion,
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_closed_form)
 
     p = sub.add_parser("expansion", help="print a six-term remaindered expansion")
-    p.add_argument("--which", required=True, choices=("j0", "j1", "j000", "j110"))
+    p.add_argument("--which", required=True, choices=("j0", "j1", *(t.lower() for t in _PRODUCT_TAG.values())))
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_expansion)
 
@@ -378,10 +379,10 @@ def _cmd_theorem_map(ns: argparse.Namespace) -> int:
         else:
             n_part = f"n >= {n_lo}"
         print(f"  {variant}  {m_part:<8} {n_part:<14} c = {constant}")
-    print("exceptional small-n cells carrying c = 0.01:")
-    for variant, n_hi in (("I0", 6), ("I1", 3)):
-        cells = ", ".join(f"(0, {n})" for n in range(2, n_hi + 1))
-        print(f"  {variant}: {cells}")
+    bounded = [row for row in THEOREM_MAP if row[4] is not None]
+    print(f"exceptional small-n cells carrying c = {' or '.join(sorted({str(row[5]) for row in bounded}))}:")
+    for variant, m, _, n_lo, n_hi, _ in bounded:
+        print(f"  {variant}: {', '.join(f'({m}, {n})' for n in range(n_lo, n_hi + 1))}")
     return EXIT_OK
 
 

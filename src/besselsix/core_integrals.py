@@ -41,7 +41,7 @@ from .exactnum import (
     gaussian_binomial_bound,
     require,
 )
-from .expansions import _PRODUCT_TAG, TrigPoly, product_expansion
+from .expansions import _PRODUCT_TAG, TrigPoly, _fourier, product_expansion
 
 __all__ = [
     "N0",
@@ -72,17 +72,15 @@ N0 = 20  # the anchor order: all printed constants are calibrated at n = 20
 # frequency reduction of quartic trig monomials
 # ---------------------------------------------------------------------------
 
-# 8 c^i s^j rewritten over {1, cos 2r, sin 2r, cos 4r, sin 4r},
-# for c = cos(r - pi/4), s = sin(r - pi/4) and i + j = 4
-_QUARTIC_TABLE = {
-    (4, 0): {"const": 3, "sin2": 4, "cos4": -1},
-    (3, 1): {"cos2": -2, "sin4": -1},
-    (2, 2): {"const": 1, "cos4": 1},
-    (1, 3): {"cos2": -2, "sin4": 1},
-    (0, 4): {"const": 3, "sin2": -4, "cos4": -1},
+# Each harmonic of w_0 = r - pi/4 that quartics reach, as (name, sign) over
+# the basis {1, cos 2r, sin 2r, cos 4r, sin 4r}
+_R_BASIS = {
+    ("cos", 0): ("const", 1),
+    ("cos", 2): ("sin2", 1),
+    ("sin", 2): ("cos2", -1),
+    ("cos", 4): ("cos4", -1),
+    ("sin", 4): ("sin4", -1),
 }
-
-_FREQ_NAMES = ("const", "cos2", "sin2", "cos4", "sin4")
 
 
 def trig_reduce(p: TrigPoly) -> dict[str, dict[int, Rational]]:
@@ -92,16 +90,11 @@ def trig_reduce(p: TrigPoly) -> dict[str, dict[int, Rational]]:
     each frequency name to {t-power: coefficient}; empty frequencies are
     omitted.
     """
-    out: dict[str, dict[int, Fraction]] = {name: {} for name in _FREQ_NAMES}
     for (i, j, k), q in p.coeffs:
         if i + j != 4:
             raise ValueError(f"monomial c^{i} s^{j} is not quartic")
-        for name, w in _QUARTIC_TABLE[(i, j)].items():
-            d = out[name]
-            d[k] = d.get(k, Fraction(0)) + q * Fraction(w, 8)
-            if d[k] == 0:
-                del d[k]
-    return {name: d for name, d in out.items() if d}
+    named = ((_R_BASIS[harmonic], by_power) for harmonic, by_power in _fourier(p).items())
+    return {name: {k: sign * q for k, q in by_power.items()} for (name, sign), by_power in named}
 
 
 # ---------------------------------------------------------------------------
@@ -159,43 +152,18 @@ def coefficient_tables(variant: str) -> CoefficientTables:
     """
     check_variant(variant)
     stored = _STORED_TABLES[variant]
-    total = TrigPoly(())
-    for term in product_expansion(_PRODUCT_TAG[variant]).terms:
-        # strip the t-grading: reduction is per t-power anyway
-        total = total + term
-    eight = Fraction(8)
-    cos_route = trig_reduce(TrigPoly.from_dict({(1, 0, 0): eight}) * total)
-    sin_route = trig_reduce(TrigPoly.from_dict({(0, 1, 0): eight}) * total)
-
-    derived = CoefficientTables(
-        variant,
-        tuple(_pick(cos_route, "const", p) for p in (0, 2, 4)),
-        (
-            _pick(cos_route, "cos4", 0),
-            _pick(cos_route, "sin4", 1),
-            _pick(cos_route, "cos4", 2),
-            _pick(cos_route, "sin4", 3),
-            _pick(cos_route, "cos4", 4),
-            _pick(cos_route, "sin4", 5),
-        ),
-        tuple(_pick(sin_route, "const", p) for p in (1, 3, 5)),
-        (
-            _pick(sin_route, "sin4", 0),
-            _pick(sin_route, "cos4", 1),
-            _pick(sin_route, "sin4", 2),
-            _pick(sin_route, "cos4", 3),
-            _pick(sin_route, "sin4", 4),
-            _pick(sin_route, "cos4", 5),
-        ),
-    )
-    require(derived == stored, f"coefficient tables for {variant} do not re-derive")
-    # the complementary parities must be absent: constants only on even
-    # (cos route) / odd (sin route) t-powers, and vice versa for the
-    # oscillatory parts
-    for route, const_par in ((cos_route, 0), (sin_route, 1)):
-        for name, parity in (("const", const_par), ("cos4", const_par), ("sin4", 1 - const_par)):
+    total = sum(product_expansion(_PRODUCT_TAG[variant]).terms, TrigPoly(()))
+    derived = [variant]
+    # the cosine (sine) route, carrier c (s), has parity 0 (1): constants and
+    # cos 4r sit only on t-powers of its parity, sin 4r only on the others
+    for carrier, parity in (((1, 0, 0), 0), ((0, 1, 0), 1)):
+        route = trig_reduce(TrigPoly.from_dict({carrier: 8}) * total)
+        derived.append(tuple(_pick(route, "const", p) for p in range(parity, 6, 2)))
+        derived.append(tuple(_pick(route, "cos4" if p % 2 == parity else "sin4", p) for p in range(6)))
+        for name, on in (("const", parity), ("cos4", parity), ("sin4", 1 - parity)):
             for p in route.get(name, {}):
-                require(p % 2 == parity, f"{name} part has a wrong-parity power")
+                require(p % 2 == on, f"{name} part has a wrong-parity power")
+    require(CoefficientTables(*derived) == stored, f"coefficient tables for {variant} do not re-derive")
     return stored
 
 

@@ -73,9 +73,13 @@ def as_even_order(m) -> int:
     return m
 
 
+#: The fixed orders (a, b, c) of each family's integrand J_{n+m} J_n J_m J_a J_b J_c r.
+_FIXED_ORDERS = {"I0": (0, 0, 0), "I1": (1, 1, 0)}
+
+
 def check_variant(variant: str) -> str:
     """``variant`` itself, if it names one of the two integral families."""
-    if variant not in ("I0", "I1"):
+    if variant not in _FIXED_ORDERS:
         raise ValueError(f"variant must be 'I0' or 'I1', got {variant!r}")
     return variant
 

@@ -3,10 +3,11 @@
 The rescaled Bessel function sqrt(pi r/2) J_n(r) admits a six-term
 expansion in t = 1/(16r) whose coefficients are trigonometric monomials in
 c = cos(r - pi/4) and s = sin(r - pi/4).  This module implements that
-calculus: the polynomials, the two base expansions, the product rule that
-propagates remainder bounds through multiplication (building the triple
-products needed downstream), certified evaluation, and the Cauchy-Schwarz
-tail estimate for the sixth-order remainder integrated against r^(-6).
+calculus: the polynomials, the carrier and Fourier rules, the two base
+expansions, the product rule that propagates remainder bounds through
+multiplication (building the triple products needed downstream), certified
+evaluation, and the Cauchy-Schwarz tail estimate for the sixth-order
+remainder integrated against r^(-6).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .bessel import CertifiedValue, phase
-from .exactnum import Rational, a_coeff, as_even_order, as_integer, as_order, check_variant, gamma_ratio, require
+from .exactnum import _FIXED_ORDERS, Rational, a_coeff, as_even_order, as_integer, as_order, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -89,6 +90,35 @@ def _mono(q, i: int, j: int, k: int) -> TrigPoly:
     return TrigPoly.from_dict({(i, j, k): Fraction(q)})
 
 
+def _carrier(nu: int) -> TrigPoly:
+    """cos w_nu as a (c, s) monomial: w_nu = w_0 - nu pi/2, so nu mod 4
+    picks c, s, -c or -s.  sin w_nu is cos w_(nu+1)."""
+    return _mono((-1) ** (nu % 4 // 2), 1 - nu % 2, nu % 2, 0)
+
+
+def _fourier(p: TrigPoly) -> dict[tuple[str, int], dict[int, Rational]]:
+    """p over the harmonics of w_0 = r - pi/4, exactly and with the t-grading
+    kept: {(kind, h): {k: q}} for the terms q t^k cos(h w_0) (kind "cos",
+    h >= 0) and q t^k sin(h w_0) (kind "sin", h >= 1), zero terms omitted.
+
+    c^i s^j = 2^-i (2i)^-j (z + 1/z)^i (z - 1/z)^j with z = e^(i w_0).  For
+    h > 0 its z^h and z^-h terms pair into 2 cos(h w_0), or for odd j into
+    2i sin(h w_0); either way the powers of i leave the sign (-1)^(j//2).
+    """
+    out: dict[tuple[str, int], dict[int, Fraction]] = {}
+    for (i, j, k), q in p.coeffs:
+        kind = "sin" if j % 2 else "cos"
+        for a in range(i + 1):
+            for b in range(j + 1):
+                h = 2 * (a + b) - i - j
+                if h >= 0:
+                    w = math.comb(i, a) * math.comb(j, b) * (-1) ** (j - b + j // 2) * (2 if h else 1)
+                    d = out.setdefault((kind, h), {})
+                    d[k] = d.get(k, 0) + q * Fraction(w, 2 ** (i + j))
+    nonzero = ((h, {k: v for k, v in sorted(d.items()) if v}) for h, d in sorted(out.items()))
+    return {h: d for h, d in nonzero if d}
+
+
 @dataclass(frozen=True)
 class RemainderedExpansion:
     """Six expansion terms (term k homogeneous of degree k in t) plus seven
@@ -118,25 +148,15 @@ def base_expansion(which: str) -> RemainderedExpansion:
     """The six-term expansion of sqrt(pi r/2) J_n(r) for n = 0 ("J0") or
     n = 1 ("J1").
 
-    Term k carries the coefficient 16^k a_k(n) against the alternating
-    cos/sin pattern of the asymptotic series; remainder k equals
+    Term k is the Hankel term a_k(n) r^-k cos(w_n + k pi/2), with
+    r^-k = (16t)^k and w_n + k pi/2 = w_(n-k); remainder k equals
     16^k |a_k(n)| for k >= 1 and the uniform amplitude bound for k = 0.
     """
     if which not in ("J0", "J1"):
         raise ValueError('which must be "J0" or "J1"')
     n = 0 if which == "J0" else 1
-    # (cos w_n, sin w_n) in terms of (c, s): w_n = w_0 - n pi/2
-    cos_w = {0: _mono(1, 1, 0, 0), 1: _mono(1, 0, 1, 0)}[n]
-    sin_w = {0: _mono(1, 0, 1, 0), 1: _mono(-1, 1, 0, 0)}[n]
-    terms = []
-    for k in range(6):
-        a_k = a_coeff(k, n).coeff * 16**k  # r^-k = (16t)^k
-        sign = -1 if (k // 2) % 2 else 1  # the (-1)^j of the P/Q sums
-        carrier = cos_w if k % 2 == 0 else sin_w.scale(-1)
-        term = (carrier * _mono(1, 0, 0, k)).scale(sign * a_k)
-        terms.append(term)
-    remainders = [_R0[which]]
-    remainders += [abs(a_coeff(k, n).coeff) * 16**k for k in range(1, 7)]
+    terms = [(_carrier(n - k) * _mono(1, 0, 0, k)).scale(a_coeff(k, n).coeff * 16**k) for k in range(6)]
+    remainders = [_R0[which]] + [abs(a_coeff(k, n).coeff) * 16**k for k in range(1, 7)]
     return RemainderedExpansion(tuple(terms), tuple(remainders))
 
 
@@ -176,22 +196,18 @@ def multiply(a: RemainderedExpansion, b: RemainderedExpansion) -> RemainderedExp
     return RemainderedExpansion(tuple(terms), tuple(remainders))
 
 
+#: The triple product behind each integral family: "J" and its fixed orders.
+_PRODUCT_TAG = {variant: "J" + "".join(map(str, orders)) for variant, orders in _FIXED_ORDERS.items()}
+
+
 @lru_cache(maxsize=None)
 def product_expansion(tag: str) -> RemainderedExpansion:
-    """The two triple products: "J000" = J0*J0*J0 and "J110" = J1*J1*J0,
-    built by left-associated multiplication (the canonical order for the
-    remainder bookkeeping)."""
-    if tag == "J000":
-        j0 = base_expansion("J0")
-        return multiply(multiply(j0, j0), j0)
-    if tag == "J110":
-        j1 = base_expansion("J1")
-        return multiply(multiply(j1, j1), base_expansion("J0"))
-    raise ValueError('tag must be "J000" or "J110"')
-
-
-#: The triple product behind each integral family.
-_PRODUCT_TAG = {"I0": "J000", "I1": "J110"}
+    """The triple product of a family's fixed orders, tagged "J" and the
+    orders ("J110" = J1*J1*J0), built by left-associated multiplication (the
+    canonical order for the remainder bookkeeping)."""
+    if tag not in _PRODUCT_TAG.values():
+        raise ValueError("tag must be " + " or ".join(f'"{t}"' for t in _PRODUCT_TAG.values()))
+    return reduce(multiply, (base_expansion(f"J{k}") for k in tag[1:]))
 
 
 def eval_expansion(e: RemainderedExpansion, r: float, K: int) -> CertifiedValue:

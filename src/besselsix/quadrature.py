@@ -32,10 +32,11 @@ S = 3600 and R = 63000, with one of two rules on the grid regions:
   endpoint, uniformly over both integrand families.
 
 * ``[R, inf)``: after replacing every Bessel factor by its leading asymptotic
-  term, the product collapses (by the quarter-period phase shifts) into one of
-  three fixed trigonometric profiles in ``omega = r - pi/4``.  The profile's
-  mean integrates in closed form; each oscillatory harmonic is integrated by
-  parts twice, leaving boundary terms we evaluate and a remainder we enclose.
+  term, the product of the six carriers cos(omega - nu pi/2) is a profile in
+  ``omega = r - pi/4``, derived exactly at first use for the family and the
+  parity of n.  The profile's mean integrates in closed form; each
+  oscillatory harmonic is integrated by parts twice, leaving boundary terms
+  we evaluate and a remainder we enclose.
   The discarded cross terms (main terms times asymptotic errors) are charged
   to an explicit four-piece budget valid throughout the tabulated order range.
 
@@ -58,14 +59,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .bessel import MAX_ORDER, CertifiedValue, _bessel_rows, _check_r, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
-from .exactnum import as_even_order, as_order, check_variant, require
+from .exactnum import _FIXED_ORDERS, as_even_order, as_order, check_variant, require
+from .expansions import TrigPoly, _carrier, _fourier
 
 __all__ = [
     "QuadratureScheme",
@@ -433,9 +435,9 @@ def _envelope_factor(x, y):
     Im t is monotone.  The ray through z, closed at infinity, gives 1/|z|
     for H^(1); the path straight down to Re z, out along the real axis and
     closed at infinity gives at most y/x^2 + 1/x for H^(2).  Both factors
-    grow with nu, so over the cells (orders n + m, n, m with 0, 0, 0 or
-    1, 1, 0; even m <= n; n + m <= _MAX_CELL_ORDER) the product peaks at
-    n + m = _MAX_CELL_ORDER.  Elementwise in x; rounded outward.
+    grow with nu, so over the cells (orders n + m, n, m and the family's
+    fixed orders; even m <= n; n + m <= _MAX_CELL_ORDER) the product peaks
+    at n + m = _MAX_CELL_ORDER.  Elementwise in x; rounded outward.
     """
     x = np.asarray(x, dtype=np.float64)
     nu = np.arange(_MAX_CELL_ORDER + 1.0)
@@ -443,7 +445,8 @@ def _envelope_factor(x, y):
     g = 1.0 + mu * np.exp(mu)
     top = _MAX_CELL_ORDER
     pair = np.max([g[top - m] * g[m] for m in range(0, top // 2 + 1, 2)], axis=0)
-    return _PAD * g[top] * pair * np.maximum(g[0] ** 3, g[1] ** 2 * g[0])
+    fixed = np.max([math.prod(g[k] for k in orders) for orders in _FIXED_ORDERS.values()], axis=0)
+    return _PAD * g[top] * pair * fixed
 
 
 def _real_sup(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -547,7 +550,7 @@ def integrand(variant: str, m: int, n: int):
     if n + m > MAX_ORDER:
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
 
-    orders = sorted(_cell_orders(variant, m, n))
+    orders = sorted(set(_cell_orders(variant, m, n)))
 
     def f(r):
         r = _check_r(r)
@@ -558,16 +561,17 @@ def integrand(variant: str, m: int, n: int):
     return f
 
 
-def _cell_orders(variant: str, m: int, n: int) -> set[int]:
-    return {n + m, n, m, 0, 1} if variant == "I1" else {n + m, n, m, 0}
+def _cell_orders(variant: str, m: int, n: int) -> tuple[int, ...]:
+    """The six Bessel orders of the cell's integrand, in product order."""
+    return (n + m, n, m, *_FIXED_ORDERS[variant])
 
 
 def _cell_product(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray) -> np.ndarray:
     """J_{n+m} J_n J_m J_0^3 r (or J_1^2 J_0 for I1) from per-order value
     rows, multiplied left to right in one new buffer."""
-    values = np.multiply(rows[n + m], rows[n])
-    values *= rows[m]
-    for k in (0, 0, 0) if variant == "I0" else (1, 1, 0):
+    first, second, *rest = _cell_orders(variant, m, n)
+    values = np.multiply(rows[first], rows[second])
+    for k in rest:
         values *= rows[k]
     values *= nodes
     return values
@@ -619,24 +623,21 @@ def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme) -> fl
 # The tail [R, inf)
 # ---------------------------------------------------------------------------
 
-# Trigonometric profile of the product of leading asymptotic terms, keyed by
-# (variant, parity of n).  The quarter-period shift turns every Bessel phase
-# into omega_0 = r - pi/4 up to sign, leaving cos^6, sin^2 cos^4 or
-# sin^4 cos^2; each is listed as (mean, {harmonic k: coefficient of cos 2k
-# omega_0}).
-_COS6 = (Fraction(5, 16), {1: Fraction(15, 32), 2: Fraction(3, 16), 3: Fraction(1, 32)})
-_S2C4 = (Fraction(1, 16), {1: Fraction(1, 32), 2: Fraction(-1, 16), 3: Fraction(-1, 32)})
-_S4C2 = (Fraction(1, 16), {1: Fraction(-1, 32), 2: Fraction(-1, 16), 3: Fraction(1, 32)})
+@lru_cache(maxsize=None)
+def _tail_profile(variant: str, n_parity: str) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
+    """The product of a cell's six leading carriers cos(omega_0 - nu pi/2) as
+    (mean, ((k, coefficient of cos 2k omega_0), ...)), k ascending.  With m
+    even the carriers' signs cancel, so the cell (0, n) with n = 0 or 1
+    stands for every cell of its parity."""
+    n = 0 if n_parity == "even" else 1
+    harmonics = _fourier(reduce(TrigPoly.__mul__, map(_carrier, _cell_orders(variant, 0, n))))
+    require(all(kind == "cos" for kind, _ in harmonics), f"the tail profile of {variant}, {n_parity} n has a sine part")
+    mean = harmonics.pop(("cos", 0))[0]
+    return mean, tuple((h // 2, by_power[0]) for (_, h), by_power in harmonics.items())
 
-_TAIL_PROFILES = {
-    ("I0", "even"): _COS6,
-    ("I0", "odd"): _S2C4,
-    ("I1", "even"): _S2C4,
-    ("I1", "odd"): _S4C2,
-}
 
-# Printed reference values of the tail main integrals at R, used by
-# the verification table's fixed formula.
+# Printed tail main integrals at R, for the verification table's fixed
+# formula; checked against ``tail_main`` to 1e-10 before a table uses them.
 _TAIL_MAIN_PRINTED = {
     ("I0", "even"): 1.2798e-6,
     ("I0", "odd"): 0.2560e-6,
@@ -645,6 +646,13 @@ _TAIL_MAIN_PRINTED = {
 }
 
 _TAIL_RADIUS_TARGET = 1e-10
+
+
+@lru_cache(maxsize=None)
+def _tail_printed_ok() -> None:
+    for (variant, n_parity), printed in _TAIL_MAIN_PRINTED.items():
+        mid = tail_main(variant, n_parity).mid
+        require(abs(printed - mid) <= 1e-10, f"printed tail {printed:g} of {variant}, {n_parity} n misses {mid:.6g}")
 
 
 def tail_main(variant: str, n_parity: str) -> CertifiedValue:
@@ -661,12 +669,12 @@ def tail_main(variant: str, n_parity: str) -> CertifiedValue:
         raise ValueError(f"n_parity must be 'even' or 'odd', got {n_parity!r}")
     R = _R
     amp = 8.0 / math.pi**3
-    mean, harmonics = _TAIL_PROFILES[variant, n_parity]
+    mean, harmonics = _tail_profile(variant, n_parity)
     mid = amp * float(mean) / R
     abs_terms = amp * float(mean) / R
     remainder = 0.0
     omega = phase(0, R)
-    for k, coeff in harmonics.items():
+    for k, coeff in harmonics:
         c = float(coeff)
         boundary = -math.sin(2 * k * omega) / (2 * k * R**2) + math.cos(2 * k * omega) / (
             2 * k**2 * R**3
@@ -681,28 +689,29 @@ def tail_main(variant: str, n_parity: str) -> CertifiedValue:
 
 # The four-piece budget for everything the tail's main profile discards: the
 # 2^6 - 1 products mixing at least one asymptotic error factor.  The pieces
-# at order cap N hold for every cell with n + m <= 37 and max(n, m) <= N,
-# via (n+m)^2 <= 37^2, max(n, m)^2 <= N^2 and min(n, m)^2 <= 18^2.  Every
-# table cell (n <= 19) shares the N = 19 pieces; each recomputed value is
-# checked against its printed ceiling once per cap.
+# at order cap N hold for every cell with n + m <= T = _MAX_CELL_ORDER and
+# max(n, m) <= N, via (n+m)^2 <= T^2, max(n, m)^2 <= N^2, min(n, m)^2 <=
+# (T // 2)^2.  Every table cell (n <= 19) shares the N = 19 pieces; each
+# recomputed value is checked against its printed ceiling once per cap.
 _TAIL_ERROR_CEILINGS = (2.1e-11, 1.64e-9, 3.32e-9, 4.5e-10)
 
 
 @lru_cache(maxsize=None)
 def _tail_error_pieces(N: int) -> tuple[float, ...]:
     R = _R
+    top, low = _MAX_CELL_ORDER, _MAX_CELL_ORDER // 2
     quartic = (8.0 / math.pi**3) / (3.0 * R**3)  # integral_R^inf (2/pi)^3 r^-4 dr
     quintic = (8.0 / math.pi**3) / (4.0 * R**4)  # integral_R^inf (2/pi)^3 r^-5 dr
     # six second-order boundary pieces: the product of six trig factors is odd
     # about pi/4, so only the deviation of r^-3 from its per-period mean
     # (below 6 pi r^-4) survives
-    mean_zero = 3.0 * math.pi * (37**2 + N**2 + 18**2 + 3) * quartic
+    mean_zero = 3.0 * math.pi * (top**2 + N**2 + low**2 + 3) * quartic
     # six remainders beyond the two-term refinement of each error factor
-    refine = 0.25 * (37**4 + N**4 + 18**4 + 3) * quartic
+    refine = 0.25 * (top**4 + N**4 + low**4 + 3) * quartic
     # fifteen products with exactly two error factors: one extra r^-1 each
-    pairs = float(37**2 * N**2 + 37**2 * 18**2 + N**2 * 18**2 + 12 * 36**2) * quartic
+    pairs = float(top**2 * N**2 + top**2 * low**2 + N**2 * low**2 + 12 * 36**2) * quartic
     # the remaining forty-two products decay at least like r^-5
-    rest = 42.0 * float(37**2 * N**2 * 18**2) * quintic
+    rest = 42.0 * float(top**2 * N**2 * low**2) * quintic
     pieces = (mean_zero, refine, pairs, rest)
     for value, ceiling in zip(pieces, _TAIL_ERROR_CEILINGS):
         require(value <= ceiling, f"tail error piece {value:g} exceeds its ceiling {ceiling:g}")
@@ -726,9 +735,9 @@ def _covered_cell(m: int, n: int) -> tuple[int, int]:
 def tail_error_budget(variant: str, m: int, n: int) -> float:
     """Certified bound for |I_high - tail_main| on the cell (m, n).
 
-    Valid for n + m <= 37.  The pieces are taken at the order cap
-    max(19, n, m): the product is symmetric in n and m, and the smaller of
-    the two is at most 18.
+    Valid for n + m <= _MAX_CELL_ORDER.  The pieces are taken at the order
+    cap max(19, n, m): the product is symmetric in n and m, and the smaller
+    of the two is at most _MAX_CELL_ORDER // 2.
     """
     check_variant(variant)
     m, n = _covered_cell(m, n)
@@ -802,6 +811,7 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     ``tail_const`` the printed parity-matched tail value.
     """
     rows = _table_rows(range(2, 20) if n_range is None else n_range)
+    _tail_printed_ok()
     memo = _scheme_rows(scheme)
     # region-major: each table row reads the union of its cells' orders once
     # per region, so a row evaluated for one cell serves all the others

@@ -59,6 +59,11 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
         ),
         pytest.param(_MOVED_RULE.format(index=1, delta="1e-6"), _INTEGRAL, id="gauss-weight-1e-6"),
         pytest.param(_MOVED_RULE.format(index=0, delta="1e-9"), _INTEGRAL, id="gauss-node-1e-9"),
+        pytest.param(
+            'from besselsix import quadrature\nquadrature._TAIL_MAIN_PRINTED[("I0", "even")] = 1.2898e-6',
+            "quadrature.build_table([7])",
+            id="printed-tail",
+        ),
     ],
 )
 def test_patched_constant_raises_under_optimize(patch, call):

@@ -65,6 +65,22 @@ def test_reduce_keeps_t_grading():
     assert r["sin4"] == {2: F(-1), 5: F(-1)}
 
 
+# 8 c^i s^j over {1, cos 2r, sin 2r, cos 4r, sin 4r}, worked by hand
+QUARTIC_ROWS = {
+    (4, 0): {"const": 3, "sin2": 4, "cos4": -1},
+    (3, 1): {"cos2": -2, "sin4": -1},
+    (2, 2): {"const": 1, "cos4": 1},
+    (1, 3): {"cos2": -2, "sin4": 1},
+    (0, 4): {"const": 3, "sin2": -4, "cos4": -1},
+}
+
+
+@pytest.mark.parametrize("i, j", sorted(QUARTIC_ROWS))
+def test_reduce_matches_the_quartic_rows(i, j):
+    got = trig_reduce(TrigPoly.from_dict({(i, j, 3): 8}))
+    assert got == {name: {3: F(w)} for name, w in QUARTIC_ROWS[i, j].items()}
+
+
 def test_reduce_rejects_non_quartic():
     with pytest.raises(ValueError):
         trig_reduce(TrigPoly.from_dict({(2, 1, 0): 1}))

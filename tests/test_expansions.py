@@ -19,6 +19,8 @@ from besselsix.bessel import bessel_j
 from besselsix.expansions import (
     RemainderedExpansion,
     TrigPoly,
+    _carrier,
+    _fourier,
     base_expansion,
     estimate_A,
     estimate_A_recomputed,
@@ -205,6 +207,27 @@ def test_bad_names_rejected():
         base_expansion("J2")
     with pytest.raises(ValueError):
         product_expansion("J001")
+
+
+@given(st.integers(0, 40), st.floats(-10.0, 10.0))
+def test_carrier_is_the_shifted_cosine(nu, w):
+    c, s = math.cos(w), math.sin(w)
+    assert abs(_carrier(nu).evaluate(c, s, 0.0) - math.cos(w - nu * math.pi / 2)) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 8).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, 8 - i))),
+    st.integers(0, 5),
+    st.floats(-10.0, 10.0),
+)
+def test_fourier_rule_matches_float_evaluation(ij, k, w):
+    i, j = ij
+    harmonics = _fourier(TrigPoly.from_dict({(i, j, k): 1}))
+    assert all(list(by_power) == [k] for by_power in harmonics.values())  # t-grading kept
+    trig = {"cos": math.cos, "sin": math.sin}
+    total = sum(float(q[k]) * trig[kind](h * w) for (kind, h), q in harmonics.items())
+    assert abs(total - math.cos(w) ** i * math.sin(w) ** j) <= 1e-12
 
 
 def test_expansion_shape_validation():

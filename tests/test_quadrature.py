@@ -6,6 +6,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from besselsix.bessel import CertifiedValue, _bessel_rows
 from besselsix.certify import NORMALIZATION
 from besselsix.core_integrals import main_term
 from besselsix.exactnum import CertificationError
+from besselsix.expansions import TrigPoly, _carrier, _fourier
 from besselsix.quadrature import (
     DEFAULT_SCHEME,
     PAPER_SCHEME,
@@ -467,6 +469,27 @@ def test_tail_main_matches_printed_values():
         tm = tail_main(variant, parity)
         assert abs(tm.mid - value) <= 1e-10
         assert 0 <= tm.rad <= 1e-10
+
+
+# The tail's leading-term profiles cos^6, s^2 c^4 and s^4 c^2 of omega_0, as
+# (mean, coefficients of cos 2k omega_0 for k = 1, 2, 3), worked by hand
+_COS6 = (Fraction(5, 16), (Fraction(15, 32), Fraction(3, 16), Fraction(1, 32)))
+_S2C4 = (Fraction(1, 16), (Fraction(1, 32), Fraction(-1, 16), Fraction(-1, 32)))
+_S4C2 = (Fraction(1, 16), (Fraction(-1, 32), Fraction(-1, 16), Fraction(1, 32)))
+TAIL_PROFILES = {("I0", "even"): _COS6, ("I0", "odd"): _S2C4, ("I1", "even"): _S2C4, ("I1", "odd"): _S4C2}
+
+
+@pytest.mark.parametrize("variant, fixed", [("I0", (0, 0, 0)), ("I1", (1, 1, 0))])
+def test_tail_profile_is_every_cells_carrier_product(variant, fixed):
+    for n in range(38):
+        for m in range(0, 38 - n, 2):
+            mean, coeffs = TAIL_PROFILES[variant, "odd" if n % 2 else "even"]
+            carriers = reduce(TrigPoly.__mul__, map(_carrier, (n + m, n, m, *fixed)))
+            expected = {("cos", 0): {0: mean}} | {("cos", 2 * k): {0: c} for k, c in enumerate(coeffs, 1)}
+            assert _fourier(carriers) == expected, (m, n)
+    for parity in ("even", "odd"):
+        mean, coeffs = TAIL_PROFILES[variant, parity]
+        assert quadrature._tail_profile(variant, parity) == (mean, tuple(enumerate(coeffs, 1)))
 
 
 def test_tail_mean_term_alone_reproduces_leading_digits():
