@@ -23,8 +23,8 @@ from functools import lru_cache
 
 from . import core_integrals, expansions
 from .bessel import CertifiedValue
-from .core_integrals import N0, _check_domain, main_term
-from .exactnum import ExactScalar, as_even_order, as_order, check_variant, require
+from .core_integrals import _check_domain, main_term
+from .exactnum import N0, ExactScalar, as_even_order, as_order, check_variant, require
 
 __all__ = [
     "NORMALIZATION",
@@ -38,6 +38,7 @@ __all__ = [
 
 #: The kernel normalization 4/pi^2, kept exact.
 NORMALIZATION = ExactScalar(Fraction(4), -4)
+_NORMALIZATION_FLOAT = NORMALIZATION.to_real()
 
 @dataclass(frozen=True)
 class Prediction:
@@ -119,7 +120,7 @@ def predict(m: int, n: int, variant: str) -> Prediction:
     m_case = min(m, 6)
     _rolled_ok(m_case, variant)
     tau, _ = core_integrals._decay(m)
-    scale = 4.0 / math.pi**2 * float(n) ** -tau
+    scale = _NORMALIZATION_FLOAT * float(n) ** -tau
     budget = tuple(
         (name, c * scale) for name, c in _budget_constants(m_case, variant).items()
     )
@@ -161,8 +162,6 @@ def theorem_constants(m: int, n: int, variant: str) -> float | None:
     """
     check_variant(variant)
     m, n = as_even_order(m), as_order(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if m > n:
         return None
     for row_variant, m_lo, m_hi, n_lo, n_hi, constant in THEOREM_MAP:

@@ -42,8 +42,8 @@ class CoreIntegralKey:
     trig: str = "none"
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise ValueError("orders must be nonnegative")
+        for name in ("n", "m", "k"):
+            object.__setattr__(self, name, as_order(getattr(self, name)))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.freq not in _FREQS:
@@ -60,8 +60,6 @@ def kapteyn(n: int, m: int) -> ExactScalar:
     """int_0^inf J_n J_m / r dr = (2/pi) sin((m-n)pi/2) / (m^2 - n^2),
     read as 1/(2n) in the confluent case n = m."""
     n, m = as_order(n), as_order(m)
-    if n < 0 or m < 0:
-        raise ValueError("orders must be nonnegative")
     if n == m:
         if n == 0:
             raise ValueError("the integral diverges for n = m = 0")
@@ -83,8 +81,6 @@ def weber_schafheitlin(n: int, m: int, k: int) -> ExactScalar:
     rational/pi; a 1/Gamma zero in the denominator yields exact 0.
     """
     n, m, k = as_order(n), as_order(m), as_order(k)
-    if n < 0 or m < 0:
-        raise ValueError("orders must be nonnegative")
     if not (1 <= k <= n + m):
         raise ValueError(f"k must satisfy 1 <= k <= n + m, got k={k}, n+m={n + m}")
     head = ExactScalar(Fraction(math.factorial(k - 1), 2**k))
@@ -122,8 +118,6 @@ def descent_bound(n: int, m: int, k: int) -> Rational:
     """Bound 2^(k-1) 4^(-(n+m)) (n+m-k)! / (n! m!) dominating the modulus
     of the frequency-4 integral int J_n J_m r^(-k) e^(4ir) dr."""
     n, m, k = as_order(n), as_order(m), as_order(k)
-    if n < 0 or m < 0:
-        raise ValueError("orders must be nonnegative")
     if not (1 <= k < n + m):
         raise ValueError(f"k must satisfy 1 <= k < n + m, got k={k}, n+m={n + m}")
     return Fraction(

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 from .closed_form import weber_schafheitlin
 from .exactnum import (
+    N0,
     ExactScalar,
     Rational,
     a_coeff,
@@ -64,9 +65,6 @@ __all__ = [
     "estimate_B_recomputed",
     "core_bound_breakdown",
 ]
-
-N0 = 20  # the anchor order: all printed constants are calibrated at n = 20
-
 
 # ---------------------------------------------------------------------------
 # frequency reduction of quartic trig monomials
@@ -335,16 +333,18 @@ def prop_4r_chain(m: int, n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _chain_dominated(m: int, n: int) -> None:
-    require(prop_4r_chain(m, n) <= n ** -1.0 * 0.35**n, f"4r chain fails at {m, n}")
+def _chain_dominated(m: int, n: int) -> float:
+    """The printed bound n^-1 0.35^n, once the recomputed chain is below it."""
+    bound = n ** -1.0 * 0.35**n
+    require(prop_4r_chain(m, n) <= bound, f"4r chain fails at {m, n}")
+    return bound
 
 
 def prop_4r_bound(m: int, n: int, case: str) -> float:
     """The uniform bound n^-1 0.35^n on each of the four oscillatory sums."""
     if case not in ("i", "ii", "iii", "iv"):
         raise ValueError("case must be one of i, ii, iii, iv")
-    _chain_dominated(m, n)  # prop_4r_chain rejects (m, n) outside its domain
-    return n ** -1.0 * 0.35**n
+    return _chain_dominated(m, n)  # prop_4r_chain rejects (m, n) outside its domain
 
 
 _E2_PRINTED = {"I0": Fraction("0.39"), "I1": Fraction("0.30")}
@@ -401,8 +401,8 @@ def pair_moment_constant(ell: int) -> float:
     if ell < 2:
         raise ValueError("need ell >= 2")
     c = gamma_half(2 * ell) / (gamma_half(ell + 1) * gamma_half(ell + 1))
-    c = c * gamma_ratio(41 - ell, 41 + ell)
-    return c.to_real() * 20.0**ell / 2.0**ell
+    c = c * gamma_ratio(2 * N0 + 1 - ell, 2 * N0 + 1 + ell)
+    return c.to_real() * float(N0) ** ell / 2.0**ell
 
 
 def pair_moment_constant_cs(m: int, ell: int) -> float:
@@ -413,7 +413,7 @@ def pair_moment_constant_cs(m: int, ell: int) -> float:
         raise ValueError("need m >= 2 and ell >= 2")
     inner = Fraction(math.factorial(2 * m + 2 * ell - 2), 2 ** (2 * m + 2 * ell - 1))
     inner /= 2 * Fraction(math.factorial(m + ell - 1)) ** 2
-    inner *= gamma_ratio(2 * (21 - ell), 2 * (20 + 2 * m + ell)).coeff * Fraction(20) ** (2 * (m + ell) - 1)
+    inner *= gamma_ratio(2 * (N0 + 1 - ell), 2 * (N0 + 2 * m + ell)).coeff * Fraction(N0) ** (2 * (m + ell) - 1)
     return math.sqrt(float(inner))
 
 
@@ -425,9 +425,9 @@ def pair_moment_constant_tail(m: int, ell: int) -> float:
         raise ValueError("need m >= 12 and ell >= 2")
     prod = 1.0
     for k in range(2 * ell - 1):
-        prod *= 21 - ell + k
+        prod *= N0 + 1 - ell + k
     scale = math.exp(m * (math.log(2.0) - 1.0))  # 2^m e^-m without overflow
-    return 0.5 * math.sqrt(2.0 / math.pi) * (2 * m - 1) ** -0.5 * scale * math.sqrt(20.0 ** (2 * ell - 1) / prod)
+    return 0.5 * math.sqrt(2.0 / math.pi) * (2 * m - 1) ** -0.5 * scale * math.sqrt(float(N0) ** (2 * ell - 1) / prod)
 
 
 _B_PRINTED = {
@@ -451,21 +451,15 @@ def estimate_B_recomputed(m: int, variant: str) -> float:
     the coefficient-size lemma (the Cauchy-Schwarz route is sharper for
     m in {6, 8, 10}, where the lemma constant alone would overshoot).
     """
-    poly = _abs_poly(variant)
-    n = float(N0)
     if m == 0:
-        lead = abs(_aj(4, 0))
-        return float(lead) * sum(
-            p / 16.0**j * pair_moment_constant(5 + j) * n ** -(5 + j) for j, p in enumerate(poly)
-        )
-    if m <= 10:
-        lead = abs(_aj(m + 4, m))
-        return float(lead) * sum(
-            p / 16.0**j * pair_moment_constant_cs(m, 5 + j) * n ** -(m + 5 + j)
-            for j, p in enumerate(poly)
-        )
-    return 105.0 / 16.0 * sum(
-        p / 16.0**j * pair_moment_constant_tail(m, 5 + j) * n ** -(5 + j) for j, p in enumerate(poly)
+        lead, constant, shift = float(abs(_aj(4, 0))), pair_moment_constant, 0
+    elif m <= 10:
+        lead, constant, shift = float(abs(_aj(m + 4, m))), lambda ell: pair_moment_constant_cs(m, ell), m
+    else:
+        lead, constant, shift = 105.0 / 16.0, lambda ell: pair_moment_constant_tail(m, ell), 0
+    n = float(N0)
+    return lead * sum(
+        p / 16.0**j * constant(5 + j) * n ** -(shift + 5 + j) for j, p in enumerate(_abs_poly(variant))
     )
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "N0",
     "CertificationError",
     "require",
     "as_integer",
@@ -35,6 +36,9 @@ __all__ = [
 
 #: Exact rational numbers (arbitrary precision, always in lowest terms).
 Rational = Fraction
+
+#: The anchor order: all printed constants are calibrated at n = 20.
+N0 = 20
 
 
 class CertificationError(Exception):
@@ -61,13 +65,17 @@ def as_integer(x, what: str) -> int:
 
 
 def as_order(x) -> int:
-    """``x`` as an int order, by ``as_integer``."""
-    return as_integer(x, "orders")
+    """``x`` as an int order, by ``as_integer``, if it is nonnegative: the
+    package's one statement of what an order is."""
+    k = as_integer(x, "orders")
+    if k < 0:
+        raise ValueError(f"orders must be nonnegative, got {k}")
+    return k
 
 
 def as_even_order(m) -> int:
     """``m`` as an int order, if it is even and nonnegative: the paper's m."""
-    m = as_order(m)
+    m = as_integer(m, "orders")
     if m < 0 or m % 2:
         raise ValueError(f"m must be even and nonnegative, got {m}")
     return m
@@ -297,8 +305,6 @@ def a_coeff(j: int, n: int) -> ExactScalar:
     frozen result is safe to share.
     """
     j, n = as_order(j), as_order(n)
-    if j < 0 or n < 0:
-        raise ValueError("a_coeff requires j >= 0 and n >= 0")
     ratio = gamma_ratio(2 * (n + j) + 1, 2 * (n - j) + 1)
     require(ratio.sqrtpi_power == 0, "a_coeff left a sqrt(pi) factor")
     return ExactScalar(ratio.coeff / (math.factorial(j) * 2**j))

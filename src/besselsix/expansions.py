@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .bessel import CertifiedValue, phase
-from .exactnum import _FIXED_ORDERS, Rational, a_coeff, as_even_order, as_integer, as_order, check_variant, gamma_ratio, require
+from .exactnum import _FIXED_ORDERS, N0, Rational, a_coeff, as_even_order, as_integer, as_order, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -246,11 +246,11 @@ def _sqrt_upper(x: Fraction, bits: int = 80) -> Fraction:
 @lru_cache(maxsize=None)
 def estimate_A_recomputed(variant: str) -> Fraction:
     """The proof's sharp pre-constant: (remainder_6 / 16^6) * sqrt(a0) *
-    sqrt(64/693), with a0 = Gamma(29/2)/Gamma(53/2) * 20^12 <= 1.21,
-    evaluated as a rigorous rational upper bound."""
+    sqrt(64/693), with a0 = Gamma(n0 - 11/2)/Gamma(n0 + 13/2) * n0^12 <= 1.21
+    at n0 = 20, evaluated as a rigorous rational upper bound."""
     r6 = product_expansion(_PRODUCT_TAG[variant]).remainders[6]
-    a0 = gamma_ratio(29, 53).coeff * 20**12
-    require(a0 <= Fraction("1.21"), "a0 = Gamma(29/2)/Gamma(53/2) * 20^12 exceeds 1.21")
+    a0 = gamma_ratio(2 * N0 - 11, 2 * N0 + 13).coeff * N0**12
+    require(a0 <= Fraction("1.21"), f"a0 = Gamma({2 * N0 - 11}/2)/Gamma({2 * N0 + 13}/2) * {N0}^12 exceeds 1.21")
     return (r6 / 16**6) * _sqrt_upper(a0) * _sqrt_upper(Fraction(64, 693))
 
 
@@ -265,7 +265,7 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     against the printed one on first use."""
     check_variant(variant)
     m, n = as_even_order(m), as_order(n)
-    if n < 20:
-        raise ValueError("the certified regime needs n >= 20")
+    if n < N0:
+        raise ValueError(f"the certified regime needs n >= {N0}")
     _a_dominates(variant)
-    return float(_A_PRINTED[variant]) / math.sqrt(20.0) * (n + m) ** -6.0
+    return float(_A_PRINTED[variant]) / math.sqrt(float(N0)) * (n + m) ** -6.0

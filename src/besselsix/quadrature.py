@@ -40,6 +40,10 @@ S = 3600 and R = 63000, with one of two rules on the grid regions:
   The discarded cross terms (main terms times asymptotic errors) are charged
   to an explicit four-piece budget valid throughout the tabulated order range.
 
+Every ``integral`` budget must meet the paper's radius 0.9e-8, which the
+table adds to every cell; ``build_table`` first checks, once per scheme,
+that each cell's quadrature plus printed tail value meets it too.
+
 Integrands are vectorized: every callable handed to the composite rule
 takes a float ndarray of nodes and returns the values at those nodes.  The
 grid sums of ``integral`` and ``build_table`` read per-order value rows
@@ -104,6 +108,14 @@ _GAUSS_HIGH = (66, 2.0)
 # The largest n + m any certified cell reaches: the order range of the tail
 # constants, which every ``integral`` budget charges.
 _MAX_CELL_ORDER = 37
+
+# The verification table's rows n, and the paper's radius, which the table
+# adds to every cell and every budget must meet.
+_TABLE_ROWS = range(2, 20)
+_RADIUS_TARGET = 0.9e-8
+
+# The printed bound on the Hankel envelope's six order corrections at S.
+_ENVELOPE_PRINTED = 3.0
 
 
 def _panel_count(a: float, b: float, w: float) -> int:
@@ -205,16 +217,10 @@ class ErrorBudget:
     total: float
 
     def __post_init__(self) -> None:
-        items = (
-            self.quad_low,
-            self.quad_high,
-            self.tail_main_eval,
-            self.tail_error_terms,
-            self.rounding,
-        )
+        items = (self.quad_low, self.quad_high, self.tail_main_eval, self.tail_error_terms, self.rounding)
         if any(not (x >= 0) for x in items):
             raise ValueError("error budget items must be nonnegative")
-        if self.total != self.quad_low + self.quad_high + self.tail_main_eval + self.tail_error_terms + self.rounding:
+        if self.total != sum(items):
             raise ValueError("budget total must equal the sum of its items")
 
 
@@ -511,8 +517,11 @@ def deriv8_bound(region: str) -> float:
         return math.factorial(8) * math.e**6 * (_S + 1.0)
     if region == "high":
         derived = float(_envelope_factor(_S - 1.0, 1.0))
-        require(derived <= 3.0, f"the envelope's order corrections reach {derived:g}, above the printed 3")
-        return 3.0 * math.factorial(8) * (2.0 / (math.pi * (_S - 1.0))) ** 3 * math.cosh(1.0) ** 6 * (_R + 1.0)
+        require(
+            derived <= _ENVELOPE_PRINTED,
+            f"the envelope's order corrections reach {derived:g}, above the printed {_ENVELOPE_PRINTED:g}",
+        )
+        return _ENVELOPE_PRINTED * math.factorial(8) * (2.0 / (math.pi * (_S - 1.0))) ** 3 * math.cosh(1.0) ** 6 * (_R + 1.0)
     raise ValueError(f"region must be 'low' or 'high', got {region!r}")
 
 
@@ -545,8 +554,6 @@ def integrand(variant: str, m: int, n: int):
     """
     check_variant(variant)
     m, n = as_order(m), as_order(n)
-    if m < 0 or n < 0:
-        raise ValueError("orders must be nonnegative")
     if n + m > MAX_ORDER:
         raise ValueError(f"order n + m must not exceed {MAX_ORDER}, got {n + m}")
 
@@ -648,13 +655,6 @@ _TAIL_MAIN_PRINTED = {
 _TAIL_RADIUS_TARGET = 1e-10
 
 
-@lru_cache(maxsize=None)
-def _tail_printed_ok() -> None:
-    for (variant, n_parity), printed in _TAIL_MAIN_PRINTED.items():
-        mid = tail_main(variant, n_parity).mid
-        require(abs(printed - mid) <= 1e-10, f"printed tail {printed:g} of {variant}, {n_parity} n misses {mid:.6g}")
-
-
 def tail_main(variant: str, n_parity: str) -> CertifiedValue:
     """Enclosure of integral_R^inf (2/(pi r))^3 T(omega_0) r dr.
 
@@ -720,11 +720,9 @@ def _tail_error_pieces(N: int) -> tuple[float, ...]:
 
 
 def _covered_cell(m: int, n: int) -> tuple[int, int]:
-    """(m, n) as ints, if the tail constants cover the cell: even m,
-    n >= 0 and n + m <= _MAX_CELL_ORDER."""
+    """(m, n) as ints, if the tail constants cover the cell: even m and
+    n + m <= _MAX_CELL_ORDER."""
     m, n = as_even_order(m), as_order(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     if n + m > _MAX_CELL_ORDER:
         raise ValueError(
             f"n + m = {n + m} exceeds the order range (<= {_MAX_CELL_ORDER}) the tail constants cover"
@@ -736,12 +734,12 @@ def tail_error_budget(variant: str, m: int, n: int) -> float:
     """Certified bound for |I_high - tail_main| on the cell (m, n).
 
     Valid for n + m <= _MAX_CELL_ORDER.  The pieces are taken at the order
-    cap max(19, n, m): the product is symmetric in n and m, and the smaller
-    of the two is at most _MAX_CELL_ORDER // 2.
+    cap max(19, n, m), 19 the last table row: the product is symmetric in n
+    and m, and the smaller of the two is at most _MAX_CELL_ORDER // 2.
     """
     check_variant(variant)
     m, n = _covered_cell(m, n)
-    a, b, c, d = _tail_error_pieces(max(19, n, m))
+    a, b, c, d = _tail_error_pieces(max(_TABLE_ROWS[-1], n, m))
     return a + b + c + d
 
 
@@ -752,20 +750,24 @@ def tail_error_budget(variant: str, m: int, n: int) -> float:
 _ROUNDING_ALLOWANCE = 0.05e-8
 
 
-def _itemized_budget(
-    variant: str, m: int, n: int, scheme: QuadratureScheme, tail: CertifiedValue
-) -> ErrorBudget:
-    ql = quad_error("low", scheme)
-    qh = quad_error("high", scheme)
-    tm = tail.rad
-    te = tail_error_budget(variant, m, n)
-    rounding = _ROUNDING_ALLOWANCE
-    return ErrorBudget(ql, qh, tm, te, rounding, ql + qh + tm + te + rounding)
+def _itemized_budget(variant: str, m: int, n: int, scheme: QuadratureScheme) -> tuple[int, int, CertifiedValue, ErrorBudget]:
+    """(m, n) as ints, the tail and the itemized budget of a cell ``integral``
+    certifies (even m <= n, n + m <= _MAX_CELL_ORDER), each computed once;
+    the total must meet the 0.9e-8 radius."""
+    check_variant(variant)
+    m, n = _covered_cell(m, n)
+    if m > n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    tail = tail_main(variant, _parity(n))
+    items = (quad_error("low", scheme), quad_error("high", scheme), tail.rad, tail_error_budget(variant, m, n))
+    budget = ErrorBudget(*items, _ROUNDING_ALLOWANCE, sum(items) + _ROUNDING_ALLOWANCE)
+    require(budget.total <= _RADIUS_TARGET, f"radius {budget.total:g} of {variant}({m}, {n}) exceeds {_RADIUS_TARGET:g}")
+    return m, n, tail, budget
 
 
 def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> ErrorBudget:
     """The itemized absolute-error bound claimed by ``integral``."""
-    return _itemized_budget(variant, m, n, scheme, tail_main(variant, _parity(n)))
+    return _itemized_budget(variant, m, n, scheme)[3]
 
 
 def integral(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> CertifiedValue:
@@ -781,25 +783,34 @@ def integral(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SC
 def _integral_and_budget(
     variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME
 ) -> tuple[CertifiedValue, ErrorBudget]:
-    """``integral`` together with the budget behind its radius, computing
-    the tail and the budget once each."""
-    check_variant(variant)
-    m, n = _covered_cell(m, n)
-    if m > n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    tail = tail_main(variant, _parity(n))
-    budget = _itemized_budget(variant, m, n, scheme, tail)
+    """``integral`` together with the budget behind its radius."""
+    m, n, tail, budget = _itemized_budget(variant, m, n, scheme)
     mid = _composite_sum(variant, m, n, scheme) + tail.mid
     return CertifiedValue(mid, budget.total), budget
 
 
 def _table_rows(n_range) -> tuple[int, ...]:
-    """``n_range`` as int table rows, if each lies in 2..19."""
+    """``n_range`` as int table rows, if each is one of ``_TABLE_ROWS``."""
     rows = tuple(as_order(n) for n in n_range)
     for n in rows:
-        if not 2 <= n <= 19:
-            raise ValueError(f"table rows cover 2 <= n <= 19, got {n}")
+        if n not in _TABLE_ROWS:
+            raise ValueError(f"table rows cover {_TABLE_ROWS[0]} <= n <= {_TABLE_ROWS[-1]}, got {n}")
     return rows
+
+
+@lru_cache(maxsize=None)
+def _table_radius_ok(scheme: QuadratureScheme) -> None:
+    """Require |printed tail - tail_main| <= 1e-10 and, with that miss, the
+    table's 0.9e-8 on every cell.  Table cells share the budget of their
+    family and parity (the tail pieces are taken at the last row's cap), so
+    the first two rows' m = 0 cells stand for all."""
+    for n in _TABLE_ROWS[:2]:
+        for variant in ("I0", "I1"):
+            _, _, tail, budget = _itemized_budget(variant, 0, n, scheme)
+            printed = _TAIL_MAIN_PRINTED[variant, _parity(n)]
+            miss = abs(printed - tail.mid)
+            require(miss <= 1e-10, f"printed tail {printed:g} of {variant}, {_parity(n)} n misses {tail.mid:.6g}")
+            require(budget.total + miss <= _RADIUS_TARGET, f"table radius {budget.total + miss:g} exceeds {_RADIUS_TARGET:g}")
 
 
 def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list[TableEntry]:
@@ -808,10 +819,11 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     Each cell holds, for both integral families, the quantity
     ``(|main - tail_const - quadrature| + 0.9e-8) * 100 n^4`` with ``main``
     the closed-form expression for that (m, n) (zero for m >= 6) and
-    ``tail_const`` the printed parity-matched tail value.
+    ``tail_const`` the printed parity-matched tail value; ``_table_radius_ok``
+    first checks, once per scheme, that the 0.9e-8 holds on every cell.
     """
-    rows = _table_rows(range(2, 20) if n_range is None else n_range)
-    _tail_printed_ok()
+    rows = _table_rows(_TABLE_ROWS if n_range is None else n_range)
+    _table_radius_ok(scheme)
     memo = _scheme_rows(scheme)
     # region-major: each table row reads the union of its cells' orders once
     # per region, so a row evaluated for one cell serves all the others
@@ -819,15 +831,10 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     low, high = (
         [s for cells in by_row for s in _region_sums(cells, region, memo)] for region in _regions(scheme)
     )
-    quads = iter([lo + hi for lo, hi in zip(low, high)])
-    entries = []
-    for n in rows:
-        for m in range(0, n + 1, 2):
-            cell = []
-            for variant in ("I0", "I1"):
-                quad = next(quads)
-                main = (NORMALIZATION * main_term(m, n, variant)).to_real()
-                tail_const = _TAIL_MAIN_PRINTED[variant, _parity(n)]
-                cell.append((abs(main - tail_const - quad) + 0.9e-8) * (100.0 * float(n) ** 4))
-            entries.append(TableEntry(n, m, cell[0], cell[1]))
-    return entries
+    cells = [cell for row in by_row for cell in row]
+    bounds = []
+    for (variant, m, n), lo, hi in zip(cells, low, high):
+        main = (NORMALIZATION * main_term(m, n, variant)).to_real()
+        tail_const = _TAIL_MAIN_PRINTED[variant, _parity(n)]
+        bounds.append((abs(main - tail_const - (lo + hi)) + _RADIUS_TARGET) * (100.0 * float(n) ** 4))
+    return [TableEntry(n, m, top, bottom) for (_, m, n), top, bottom in zip(cells[::2], bounds[::2], bounds[1::2])]

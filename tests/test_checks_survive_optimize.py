@@ -64,6 +64,18 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
             "quadrature.build_table([7])",
             id="printed-tail",
         ),
+        pytest.param(
+            "from besselsix import quadrature\nquadrature._RADIUS_TARGET = 1e-9",
+            _INTEGRAL,
+            id="radius-target-integral",
+        ),
+        pytest.param(
+            # every table cell's budget meets the target; the printed tail's miss does not
+            "from besselsix import quadrature\nquadrature._RADIUS_TARGET = max("
+            'quadrature.error_budget(v, 0, n).total for v in ("I0", "I1") for n in (2, 3))',
+            "quadrature.build_table([7])",
+            id="radius-target-table",
+        ),
     ],
 )
 def test_patched_constant_raises_under_optimize(patch, call):

@@ -319,12 +319,15 @@ def test_as_order_keeps_integral_values():
         lambda: closed_form.weber_schafheitlin(2.5, 3, 2),
         lambda: closed_form.kapteyn(2.5, 3),
         lambda: closed_form.descent_bound(2.5, 3, 1),
+        lambda: closed_form.vanishes_freq2(closed_form.CoreIntegralKey(2.5, 4.5, 2, "two", "cos")),
+        lambda: closed_form.CoreIntegralKey(2, 4, 1.5, "two", "sin"),
     ],
     ids=["bessel_j", "bessel_rows", "integrand", "integral", "integral_and_budget",
          "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
          "theorem_constants", "estimate_A", "prop_4r_bound", "series_oracle",
          "series_oracle_negative", "phase", "asymptotic_eval", "asymptotic_remainder",
-         "a_coeff", "weber_schafheitlin", "kapteyn", "descent_bound"],
+         "a_coeff", "weber_schafheitlin", "kapteyn", "descent_bound", "core_integral_key",
+         "core_integral_key_power"],
 )
 def test_non_integral_orders_are_refused(call):
     # each entry point used to truncate 7.5 to 7 (the series oracle returned
@@ -332,6 +335,32 @@ def test_non_integral_orders_are_refused(call):
     # was 15/8, asymptotic_eval missed J_2.5(100)), or raise TypeError or
     # CertificationError
     with pytest.raises(ValueError, match="orders must be integers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: a_coeff(1, -1),
+        lambda: bessel_series_oracle(-1, 1.0, 60),
+        lambda: closed_form.CoreIntegralKey(-1, 2, 1),
+        lambda: closed_form.kapteyn(-1, 2),
+        lambda: closed_form.weber_schafheitlin(-1, 3, 1),
+        lambda: closed_form.descent_bound(-1, 3, 1),
+        lambda: quadrature.integrand("I0", 0, -1),
+        lambda: quadrature.tail_error_budget("I0", 0, -1),
+        lambda: certify.theorem_constants(2, -1, "I0"),
+        lambda: bessel_j(-1, 1.0),
+        lambda: phase(-1, 1.0),
+    ],
+    ids=["a_coeff", "series_oracle", "core_integral_key", "kapteyn", "weber_schafheitlin",
+         "descent_bound", "integrand", "tail_error_budget", "theorem_constants", "bessel_j",
+         "phase"],
+)
+def test_negative_orders_are_refused_with_one_message(call):
+    # each entry point used to word the rule itself, and phase(-1, 10.0)
+    # returned -1.78
+    with pytest.raises(ValueError, match="^orders must be nonnegative, got -1$"):
         call()
 
 

@@ -585,6 +585,12 @@ def test_integral_argument_validation():
         integral("Ix", 0, 2)
 
 
+def test_error_budget_refuses_m_above_n():
+    # it used to itemize a 1.1e-9 budget for a cell that integral refuses
+    with pytest.raises(ValueError, match="^need 0 <= m <= n, got m=4, n=2$"):
+        error_budget("I0", 4, 2)
+
+
 def test_integral_small_n_against_main_expression():
     # the n = 2 deviation implied by the verification table's first cell
     val = integral("I0", 0, 2)
