@@ -248,6 +248,7 @@ def asymptotic_remainder(n: int, r: float, ell: int) -> float:
     * (2r)^(-ell), which simplifies to sqrt(2/(pi r)) * |a_ell(n)| * r^(-ell).
     Requires ell >= max(n - 1/2, 1).
     """
+    ell = as_integer(ell, "term counts")
     if ell < 1 or ell < n:  # integer ell >= n - 1/2  <=>  ell >= n
         raise ValueError(f"remainder bound needs ell >= max(n - 1/2, 1); got ell={ell}, n={n}")
     if not (r > 0):
@@ -273,11 +274,8 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
     allowance for the floating-point evaluation of the truncated sums (a few
     ulp per term, plus the documented phase-reduction error).
     """
-    ell = as_integer(ell, "term counts")
-    if ell < 1 or ell < n:
-        raise ValueError(f"asymptotic_eval needs ell >= max(n - 1/2, 1); got ell={ell}, n={n}")
-    if not (r > 0):
-        raise ValueError("asymptotic_eval requires r > 0")
+    ell = as_integer(ell, "term counts")  # the sums below need an int
+    remainder = asymptotic_remainder(n, r, ell)  # checks the domain
     p, q = _asym_sums(n, r, ell)
     a = _acoeff_floats(n, ell)
     u = 1.0 / (r * r)
@@ -285,7 +283,6 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
     omega = phase(n, r)
     amp = math.sqrt(2.0 / (math.pi * r))
     mid = amp * (math.cos(omega) * p - math.sin(omega) * q)
-    remainder = asymptotic_remainder(n, r, ell)
     # float slack: Horner roundings (~2 ulp per term) on sums bounded by
     # abs_scale (the same sums over |a_k|), the phase error
     # 4e-16*(1+log2(1+r)) acting through the derivative of cos/sin, and the

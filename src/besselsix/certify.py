@@ -3,12 +3,14 @@
 For n >= 20 the two integral families are pinned down by an exact main
 expression plus a fully itemized error budget: remainder of the sixfold
 expansion, remainder of the pair expansion, the constant-frequency tail
-terms and the oscillatory-frequency terms.  The budget items are read from
-the printed tables behind estimate_A, estimate_B, e1_bound and e2_bound,
-relaxed to the anchor n0 = 20, and every prediction first runs the same
-first-use checks as those bounds; the items' roll-ups are stored and
-revalidated against their sums.  Everything is finally scaled by the
-kernel normalization 4/pi^2.
+terms and the oscillatory-frequency terms.  The budget items are the
+printed constants behind estimate_A, estimate_B, e1_bound and e2_bound,
+relaxed to the anchor n0 = 20.  Each constant is read only through the
+first-use check that guards it, in the module that owns its table, so a
+constant that fails its recomputation fails the bounds and every
+prediction alike; the items' roll-ups are stored and revalidated against
+their sums.  Everything is finally scaled by the kernel normalization
+4/pi^2.
 
 Below n = 20 nothing here applies -- that regime is handled by rigorous
 quadrature instead.
@@ -65,21 +67,25 @@ class Prediction:
 
 def _budget_constants(m: int, variant: str) -> dict[str, float]:
     """The anchored per-item constants of the bracketed budget sum, read
-    from the printed tables of the four bounds.
+    through the checks of the four bounds' printed constants.
 
     Multiplied by n^-tau (tau = 6 for m = 4, else 4) these give the
     unnormalized radius.  A factor n^-k beyond n^-tau is relaxed to the
-    anchor 20^-k; e1 and e2 add their cosine and sine routes.
+    anchor 20^-k, which needs k >= 0; e1 and e2 add their cosine and sine
+    routes, which needs one e1 exponent pair for both.
     """
     tau, theta = core_integrals._decay(m)
-    c_b, tau_b = core_integrals._b_printed(m, variant)
-    c_cos, p0, _ = core_integrals._e1_printed(m, variant, "cos")
-    c_sin = core_integrals._e1_printed(m, variant, "sin")[0]
+    c_b, tau_b = core_integrals._b_dominates(m, variant)
+    c_cos, p0, pn = core_integrals._e1_dominates(m, variant, "cos")
+    c_sin, p0_sin, pn_sin = core_integrals._e1_dominates(m, variant, "sin")
+    require(pn >= tau, f"e1 n-exponent {pn} of {m, variant} is below tau = {tau}")
+    require((p0_sin, pn_sin) == (p0, pn), f"e1 routes of {m, variant} have different exponents")
+    require(tau_b >= tau, f"B exponent {tau_b} of {m, variant} is below tau = {tau}")
     return {
-        "estimate_A": float(expansions._A_PRINTED[variant]) * float(N0) ** (tau - 6.5),
+        "estimate_A": float(expansions._a_dominates(variant)) * float(N0) ** (tau - 6.5),
         "estimate_B": float(c_b) / float(N0) ** (1 + tau_b - tau),
-        "e1": (float(c_cos) + float(c_sin)) / float(N0) ** p0,
-        "e2": 2 * float(core_integrals._E2_PRINTED[variant]) * theta**N0,
+        "e1": (float(c_cos) + float(c_sin)) / float(N0) ** (p0 + pn - tau),
+        "e2": 2 * float(core_integrals._e2_prefactor_ok(variant)) * theta**N0,
     }
 
 
@@ -107,23 +113,17 @@ def predict(m: int, n: int, variant: str) -> Prediction:
 
     The radius is the itemized budget times the 4/pi^2 normalization; the
     main field is the normalized exact main term (zero for m >= 6).  The
-    checks behind the four bounds run first, so a printed constant that
-    fails its recomputation fails the prediction too.
+    budget reads each printed constant through the check that guards it, so
+    a constant that fails its recomputation, or a roll-up below its sum,
+    fails the prediction too.
     """
     check_variant(variant)
     m, n = _check_domain(m, n)
-    expansions._a_dominates(variant)
-    core_integrals._b_dominates(m, variant)
-    core_integrals._e1_dominates(m, variant, "cos")
-    core_integrals._e1_dominates(m, variant, "sin")
-    core_integrals._e2_prefactor_ok(variant)
-    m_case = min(m, 6)
-    _rolled_ok(m_case, variant)
+    constants = _budget_constants(m, variant)
+    _rolled_ok(min(m, 6), variant)
     tau, _ = core_integrals._decay(m)
     scale = _NORMALIZATION_FLOAT * float(n) ** -tau
-    budget = tuple(
-        (name, c * scale) for name, c in _budget_constants(m_case, variant).items()
-    )
+    budget = tuple((name, c * scale) for name, c in constants.items())
     return Prediction(
         variant=variant,
         m=m,

@@ -271,17 +271,17 @@ _E1_PRINTED = {
 }
 
 
-def _e1_printed(m: int, variant: str, kind: str) -> tuple[Fraction, int, int]:
-    c0, c1, p0, pn = _E1_PRINTED[(min(m, 6), kind)]
-    return (c0 if variant == "I0" else c1, p0, pn)
-
-
 @lru_cache(maxsize=None)
-def _e1_dominates(m: int, variant: str, kind: str) -> None:
-    c, p0, pn = _e1_printed(m, variant, kind)
+def _e1_dominates(m: int, variant: str, kind: str) -> tuple[Fraction, int, int]:
+    """(c, p0, pn) of the printed bound c n0^-p0 n^-pn of row (min(m, 6),
+    kind), the only read of ``_E1_PRINTED``: returned once the exact error
+    is below it at n = max(20, m) and n = max(10^6, m)."""
+    c0, c1, p0, pn = _E1_PRINTED[(min(m, 6), kind)]
+    c = c0 if variant == "I0" else c1
     for n in (max(N0, m), max(10**6, m)):  # e1_exact needs n >= m
         exact = abs(e1_exact(m, n, variant, kind))
         require(exact <= c / N0**p0 / n**pn, f"e1 constant of {m, variant, kind} fails at n={n}")
+    return c, p0, pn
 
 
 def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
@@ -289,8 +289,7 @@ def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
     against the exact formula at n = max(20, m) and n = max(10^6, m)."""
     _check_domain(m, n)
     _check_kind(kind)
-    c, p0, pn = _e1_printed(m, variant, kind)
-    _e1_dominates(m, variant, kind)
+    c, p0, pn = _e1_dominates(m, variant, kind)
     return float(c) * float(N0) ** -p0 * float(n) ** -pn
 
 
@@ -340,10 +339,8 @@ def _chain_dominated(m: int, n: int) -> float:
     return bound
 
 
-def prop_4r_bound(m: int, n: int, case: str) -> float:
+def prop_4r_bound(m: int, n: int) -> float:
     """The uniform bound n^-1 0.35^n on each of the four oscillatory sums."""
-    if case not in ("i", "ii", "iii", "iv"):
-        raise ValueError("case must be one of i, ii, iii, iv")
     return _chain_dominated(m, n)  # prop_4r_chain rejects (m, n) outside its domain
 
 
@@ -365,9 +362,12 @@ def e2_prefactor(variant: str, kind: str) -> Rational:
 
 
 @lru_cache(maxsize=None)
-def _e2_prefactor_ok(variant: str) -> None:
-    for kind in ("cos", "sin"):
+def _e2_prefactor_ok(variant: str) -> Fraction:
+    """The printed E2 prefactor, the only read of ``_E2_PRINTED``: returned
+    once both routes' recomputed prefactors are below it."""
+    for kind in ("cos", "sin"):  # coefficient_tables rejects an unknown variant
         require(e2_prefactor(variant, kind) <= _E2_PRINTED[variant], f"e2 prefactor of {variant} fails")
+    return _E2_PRINTED[variant]
 
 
 def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
@@ -375,9 +375,8 @@ def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
     from ``_decay``."""
     _check_domain(m, n)
     _check_kind(kind)
-    _e2_prefactor_ok(variant)  # coefficient_tables rejects an unknown variant
     tau, theta = _decay(m)
-    return float(_E2_PRINTED[variant]) * theta**N0 * float(n) ** -tau
+    return float(_e2_prefactor_ok(variant)) * theta**N0 * float(n) ** -tau
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +437,6 @@ _B_PRINTED = {
 }
 
 
-def _b_printed(m: int, variant: str) -> tuple[Fraction, int]:
-    c0, c1, tau = _B_PRINTED[min(m, 6)]
-    return (c0 if variant == "I0" else c1, tau)
-
-
 def estimate_B_recomputed(m: int, variant: str) -> float:
     """The route-specific constituent sum at the anchor order n = 20.
 
@@ -464,18 +458,22 @@ def estimate_B_recomputed(m: int, variant: str) -> float:
 
 
 @lru_cache(maxsize=None)
-def _b_dominates(m: int, variant: str) -> None:
-    c, tau = _b_printed(m, variant)
+def _b_dominates(m: int, variant: str) -> tuple[Fraction, int]:
+    """(c, tau_B) of the printed bound c n0^-1 n^-tau_B of row min(m, 6),
+    the only read of ``_B_PRINTED``: returned once the recomputed sum at the
+    anchor is below it."""
+    c0, c1, tau = _B_PRINTED[min(m, 6)]
+    c = c0 if variant == "I0" else c1
     bound = float(c) / N0 * float(N0) ** -tau
     require(estimate_B_recomputed(m, variant) <= bound, f"B constant of {m, variant} fails")
+    return c, tau
 
 
 def estimate_B(m: int, n: int, variant: str) -> float:
     """Printed remainder-contribution bound, revalidated on first use."""
     _check_domain(m, n)
     check_variant(variant)
-    c, tau = _b_printed(m, variant)
-    _b_dominates(m, variant)
+    c, tau = _b_dominates(m, variant)
     return float(c) / N0 * float(n) ** -tau
 
 

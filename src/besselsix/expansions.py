@@ -255,8 +255,12 @@ def estimate_A_recomputed(variant: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _a_dominates(variant: str) -> None:
-    require(estimate_A_recomputed(variant) <= _A_PRINTED[variant], f"A constant of {variant} fails")
+def _a_dominates(variant: str) -> Fraction:
+    """The printed A constant, the only read of ``_A_PRINTED``: returned once
+    the recomputed proof constant is below it."""
+    c = _A_PRINTED[variant]
+    require(estimate_A_recomputed(variant) <= c, f"A constant of {variant} fails")
+    return c
 
 
 def estimate_A(m: int, n: int, variant: str) -> float:
@@ -267,5 +271,4 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     m, n = as_even_order(m), as_order(n)
     if n < N0:
         raise ValueError(f"the certified regime needs n >= {N0}")
-    _a_dominates(variant)
-    return float(_A_PRINTED[variant]) / math.sqrt(float(N0)) * (n + m) ** -6.0
+    return float(_a_dominates(variant)) / math.sqrt(float(N0)) * (n + m) ** -6.0

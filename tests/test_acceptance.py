@@ -269,7 +269,7 @@ def test_criterion_4_constant_dominance():
     # oscillatory chain below the uniform n^-1 0.35^n bound (the chain
     # itself asserts its Gaussian constant A <= 1.06 on every call)
     for m, n in ((0, 20), (2, 20), (20, 20), (0, 24), (6, 50), (0, 200)):
-        assert prop_4r_chain(m, n) <= prop_4r_bound(m, n, "i"), (m, n)
+        assert prop_4r_chain(m, n) <= prop_4r_bound(m, n), (m, n)
 
     # second-kind prefactors vs printed 0.39 / 0.30
     for kind in ("cos", "sin"):

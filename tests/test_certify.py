@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besselsix import CertificationError, core_integrals
 from besselsix.bessel import CertifiedValue
 from besselsix.certify import (
     NORMALIZATION,
@@ -116,6 +117,20 @@ def test_predict_domain():
         predict(22, 20, "I0")
     with pytest.raises(ValueError):
         predict(0, 20, "I9")
+
+
+def test_predict_refuses_an_e1_exponent_below_tau(monkeypatch):
+    # with n^-5 for n^-6 both m = 4 rows still dominate the exact error,
+    # but relaxing them to the anchor's n^-tau needs pn >= tau = 6
+    for kind in ("cos", "sin"):
+        c0, c1, p0, _ = core_integrals._E1_PRINTED[(4, kind)]
+        monkeypatch.setitem(core_integrals._E1_PRINTED, (4, kind), (c0, c1, p0, 5))
+    core_integrals._e1_dominates.cache_clear()
+    try:
+        with pytest.raises(CertificationError, match="n-exponent 5"):
+            predict(4, 40, "I0")
+    finally:
+        core_integrals._e1_dominates.cache_clear()
 
 
 @given(st.integers(20, 10**5), st.sampled_from([0, 2, 4, 6]), st.sampled_from(["I0", "I1"]))

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _PRELUDE = """
 from fractions import Fraction
-from besselsix import CertificationError, certify, cli, core_integrals
+from besselsix import CertificationError, certify, cli, core_integrals, expansions
 print("debug" if __debug__ else "optimized")
 """
 
@@ -57,6 +57,22 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
             'core_integrals._E1_PRINTED[(0, "cos")] = (Fraction("1e-12"), Fraction("0.015"), 1, 4)',
             'certify.predict(0, 25, "I0")',
         ),
+        pytest.param(
+            'core_integrals._E1_PRINTED[(0, "cos")] = (Fraction("1e-12"), Fraction("0.015"), 1, 4)',
+            'core_integrals.e1_bound(0, 25, "I0", "cos")',
+            id="e1-e1_bound",
+        ),
+        pytest.param('core_integrals._E2_PRINTED["I0"] = Fraction("1e-9")', 'certify.predict(0, 25, "I0")',
+                     id="e2-predict"),
+        # A and B just below their recomputed 0.7309 and 0.02167
+        pytest.param('expansions._A_PRINTED["I0"] = Fraction("0.73")', 'certify.predict(0, 25, "I0")',
+                     id="a-predict"),
+        pytest.param('expansions._A_PRINTED["I0"] = Fraction("0.73")', 'expansions.estimate_A(0, 25, "I0")',
+                     id="a-estimate_A"),
+        pytest.param('core_integrals._B_PRINTED[0] = (Fraction("0.021"), Fraction("0.023"), 4)',
+                     'certify.predict(0, 25, "I0")', id="b-predict"),
+        pytest.param('core_integrals._B_PRINTED[0] = (Fraction("0.021"), Fraction("0.023"), 4)',
+                     'core_integrals.estimate_B(0, 25, "I0")', id="b-estimate_B"),
         pytest.param(_MOVED_RULE.format(index=1, delta="1e-6"), _INTEGRAL, id="gauss-weight-1e-6"),
         pytest.param(_MOVED_RULE.format(index=0, delta="1e-9"), _INTEGRAL, id="gauss-node-1e-9"),
         pytest.param(

@@ -464,22 +464,18 @@ def test_chain_value_spot():
 
 
 def test_prop_4r_bound_cases_and_domain():
-    want = 20.0**-1 * 0.35**20
-    for case in ("i", "ii", "iii", "iv"):
-        assert prop_4r_bound(0, 20, case) == pytest.approx(want)
+    assert prop_4r_bound(0, 20) == pytest.approx(20.0**-1 * 0.35**20)
     with pytest.raises(ValueError):
-        prop_4r_bound(0, 20, "v")
+        prop_4r_bound(22, 20)
     with pytest.raises(ValueError):
-        prop_4r_bound(22, 20, "i")
+        prop_4r_bound(3, 20)
     with pytest.raises(ValueError):
-        prop_4r_bound(3, 20, "i")
-    with pytest.raises(ValueError):
-        prop_4r_bound(0, 19, "i")
+        prop_4r_bound(0, 19)
 
 
 def test_prop_4r_bound_large_n_stays_finite():
     # the folded powers keep the recomputation representable
-    assert prop_4r_bound(100, 5000, "ii") == 0.0  # underflows, but cleanly
+    assert prop_4r_bound(100, 5000) == 0.0  # underflows, but cleanly
     assert prop_4r_chain(100, 5000) == 0.0
 
 

@@ -309,7 +309,7 @@ def test_as_order_keeps_integral_values():
         lambda: core_integrals.main_term(0, 7.5, "I0"),
         lambda: certify.theorem_constants(2, 25.5, "I0"),
         lambda: expansions.estimate_A(0, 25.5, "I0"),
-        lambda: core_integrals.prop_4r_bound(0, 25.5, "i"),
+        lambda: core_integrals.prop_4r_bound(0, 25.5),
         lambda: bessel_series_oracle(2.5, 1.0, 60),
         lambda: bessel_series_oracle(-0.5, 1.0, 60),
         lambda: phase(2.5, 100.0),
