@@ -25,8 +25,8 @@ from functools import lru_cache
 
 from . import core_integrals, expansions
 from .bessel import CertifiedValue
-from .core_integrals import _check_domain, main_term
-from .exactnum import N0, ExactScalar, as_even_order, as_order, check_variant, require
+from .core_integrals import main_term
+from .exactnum import N0, ExactScalar, as_even_order, as_order, check_domain, check_variant, require
 
 __all__ = [
     "NORMALIZATION",
@@ -85,7 +85,7 @@ def _budget_constants(m: int, variant: str) -> dict[str, float]:
         "estimate_A": float(expansions._a_dominates(variant)) * float(N0) ** (tau - 6.5),
         "estimate_B": float(c_b) / float(N0) ** (1 + tau_b - tau),
         "e1": (float(c_cos) + float(c_sin)) / float(N0) ** (p0 + pn - tau),
-        "e2": 2 * float(core_integrals._e2_prefactor_ok(variant)) * theta**N0,
+        "e2": 2 * float(core_integrals._e2_dominates(m, variant)) * theta**N0,
     }
 
 
@@ -118,7 +118,7 @@ def predict(m: int, n: int, variant: str) -> Prediction:
     fails the prediction too.
     """
     check_variant(variant)
-    m, n = _check_domain(m, n)
+    m, n = check_domain(m, n)
     constants = _budget_constants(m, variant)
     _rolled_ok(min(m, 6), variant)
     tau, _ = core_integrals._decay(m)

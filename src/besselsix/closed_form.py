@@ -3,7 +3,8 @@
 The building blocks: the Kapteyn value of int J_n J_m / r, the
 Weber-Schafheitlin Gamma-quotient for int J_n J_m r^(-k), the exact-zero
 test for frequency-2 trigonometric weights, and the descent-method bound
-dominating the frequency-4 integrals.  Everything is exact rational (or
+dominating the frequency-4 integrals; ``core_integrals`` checks the last two
+on the path of every n >= 20 bound.  Everything is exact rational (or
 rational times a power of sqrt(pi)) arithmetic.
 """
 

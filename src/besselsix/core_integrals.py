@@ -18,7 +18,10 @@ the sine route (s_j the Hankel sign, alpha_i the coefficient tables).  The
 main term is the part with j + i <= max(m, 2) when m <= 4 and nothing when
 m >= 6; the first-kind error is the rest.  Everything here is either an
 exact rational in n or a closed-form bound; printed constants are checked
-against their recomputed counterparts on first use.
+against their recomputed counterparts on first use, and so are the lemmas
+that drop or bound terms: ``vanishes_freq2`` for every frequency-2 term the
+series drops, and the 4r chain (``descent_bound``, ``gaussian_binomial_bound``)
+under every second-kind error.
 """
 
 from __future__ import annotations
@@ -28,14 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .closed_form import weber_schafheitlin
+from .closed_form import CoreIntegralKey, descent_bound, vanishes_freq2, weber_schafheitlin
 from .exactnum import (
     N0,
     ExactScalar,
     Rational,
     a_coeff,
+    a_m4_bound,
     as_even_order,
+    as_integer,
     as_order,
+    check_domain,
     check_variant,
     gamma_half,
     gamma_ratio,
@@ -57,7 +63,6 @@ __all__ = [
     "e2_prefactor",
     "e2_bound",
     "prop_4r_chain",
-    "prop_4r_bound",
     "pair_moment_constant",
     "pair_moment_constant_cs",
     "pair_moment_constant_tail",
@@ -140,22 +145,27 @@ def _pick(reduced: dict[str, dict[int, Rational]], name: str, power: int) -> int
 
 
 @lru_cache(maxsize=None)
+def _routes(variant: str) -> tuple[dict[str, dict[int, Rational]], dict[str, dict[int, Rational]]]:
+    """The cosine and sine routes, 8c and 8s times the sum of the triple
+    product's terms, reduced to the frequency basis.  Shared, not copied:
+    callers only read them."""
+    total = sum(product_expansion(_PRODUCT_TAG[variant]).terms, TrigPoly(()))
+    return tuple(trig_reduce(TrigPoly.from_dict({carrier: 8}) * total) for carrier in ((1, 0, 0), (0, 1, 0)))
+
+
+@lru_cache(maxsize=None)
 def coefficient_tables(variant: str) -> CoefficientTables:
     """The stored tables, revalidated against the expansion module.
 
     The tables are kept inline for speed, but on first use they are
-    re-derived by multiplying the triple-product expansion with the
-    carrier cos/sin factor and reducing to the frequency basis; any
-    mismatch fails loudly.
+    re-derived from the two reduced routes; any mismatch fails loudly.
     """
     check_variant(variant)
     stored = _STORED_TABLES[variant]
-    total = sum(product_expansion(_PRODUCT_TAG[variant]).terms, TrigPoly(()))
     derived = [variant]
     # the cosine (sine) route, carrier c (s), has parity 0 (1): constants and
     # cos 4r sit only on t-powers of its parity, sin 4r only on the others
-    for carrier, parity in (((1, 0, 0), 0), ((0, 1, 0), 1)):
-        route = trig_reduce(TrigPoly.from_dict({carrier: 8}) * total)
+    for parity, route in enumerate(_routes(variant)):
         derived.append(tuple(_pick(route, "const", p) for p in range(parity, 6, 2)))
         derived.append(tuple(_pick(route, "cos4" if p % 2 == parity else "sin4", p) for p in range(6)))
         for name, on in (("const", parity), ("cos4", parity), ("sin4", 1 - parity)):
@@ -167,16 +177,6 @@ def coefficient_tables(variant: str) -> CoefficientTables:
 
 def _aj(j: int, m: int) -> Fraction:
     return a_coeff(j, m).coeff
-
-
-def _check_domain(m: int, n: int) -> tuple[int, int]:
-    """(m, n) as ints, if they lie in the certified regime."""
-    m, n = as_even_order(m), as_order(n)
-    if n < N0:
-        raise ValueError(f"the certified regime needs n >= {N0}")
-    if m >= 6 and m > n:
-        raise ValueError("m must not exceed n")
-    return m, n
 
 
 def _check_kind(kind: str) -> str:
@@ -205,8 +205,20 @@ def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[i
     Term (j, i) has k = 1 + j + i and s_j = (-1)^ceil(j/2), the Hankel sign
     of ``expansions.base_expansion``.  Its n-free factor, Weber-Schafheitlin's
     constant included, is read off WS at n = k.
+
+    The series keeps only the route's constant part.  Each term (j, i) it
+    drops from the route's cos 2r or sin 2r row is the integral of J_n
+    J_{n+m} cos 2r or sin 2r against r^-k, required to vanish by
+    ``vanishes_freq2``.  It is keyed at n = N0: the key's only n-dependence
+    is k <= 2n + m, and k <= m + 9 <= 2 N0 + m.
     """
     parity = 0 if kind == "cos" else 1
+    route = _routes(variant)[parity]
+    rows = [(name[:3], i) for name in ("cos2", "sin2") for i in route.get(name, ())]
+    dropped = {(1 + j + i, trig) for trig, i in rows for j in range(parity, m + 4, 2)}
+    for k, trig in dropped:
+        key = CoreIntegralKey(N0, N0 + m, k, "two", trig)
+        require(vanishes_freq2(key), f"dropped {trig} 2r term with k={k} of {m, variant} does not vanish")
     t = coefficient_tables(variant)
     alphas = t.alphas_cos if kind == "cos" else t.alphas_sin
     weights: dict[int, Fraction] = {}
@@ -252,7 +264,7 @@ def main_term(m: int, n: int, variant: str) -> ExactScalar:
 def e1_exact(m: int, n: int, variant: str, kind: str) -> Rational:
     """The first-kind error term as an exact rational (signed): the terms
     of the kind's series outside the main term."""
-    m, n = _check_domain(m, n)
+    m, n = check_domain(m, n)
     _check_kind(kind)
     check_variant(variant)
     return _series(m, n, variant, kind, "e1")
@@ -287,7 +299,7 @@ def _e1_dominates(m: int, variant: str, kind: str) -> tuple[Fraction, int, int]:
 def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Printed bound on the first-kind error, validated on first use
     against the exact formula at n = max(20, m) and n = max(10^6, m)."""
-    _check_domain(m, n)
+    check_domain(m, n)
     _check_kind(kind)
     c, p0, pn = _e1_dominates(m, variant, kind)
     return float(c) * float(N0) ** -p0 * float(n) ** -pn
@@ -303,9 +315,12 @@ def prop_4r_chain(m: int, n: int) -> float:
 
     Gaussian-sum estimate times the central-binomial bound times the
     4^-(2n+m) kernel factor; powers of two are folded together so the
-    evaluation stays finite for any n.
+    evaluation stays finite for any n.  Where the unfolded factors are
+    representable, the binomial factor is checked to dominate
+    ``descent_bound(n, n + m, 1)``, the bound on the frequency-4 integral of
+    J_n J_{n+m} / r that it stands for.
     """
-    m, n = _check_domain(m, n)
+    m, n = check_domain(m, n)
     A = 4.0 ** (math.log(2.0) / 9.0) * math.exp(-((math.log(2.0) / 3.0) ** 2))
     require(A <= 1.06, "Gaussian constant A exceeds 1.06")
     # sum over the coefficient indices, Gaussian-peak times term count,
@@ -320,13 +335,9 @@ def prop_4r_chain(m: int, n: int) -> float:
     if 2 * (2 * n + m) < 1000:
         # representable without over/underflow: take the binomial factor
         # verbatim and confirm the folding
-        direct = (
-            s1
-            * 2.0 ** (m + m / 3.0)
-            * gaussian_binomial_bound(x, d)
-            / (n * (n + m))
-            * 4.0 ** -(2 * n + m)
-        )
+        binomial = gaussian_binomial_bound(x, d) / (n * (n + m)) * 4.0 ** -(2 * n + m)
+        require(descent_bound(n, n + m, 1) <= Fraction(binomial), f"descent bound exceeds the 4r chain at {m, n}")
+        direct = s1 * 2.0 ** (m + m / 3.0) * binomial
         require(math.isclose(direct, chain, rel_tol=1e-9), "folded and direct chains disagree")
     return chain
 
@@ -337,11 +348,6 @@ def _chain_dominated(m: int, n: int) -> float:
     bound = n ** -1.0 * 0.35**n
     require(prop_4r_chain(m, n) <= bound, f"4r chain fails at {m, n}")
     return bound
-
-
-def prop_4r_bound(m: int, n: int) -> float:
-    """The uniform bound n^-1 0.35^n on each of the four oscillatory sums."""
-    return _chain_dominated(m, n)  # prop_4r_chain rejects (m, n) outside its domain
 
 
 _E2_PRINTED = {"I0": Fraction("0.39"), "I1": Fraction("0.30")}
@@ -370,13 +376,29 @@ def _e2_prefactor_ok(variant: str) -> Fraction:
     return _E2_PRINTED[variant]
 
 
+@lru_cache(maxsize=None)
+def _e2_dominates(m: int, variant: str) -> Fraction:
+    """The printed E2 prefactor c, returned once c n^-1 0.35^n, which bounds
+    each route's frequency-4 terms, is below the e2 item at n0 = max(20, m).
+
+    One check covers every n >= n0: the ratio of the two sides,
+    n^(tau-1) 0.35^n / theta^20, decreases for n >= 5, and
+    prop_4r_chain(m, n) / (n^-1 0.35^n) decreases for n >= m.
+    """
+    c, n0 = _e2_prefactor_ok(variant), max(N0, m)
+    tau, theta = _decay(m)
+    e2_item = float(c) * theta**N0 * float(n0) ** -tau
+    require(float(c) * _chain_dominated(m, n0) <= e2_item, f"4r bound of {m, variant} exceeds e2")
+    return c
+
+
 def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Second-kind error: prefactor times theta^20 n^-tau, (tau, theta)
     from ``_decay``."""
-    _check_domain(m, n)
+    check_domain(m, n)
     _check_kind(kind)
     tau, theta = _decay(m)
-    return float(_e2_prefactor_ok(variant)) * theta**N0 * float(n) ** -tau
+    return float(_e2_dominates(m, variant)) * theta**N0 * float(n) ** -tau
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +419,7 @@ def _abs_poly(variant: str) -> tuple[int, ...]:
 def pair_moment_constant(ell: int) -> float:
     """Sharp constant c with ∫ J_n^2 r^-ell dr <= c n^-ell for n >= 20,
     frozen at the anchor order."""
+    ell = as_integer(ell, "moment exponents")
     if ell < 2:
         raise ValueError("need ell >= 2")
     c = gamma_half(2 * ell) / (gamma_half(ell + 1) * gamma_half(ell + 1))
@@ -407,7 +430,7 @@ def pair_moment_constant(ell: int) -> float:
 def pair_moment_constant_cs(m: int, ell: int) -> float:
     """Cauchy-Schwarz analogue for the mixed moment ∫ |J_n J_{n+m}| r^-(m+ell):
     bound c n^-(m+ell), anchored at n = 20."""
-    m = as_even_order(m)
+    m, ell = as_even_order(m), as_integer(ell, "moment exponents")
     if m < 2 or ell < 2:
         raise ValueError("need m >= 2 and ell >= 2")
     inner = Fraction(math.factorial(2 * m + 2 * ell - 2), 2 ** (2 * m + 2 * ell - 1))
@@ -417,16 +440,21 @@ def pair_moment_constant_cs(m: int, ell: int) -> float:
 
 
 def pair_moment_constant_tail(m: int, ell: int) -> float:
-    """Large-m analogue: the coefficient-size lemma replaces the exact
-    coefficient, leaving a constant that decreases in m."""
-    m = as_even_order(m)
+    """Large-m analogue, coefficient included: the coefficient-size lemma
+    ``a_m4_bound`` replaces |a_(m+4)(m)|, and n >= m relaxes n^-m to m^-m.
+
+    a_m4_bound(m) m^-m = (105/16) sqrt(2/pi) (2m-1)^(-1/2) (2/e)^m decreases
+    in m, so the value at m = 100 bounds it for larger m, where a_m4_bound
+    overflows (from m = 151 on) and m^-m underflows.
+    """
+    m, ell = as_even_order(m), as_integer(ell, "moment exponents")
     if m < 12 or ell < 2:
         raise ValueError("need m >= 12 and ell >= 2")
     prod = 1.0
     for k in range(2 * ell - 1):
         prod *= N0 + 1 - ell + k
-    scale = math.exp(m * (math.log(2.0) - 1.0))  # 2^m e^-m without overflow
-    return 0.5 * math.sqrt(2.0 / math.pi) * (2 * m - 1) ** -0.5 * scale * math.sqrt(float(N0) ** (2 * ell - 1) / prod)
+    m = min(m, 100)
+    return a_m4_bound(m) * float(m) ** -m * 0.5 * math.sqrt(float(N0) ** (2 * ell - 1) / prod)
 
 
 _B_PRINTED = {
@@ -442,15 +470,16 @@ def estimate_B_recomputed(m: int, variant: str) -> float:
 
     m = 0 integrates J_n^2 directly; 2 <= m <= 10 goes through
     Cauchy-Schwarz with the exact remainder coefficient; m >= 12 relies on
-    the coefficient-size lemma (the Cauchy-Schwarz route is sharper for
-    m in {6, 8, 10}, where the lemma constant alone would overshoot).
+    the coefficient-size lemma, which ``pair_moment_constant_tail`` carries
+    (the Cauchy-Schwarz route is sharper for m in {6, 8, 10}, where the
+    lemma constant alone would overshoot).
     """
     if m == 0:
         lead, constant, shift = float(abs(_aj(4, 0))), pair_moment_constant, 0
     elif m <= 10:
         lead, constant, shift = float(abs(_aj(m + 4, m))), lambda ell: pair_moment_constant_cs(m, ell), m
     else:
-        lead, constant, shift = 105.0 / 16.0, lambda ell: pair_moment_constant_tail(m, ell), 0
+        lead, constant, shift = 1.0, lambda ell: pair_moment_constant_tail(m, ell), 0
     n = float(N0)
     return lead * sum(
         p / 16.0**j * constant(5 + j) * n ** -(shift + 5 + j) for j, p in enumerate(_abs_poly(variant))
@@ -471,7 +500,7 @@ def _b_dominates(m: int, variant: str) -> tuple[Fraction, int]:
 
 def estimate_B(m: int, n: int, variant: str) -> float:
     """Printed remainder-contribution bound, revalidated on first use."""
-    _check_domain(m, n)
+    check_domain(m, n)
     check_variant(variant)
     c, tau = _b_dominates(m, variant)
     return float(c) / N0 * float(n) ** -tau
@@ -504,7 +533,7 @@ class CoreBoundBreakdown:
 
 def core_bound_breakdown(m: int, n: int, variant: str) -> CoreBoundBreakdown:
     """Assemble the full decomposition of one core integral."""
-    _check_domain(m, n)
+    check_domain(m, n)
     cos, sin = main_term_parts(m, n, variant)
     return CoreBoundBreakdown(
         main_cos=cos,

@@ -1,11 +1,12 @@
 """Exact rational arithmetic, half-integer Gamma values, and Gamma inequalities.
 
 Everything here is either exact (arbitrary-precision rationals, optionally
-carrying a power of sqrt(pi)) or a rigorous two-sided enclosure (the Stirling
-bounds).  These are the scalars that all closed-form integral values and
-asymptotic-series coefficients are built from; keeping them exact is what lets
-the higher layers compare recomputed constants against their stored
-counterparts with ``==`` instead of a tolerance.
+carrying a power of sqrt(pi)) or a closed-form upper bound (the Gaussian
+binomial bound and the coefficient-size lemma).  These are the scalars that
+all closed-form integral values and asymptotic-series coefficients are built
+from; keeping them exact is what lets the higher layers compare recomputed
+constants against their stored counterparts with ``==`` instead of a
+tolerance.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ __all__ = [
     "as_integer",
     "as_order",
     "as_even_order",
+    "check_domain",
     "check_variant",
     "Rational",
     "ExactScalar",
     "gamma_half",
     "gamma_ratio",
-    "stirling_gamma_bounds",
     "a_coeff",
     "gaussian_binomial_bound",
     "a_m4_bound",
@@ -79,6 +80,17 @@ def as_even_order(m) -> int:
     if m < 0 or m % 2:
         raise ValueError(f"m must be even and nonnegative, got {m}")
     return m
+
+
+def check_domain(m, n) -> tuple[int, int]:
+    """(m, n) as ints, if they lie in the certified regime: m even, n >= N0
+    and m <= n."""
+    m, n = as_even_order(m), as_order(n)
+    if n < N0:
+        raise ValueError(f"the certified regime needs n >= {N0}")
+    if m > n:
+        raise ValueError("m must not exceed n")
+    return m, n
 
 
 #: The fixed orders (a, b, c) of each family's integrand J_{n+m} J_n J_m J_a J_b J_c r.
@@ -233,7 +245,7 @@ def gamma_half(two_x: int) -> ExactScalar:
     multiple of sqrt(pi); positive even ``two_x`` gives the exact factorial.
     Nonpositive integer arguments are poles and raise ValueError.
     """
-    two_x = int(two_x)
+    two_x = as_integer(two_x, "doubled Gamma arguments")
     if _is_pole(two_x):
         raise ValueError(f"Gamma pole at argument {two_x}/2")
     poch, base_two = _gamma_factor(two_x)
@@ -251,7 +263,8 @@ def gamma_ratio(two_a: int, two_b: int) -> ExactScalar:
     the numerator -- alone or together with one in the denominator --
     raises, since the ratio is then not determined.
     """
-    two_a, two_b = int(two_a), int(two_b)
+    what = "doubled Gamma arguments"
+    two_a, two_b = as_integer(two_a, what), as_integer(two_b, what)
     if _is_pole(two_a):
         raise ValueError(
             f"Gamma pole in numerator at argument {two_a}/2; ratio undefined here"
@@ -268,29 +281,6 @@ def gamma_ratio(two_a: int, two_b: int) -> ExactScalar:
     poch_b, base_b = _gamma_factor(two_b)
     power = (1 if base_a == 1 else 0) - (1 if base_b == 1 else 0)
     return ExactScalar(poch_a / poch_b, power)
-
-
-def stirling_gamma_bounds(x: float) -> tuple[float, float]:
-    """A rigorous two-sided enclosure of Gamma(x) for x > 0.
-
-    Stirling's formula with the classical correction-term bounds
-    ``1/(12x+1) < mu(x) < 1/(12x)`` gives
-
-        sqrt(2 pi) x^(x-1/2) e^(-x) e^(1/(12x+1))  <  Gamma(x)
-                                     <  sqrt(2 pi) x^(x-1/2) e^(-x) e^(1/(12x)).
-
-    The endpoints are evaluated in floating point and widened by 4 ulp each to
-    absorb the evaluation rounding.
-    """
-    if not (x > 0) or not math.isfinite(x):
-        raise ValueError(f"stirling_gamma_bounds requires x > 0, got {x}")
-    common = math.sqrt(2.0 * math.pi) * x ** (x - 0.5) * math.exp(-x)
-    lo = common * math.exp(1.0 / (12.0 * x + 1.0))
-    hi = common * math.exp(1.0 / (12.0 * x))
-    for _ in range(4):
-        lo = math.nextafter(lo, -math.inf)
-        hi = math.nextafter(hi, math.inf)
-    return lo, hi
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,9 @@ expansion in t = 1/(16r) whose coefficients are trigonometric monomials in
 c = cos(r - pi/4) and s = sin(r - pi/4).  This module implements that
 calculus: the polynomials, the carrier and Fourier rules, the two base
 expansions, the product rule that propagates remainder bounds through
-multiplication (building the triple products needed downstream), certified
-evaluation, and the Cauchy-Schwarz tail estimate for the sixth-order
-remainder integrated against r^(-6).
+multiplication (building the triple products needed downstream), and the
+Cauchy-Schwarz tail estimate for the sixth-order remainder integrated
+against r^(-6).
 """
 
 from __future__ import annotations
@@ -17,17 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .bessel import CertifiedValue, phase
-from .exactnum import _FIXED_ORDERS, N0, Rational, a_coeff, as_even_order, as_integer, as_order, check_variant, gamma_ratio, require
+from .exactnum import _FIXED_ORDERS, N0, Rational, a_coeff, check_domain, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
     "RemainderedExpansion",
     "base_expansion",
-    "identity_expansion",
     "multiply",
     "product_expansion",
-    "eval_expansion",
     "estimate_A",
     "estimate_A_recomputed",
 ]
@@ -75,12 +72,6 @@ class TrigPoly:
 
     def degree_t(self) -> int:
         return max((k for (_, _, k), _ in self.coeffs), default=0)
-
-    def evaluate(self, c: float, s: float, t: float) -> float:
-        total = 0.0
-        for (i, j, k), v in self.coeffs:
-            total += float(v) * c**i * s**j * t**k
-        return total
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -160,12 +151,6 @@ def base_expansion(which: str) -> RemainderedExpansion:
     return RemainderedExpansion(tuple(terms), tuple(remainders))
 
 
-def identity_expansion() -> RemainderedExpansion:
-    """The multiplicative unit: terms (1, 0, ..., 0), remainders (1, 0, ..., 0)."""
-    terms = [_mono(1, 0, 0, 0)] + [TrigPoly(()) for _ in range(5)]
-    return RemainderedExpansion(tuple(terms), (Fraction(1),) + (Fraction(0),) * 6)
-
-
 def multiply(a: RemainderedExpansion, b: RemainderedExpansion) -> RemainderedExpansion:
     """Product expansion with propagated remainders.
 
@@ -210,28 +195,6 @@ def product_expansion(tag: str) -> RemainderedExpansion:
     return reduce(multiply, (base_expansion(f"J{k}") for k in tag[1:]))
 
 
-def eval_expansion(e: RemainderedExpansion, r: float, K: int) -> CertifiedValue:
-    """Evaluate the first K terms at r; radius = remainders[K] * (16r)^(-K).
-
-    The trig arguments come from the certified phase reduction, so the
-    midpoint is accurate to a few 1e-16 relative; the radius is the
-    expansion's own truncation bound (it does not include that float dust).
-    """
-    if not (r > 0):
-        raise ValueError("r must be positive")
-    K = as_integer(K, "term counts")
-    if not (0 <= K <= 6):
-        raise ValueError("K must lie in 0..6")
-    w = phase(0, r)
-    c, s = math.cos(w), math.sin(w)
-    t = 1.0 / (16.0 * r)
-    mid = 0.0
-    for k in range(K - 1, -1, -1):  # smallest contributions accumulated first
-        mid += e.terms[k].evaluate(c, s, t)
-    rad = float(e.remainders[K]) * (16.0 * r) ** float(-K)
-    return CertifiedValue(mid, rad)
-
-
 # ---------------------------------------------------------------------------
 # Estimate A: the Cauchy-Schwarz bound on the integrated sixth remainder
 # ---------------------------------------------------------------------------
@@ -268,7 +231,5 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     1.12 (I1), for n >= 20; the recomputed proof constant is checked
     against the printed one on first use."""
     check_variant(variant)
-    m, n = as_even_order(m), as_order(n)
-    if n < N0:
-        raise ValueError(f"the certified regime needs n >= {N0}")
+    m, n = check_domain(m, n)
     return float(_a_dominates(variant)) / math.sqrt(float(N0)) * (n + m) ** -6.0

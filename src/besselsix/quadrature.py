@@ -79,7 +79,6 @@ __all__ = [
     "PAPER_SCHEME",
     "ErrorBudget",
     "TableEntry",
-    "nc7_composite",
     "deriv8_bound",
     "quad_error",
     "integrand",
@@ -275,20 +274,6 @@ def _eval_chunked(f, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
     for lo in range(0, nodes.shape[0], _CHUNK):
         out[..., lo:lo + _CHUNK] = f(nodes[lo:lo + _CHUNK])
     return out
-
-
-def nc7_composite(f, a: float, b: float, w: float) -> float:
-    """Composite 7-point Newton-Cotes approximation of integral_a^b f.
-
-    ``f`` must be vectorized: it is called with a float ndarray of nodes and
-    returns an array of the same shape (a constant broadcasts).  [a, b] must
-    be an integer number of width-6w panels.  Exact for polynomials through
-    degree 7; for C^8 integrands the error is bounded by
-    ``(b - a) * w^8 * (6^3/5) * sup|f^(8)| / 8!``.
-    """
-    region = _NC7Region(a, b, w)
-    nodes = region.nodes()
-    return region.weighted_sum(_eval_chunked(f, nodes, np.empty(nodes.shape[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from besselsix.core_integrals import (
     estimate_B_recomputed,
     main_term,
     prop_4r_chain,
-    prop_4r_bound,
 )
 from besselsix.certify import check_theorem, predict, theorem_constants
 from besselsix.exactnum import (
@@ -37,7 +36,6 @@ from besselsix.exactnum import (
     a_m4_bound,
     gamma_half,
     gamma_ratio,
-    stirling_gamma_bounds,
 )
 from besselsix.expansions import (
     base_expansion,
@@ -49,12 +47,12 @@ from besselsix.quadrature import (
     PAPER_SCHEME,
     build_table,
     integral,
-    nc7_composite,
     quad_error,
     tail_error_budget,
     tail_main,
 )
 from test_expansions import DISPLAYS, _assert_matches
+from testkit import nc7_composite, stirling_gamma_bounds
 
 # ---------------------------------------------------------------------------
 # published verification-table entries, in integer cents (top row, bottom
@@ -269,7 +267,7 @@ def test_criterion_4_constant_dominance():
     # oscillatory chain below the uniform n^-1 0.35^n bound (the chain
     # itself asserts its Gaussian constant A <= 1.06 on every call)
     for m, n in ((0, 20), (2, 20), (20, 20), (0, 24), (6, 50), (0, 200)):
-        assert prop_4r_chain(m, n) <= prop_4r_bound(m, n), (m, n)
+        assert prop_4r_chain(m, n) <= core_integrals._chain_dominated(m, n), (m, n)
 
     # second-kind prefactors vs printed 0.39 / 0.30
     for kind in ("cos", "sin"):

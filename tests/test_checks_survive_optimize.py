@@ -1,7 +1,7 @@
 """Certification checks raise CertificationError, also under ``python -O``.
 
-Each case patches one printed constant, stored roll-up or stored quadrature
-rule in a fresh ``python -O`` interpreter, where ``assert`` statements are
+Each case patches one printed constant, stored roll-up, lemma or stored
+quadrature rule in a fresh ``python -O`` interpreter, where ``assert`` statements are
 stripped, and requires the public entry point to refuse.
 """
 
@@ -73,6 +73,16 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
                      'certify.predict(0, 25, "I0")', id="b-predict"),
         pytest.param('core_integrals._B_PRINTED[0] = (Fraction("0.021"), Fraction("0.023"), 4)',
                      'core_integrals.estimate_B(0, 25, "I0")', id="b-estimate_B"),
+        # the lemmas that let the budget drop the frequency-2 terms and bound
+        # the frequency-4 ones
+        pytest.param("core_integrals.vanishes_freq2 = lambda key: False", 'certify.predict(0, 25, "I0")',
+                     id="freq2-predict"),
+        pytest.param(
+            "_chain = core_integrals._chain_dominated\n"
+            "core_integrals._chain_dominated = lambda m, n: 100 * _chain(m, n)",
+            'certify.predict(0, 25, "I0")',
+            id="4r-bound-predict",
+        ),
         pytest.param(_MOVED_RULE.format(index=1, delta="1e-6"), _INTEGRAL, id="gauss-weight-1e-6"),
         pytest.param(_MOVED_RULE.format(index=0, delta="1e-9"), _INTEGRAL, id="gauss-node-1e-9"),
         pytest.param(

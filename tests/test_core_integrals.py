@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix.closed_form import CoreIntegralKey, vanishes_freq2, weber_schafheitlin
+from besselsix.closed_form import CoreIntegralKey, descent_bound, vanishes_freq2, weber_schafheitlin
 from besselsix.core_integrals import (
     CoefficientTables,
     CoreBoundBreakdown,
+    _chain_dominated,
     coefficient_tables,
     core_bound_breakdown,
     e1_bound,
@@ -24,12 +25,11 @@ from besselsix.core_integrals import (
     pair_moment_constant,
     pair_moment_constant_cs,
     pair_moment_constant_tail,
-    prop_4r_bound,
     prop_4r_chain,
     trig_reduce,
 )
 from besselsix import core_integrals, exactnum
-from besselsix.exactnum import ExactScalar, a_coeff
+from besselsix.exactnum import ExactScalar, a_coeff, gaussian_binomial_bound
 from besselsix.expansions import TrigPoly, product_expansion
 
 F = Fraction
@@ -448,6 +448,27 @@ def test_chain_below_uniform_bound():
         assert prop_4r_chain(m, n) <= n**-1.0 * 0.35**n
 
 
+def test_one_e2_check_covers_every_n():
+    # the e2 check runs at n0 = max(20, m) only; both ratios it rests on
+    # fall with n from there
+    for m in (0, 2, 4, 6, 8, 12, 20, 40, 100):
+        n0 = max(20, m)
+        ratio = [prop_4r_chain(m, n) * n / 0.35**n for n in range(n0, n0 + 300)]
+        assert all(a > b for a, b in zip(ratio, ratio[1:])), m
+    for tau in (4, 6):
+        decay = [n ** (tau - 1) * 0.35**n for n in range(5, 400)]
+        assert all(a > b for a, b in zip(decay, decay[1:])), tau
+
+
+def test_chain_binomial_factor_dominates_descent_bound():
+    # the chain's Gaussian binomial factor is 1.04-1.27 times the descent
+    # bound of the frequency-4 integral of J_n J_{n+m} / r
+    for m in range(0, 42, 2):
+        for n in (max(20, m), 25 + m, 60 + m):
+            binomial = gaussian_binomial_bound(n + m / 2, m / 2) / (n * (n + m)) * 4.0 ** -(2 * n + m)
+            assert 0.75 <= float(descent_bound(n, n + m, 1)) / binomial < 1.0, (m, n)
+
+
 def test_chain_value_spot():
     # folded-power evaluation against a literal transcription
     m, n = 20, 20
@@ -464,18 +485,19 @@ def test_chain_value_spot():
 
 
 def test_prop_4r_bound_cases_and_domain():
-    assert prop_4r_bound(0, 20) == pytest.approx(20.0**-1 * 0.35**20)
+    # the proposition's uniform bound n^-1 0.35^n, held by _chain_dominated
+    assert _chain_dominated(0, 20) == pytest.approx(20.0**-1 * 0.35**20)
     with pytest.raises(ValueError):
-        prop_4r_bound(22, 20)
+        _chain_dominated(22, 20)
     with pytest.raises(ValueError):
-        prop_4r_bound(3, 20)
+        _chain_dominated(3, 20)
     with pytest.raises(ValueError):
-        prop_4r_bound(0, 19)
+        _chain_dominated(0, 19)
 
 
 def test_prop_4r_bound_large_n_stays_finite():
     # the folded powers keep the recomputation representable
-    assert prop_4r_bound(100, 5000) == 0.0  # underflows, but cleanly
+    assert _chain_dominated(100, 5000) == 0.0  # underflows, but cleanly
     assert prop_4r_chain(100, 5000) == 0.0
 
 
@@ -530,7 +552,7 @@ def test_B_mid_range_uses_sharper_route():
     # m = 6 through the exact-coefficient route sits far beneath the
     # printed budget; the crude coefficient lemma would not
     assert estimate_B_recomputed(6, "I0") < 1e-3 * 0.015 / 20 * 20.0**-4
-    lemma_style = 105.0 / 16.0 * pair_moment_constant_tail(12, 5) * 20.0**-5
+    lemma_style = pair_moment_constant_tail(12, 5) * 20.0**-5
     assert estimate_B_recomputed(12, "I0") == pytest.approx(lemma_style, rel=0.03)
 
 

@@ -26,8 +26,8 @@ from besselsix.exactnum import (
     gamma_half,
     gamma_ratio,
     gaussian_binomial_bound,
-    stirling_gamma_bounds,
 )
+from testkit import eval_expansion, stirling_gamma_bounds
 
 # ---------------------------------------------------------------------------
 # ExactScalar algebra
@@ -309,7 +309,7 @@ def test_as_order_keeps_integral_values():
         lambda: core_integrals.main_term(0, 7.5, "I0"),
         lambda: certify.theorem_constants(2, 25.5, "I0"),
         lambda: expansions.estimate_A(0, 25.5, "I0"),
-        lambda: core_integrals.prop_4r_bound(0, 25.5),
+        lambda: core_integrals._chain_dominated(0, 25.5),
         lambda: bessel_series_oracle(2.5, 1.0, 60),
         lambda: bessel_series_oracle(-0.5, 1.0, 60),
         lambda: phase(2.5, 100.0),
@@ -368,15 +368,41 @@ def test_negative_orders_are_refused_with_one_message(call):
     "call, what",
     [
         (lambda: asymptotic_eval(2, 100.0, 12.5), "term counts"),
-        (lambda: expansions.eval_expansion(expansions.base_expansion("J0"), 100.0, 2.5), "term counts"),
+        (lambda: eval_expansion(expansions.base_expansion("J0"), 100.0, 2.5), "term counts"),
         (lambda: bessel_series_oracle(2, 1.0, 60.5), "precision bits"),
+        (lambda: gamma_half(3.5), "doubled Gamma arguments"),
+        (lambda: gamma_ratio(3.5, 2), "doubled Gamma arguments"),
+        (lambda: core_integrals.pair_moment_constant(2.5), "moment exponents"),
+        (lambda: core_integrals.pair_moment_constant_cs(2, 2.5), "moment exponents"),
+        (lambda: core_integrals.pair_moment_constant_tail(12, 2.5), "moment exponents"),
     ],
-    ids=["asymptotic_eval", "eval_expansion", "series_oracle"],
+    ids=["asymptotic_eval", "eval_expansion", "series_oracle", "gamma_half", "gamma_ratio",
+         "pair_moment_constant", "pair_moment_constant_cs", "pair_moment_constant_tail"],
 )
 def test_non_integral_counts_are_refused(call, what):
     # the first two raised TypeError from range(); the series oracle quietly
-    # worked to 60 bits
+    # worked to 60 bits; the Gamma functions truncated 3.5 to 3, so that
+    # pair_moment_constant(2.5) returned 0.309, and the other two moment
+    # constants raised TypeError
     with pytest.raises(ValueError, match=f"^{what} must be integers, got "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expansions.estimate_A(22, 20, "I0"),
+        lambda: core_integrals.estimate_B(22, 20, "I0"),
+        lambda: core_integrals.e1_bound(22, 20, "I0", "cos"),
+        lambda: core_integrals.e2_bound(22, 20, "I0", "cos"),
+        lambda: core_integrals.core_bound_breakdown(22, 20, "I0"),
+        lambda: certify.predict(22, 20, "I0"),
+    ],
+    ids=["estimate_A", "estimate_B", "e1_bound", "e2_bound", "core_bound_breakdown", "predict"],
+)
+def test_m_beyond_n_is_refused_with_one_message(call):
+    # estimate_A returned 3.01e-11 for (22, 20)
+    with pytest.raises(ValueError, match="^m must not exceed n$"):
         call()
 
 

@@ -40,11 +40,11 @@ from besselsix.quadrature import (
     error_budget,
     integral,
     integrand,
-    nc7_composite,
     quad_error,
     tail_error_budget,
     tail_main,
 )
+from testkit import nc7_composite
 
 # 200 coarse NC7 panels at the origin: 1201 nodes, one chunk.
 SMALL = _NC7Region(0.0, 36.0, 0.03)

@@ -1,0 +1,85 @@
+"""Helpers that only the test suite calls, built on the package.
+
+Each one checks a lemma or a rule from outside the package's own paths: the
+Stirling enclosure of Gamma, float evaluation of a remaindered expansion,
+and the paper's composite Newton-Cotes rule on a plain callable.  Unlike
+``hiprec``, which shares no code with the package, these reuse its pieces.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from besselsix.bessel import CertifiedValue, phase
+from besselsix.exactnum import as_integer
+from besselsix.expansions import RemainderedExpansion, TrigPoly
+from besselsix.quadrature import _eval_chunked, _NC7Region
+
+
+def stirling_gamma_bounds(x: float) -> tuple[float, float]:
+    """A rigorous two-sided enclosure of Gamma(x) for x > 0.
+
+    Stirling's formula with the classical correction-term bounds
+    ``1/(12x+1) < mu(x) < 1/(12x)`` gives
+
+        sqrt(2 pi) x^(x-1/2) e^(-x) e^(1/(12x+1))  <  Gamma(x)
+                                     <  sqrt(2 pi) x^(x-1/2) e^(-x) e^(1/(12x)).
+
+    The endpoints are evaluated in floating point and widened by 4 ulp each to
+    absorb the evaluation rounding.
+    """
+    if not (x > 0) or not math.isfinite(x):
+        raise ValueError(f"stirling_gamma_bounds requires x > 0, got {x}")
+    common = math.sqrt(2.0 * math.pi) * x ** (x - 0.5) * math.exp(-x)
+    lo = common * math.exp(1.0 / (12.0 * x + 1.0))
+    hi = common * math.exp(1.0 / (12.0 * x))
+    for _ in range(4):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def evaluate(p: TrigPoly, c: float, s: float, t: float) -> float:
+    """p at c = cos(r - pi/4), s = sin(r - pi/4) and t = 1/(16r), in floats."""
+    total = 0.0
+    for (i, j, k), v in p.coeffs:
+        total += float(v) * c**i * s**j * t**k
+    return total
+
+
+def eval_expansion(e: RemainderedExpansion, r: float, K: int) -> CertifiedValue:
+    """Evaluate the first K terms at r; radius = remainders[K] * (16r)^(-K).
+
+    The trig arguments come from the certified phase reduction, so the
+    midpoint is accurate to a few 1e-16 relative; the radius is the
+    expansion's own truncation bound (it does not include that float dust).
+    """
+    if not (r > 0):
+        raise ValueError("r must be positive")
+    K = as_integer(K, "term counts")
+    if not (0 <= K <= 6):
+        raise ValueError("K must lie in 0..6")
+    w = phase(0, r)
+    c, s = math.cos(w), math.sin(w)
+    t = 1.0 / (16.0 * r)
+    mid = 0.0
+    for k in range(K - 1, -1, -1):  # smallest contributions accumulated first
+        mid += evaluate(e.terms[k], c, s, t)
+    rad = float(e.remainders[K]) * (16.0 * r) ** float(-K)
+    return CertifiedValue(mid, rad)
+
+
+def nc7_composite(f, a: float, b: float, w: float) -> float:
+    """Composite 7-point Newton-Cotes approximation of integral_a^b f.
+
+    ``f`` must be vectorized: it is called with a float ndarray of nodes and
+    returns an array of the same shape (a constant broadcasts).  [a, b] must
+    be an integer number of width-6w panels.  Exact for polynomials through
+    degree 7; for C^8 integrands the error is bounded by
+    ``(b - a) * w^8 * (6^3/5) * sup|f^(8)| / 8!``.
+    """
+    region = _NC7Region(a, b, w)
+    nodes = region.nodes()
+    return region.weighted_sum(_eval_chunked(f, nodes, np.empty(nodes.shape[0])))
