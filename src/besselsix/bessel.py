@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .exactnum import a_coeff, as_integer, as_order, require
+from .exactnum import CertifiedValue, a_coeff, as_integer, as_order, require
 
 __all__ = [
     "CertifiedValue",
@@ -57,36 +56,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 40
-
-
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A midpoint with a rigorous absolute-error radius.
-
-    Enclosure semantics: the true value lies in [mid - rad, mid + rad].
-    Midpoint and radius may be floats or exact ``Fraction``s (the series
-    oracle returns exact ones, so its enclosures can be tighter than one
-    float ulp); all interval queries compare exactly.
-    """
-
-    mid: float | Fraction
-    rad: float | Fraction
-
-    def __post_init__(self) -> None:
-        if not (self.rad >= 0):
-            raise ValueError(f"radius must be nonnegative, got {self.rad}")
-
-    def contains(self, x) -> bool:
-        m, r, x = Fraction(self.mid), Fraction(self.rad), Fraction(x)
-        return m - r <= x <= m + r
-
-    def encloses(self, other: "CertifiedValue") -> bool:
-        m, r = Fraction(self.mid), Fraction(self.rad)
-        om, orad = Fraction(other.mid), Fraction(other.rad)
-        return m - r <= om - orad and om + orad <= m + r
-
-    def width(self):
-        return 2 * self.rad
 
 
 # Routes of the kernel by argument: the leading series term below _TINY_R,

@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import core_integrals, expansions
-from .bessel import CertifiedValue
 from .core_integrals import main_term
-from .exactnum import N0, ExactScalar, as_even_order, as_order, check_domain, check_variant, require
+from .exactnum import N0, CertifiedValue, ExactScalar, as_even_order, as_order, check_domain, check_variant, require
 
 __all__ = [
     "NORMALIZATION",

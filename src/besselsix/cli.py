@@ -8,6 +8,10 @@ verification table, and the sample curve of the sixfold integrand.
 
 Exit codes: 0 success, 1 usage error, 2 failed check, 3 domain error
 (arguments outside a certified range), 4 certification or internal error.
+
+numpy and the modules built on it (``bessel``, ``quadrature``) are imported
+inside the commands that evaluate Bessel functions, so the analytic commands
+and a refused command line start without them.
 """
 
 from __future__ import annotations
@@ -17,15 +21,12 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bessel import CertifiedValue, bessel_j, bessel_series_oracle
 from .certify import THEOREM_MAP, check_theorem, predict
 from .closed_form import kapteyn, weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
-from .exactnum import CertificationError, ExactScalar, as_even_order
+from .exactnum import CertificationError, CertifiedValue, _table_rows, as_even_order
 from .expansions import (
     _PRODUCT_TAG,
     RemainderedExpansion,
@@ -33,17 +34,9 @@ from .expansions import (
     base_expansion,
     product_expansion,
 )
-from .quadrature import (
-    DEFAULT_SCHEME,
-    PAPER_SCHEME,
-    ErrorBudget,
-    QuadratureScheme,
-    _integral_and_budget,
-    _table_rows,
-    build_table,
-    integral,
-    integrand,
-)
+
+if TYPE_CHECKING:
+    from .quadrature import ErrorBudget, QuadratureScheme
 
 SCHEMA_VERSION = 1
 
@@ -215,15 +208,6 @@ def expansion_payload(which: str, e: RemainderedExpansion) -> dict:
     }
 
 
-def expansion_from_payload(payload: dict) -> RemainderedExpansion:
-    terms = tuple(
-        TrigPoly(tuple(((i, j, k), Fraction(v)) for i, j, k, v in term))
-        for term in payload["terms"]
-    )
-    remainders = tuple(Fraction(v) for v in payload["remainders"])
-    return RemainderedExpansion(terms, remainders)
-
-
 def integrate_payload(ns: argparse.Namespace, value: CertifiedValue, budget: ErrorBudget) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -235,10 +219,6 @@ def integrate_payload(ns: argparse.Namespace, value: CertifiedValue, budget: Err
         "rad": float(value.rad),
         "budget": asdict(budget),
     }
-
-
-def integrate_from_payload(payload: dict) -> tuple[CertifiedValue, ErrorBudget]:
-    return CertifiedValue(payload["mid"], payload["rad"]), ErrorBudget(**payload["budget"])
 
 
 def breakdown_payload(ns: argparse.Namespace, b: CoreBoundBreakdown) -> dict:
@@ -255,17 +235,6 @@ def breakdown_payload(ns: argparse.Namespace, b: CoreBoundBreakdown) -> dict:
         "e2_cos": b.e2_cos,
         "e2_sin": b.e2_sin,
     }
-
-
-def breakdown_from_payload(payload: dict) -> CoreBoundBreakdown:
-    return CoreBoundBreakdown(
-        main_cos=ExactScalar(Fraction(payload["main_cos"])),
-        main_sin=ExactScalar(Fraction(payload["main_sin"])),
-        e1_cos=payload["e1_cos"],
-        e1_sin=payload["e1_sin"],
-        e2_cos=payload["e2_cos"],
-        e2_sin=payload["e2_sin"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +273,8 @@ def _emit(lines: list[str], path: str) -> None:
 
 
 def _scheme_from(ns: argparse.Namespace) -> QuadratureScheme:
+    from .quadrature import DEFAULT_SCHEME, PAPER_SCHEME
+
     return PAPER_SCHEME if ns.paper else DEFAULT_SCHEME
 
 
@@ -313,6 +284,8 @@ def _scheme_from(ns: argparse.Namespace) -> QuadratureScheme:
 
 
 def _cmd_eval_bessel(ns: argparse.Namespace) -> int:
+    from .bessel import bessel_j, bessel_series_oracle
+
     value = bessel_j(ns.n, ns.r)
     print(f"J_{ns.n}({ns.r:g}) = {value:.17g}")
     if ns.oracle:
@@ -387,6 +360,8 @@ def _cmd_theorem_map(ns: argparse.Namespace) -> int:
 
 
 def _cmd_integrate(ns: argparse.Namespace) -> int:
+    from .quadrature import ErrorBudget, _integral_and_budget
+
     scheme = _scheme_from(ns)
     value, budget = _integral_and_budget(ns.variant, ns.m, ns.n, scheme)
     if ns.json:
@@ -399,6 +374,8 @@ def _cmd_integrate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
+    from .quadrature import build_table
+
     scheme = _scheme_from(ns)
     entries = build_table(ns.rows, scheme=scheme)
     lines = ["n,m,top,bottom"]
@@ -409,6 +386,8 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 
 
 def _cmd_check_theorem(ns: argparse.Namespace) -> int:
+    from .quadrature import integral
+
     value = integral(ns.variant, ns.m, ns.n)
     outcome = check_theorem(ns.m, ns.n, ns.variant, value)
     status = "PASS" if outcome.passed else "FAIL"
@@ -420,6 +399,10 @@ def _cmd_check_theorem(ns: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(ns: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .quadrature import integrand
+
     f = integrand("I1", 6, 9)
     r = np.linspace(0.0, 100.0, 2001)
     values = f(r)

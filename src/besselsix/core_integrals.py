@@ -198,19 +198,15 @@ def _n_ratio(m: int, n: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int, Fraction], ...]:
-    """Pairs (k, w_k) with the part ("main" or "e1") of the kind's series,
-    as in the module docstring, equal to the sum of w_k * _n_ratio(m, n, k).
-
-    Term (j, i) has k = 1 + j + i and s_j = (-1)^ceil(j/2), the Hankel sign
-    of ``expansions.base_expansion``.  Its n-free factor, Weber-Schafheitlin's
-    constant included, is read off WS at n = k.
+def _freq2_dropped_vanish(m: int, variant: str, kind: str) -> None:
+    """Require that every frequency-2 term the kind's series drops vanishes.
 
     The series keeps only the route's constant part.  Each term (j, i) it
     drops from the route's cos 2r or sin 2r row is the integral of J_n
-    J_{n+m} cos 2r or sin 2r against r^-k, required to vanish by
-    ``vanishes_freq2``.  It is keyed at n = N0: the key's only n-dependence
-    is k <= 2n + m, and k <= m + 9 <= 2 N0 + m.
+    J_{n+m} cos 2r or sin 2r against r^-k, k = 1 + j + i, required to
+    vanish by ``vanishes_freq2``.  It is keyed at n = N0: the key's only
+    n-dependence is k <= 2n + m, and k <= m + 9 <= 2 N0 + m.  Cached per
+    route, not per part: "main" and "e1" drop the same terms.
     """
     parity = 0 if kind == "cos" else 1
     route = _routes(variant)[parity]
@@ -219,6 +215,20 @@ def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[i
     for k, trig in dropped:
         key = CoreIntegralKey(N0, N0 + m, k, "two", trig)
         require(vanishes_freq2(key), f"dropped {trig} 2r term with k={k} of {m, variant} does not vanish")
+
+
+@lru_cache(maxsize=None)
+def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int, Fraction], ...]:
+    """Pairs (k, w_k) with the part ("main" or "e1") of the kind's series,
+    as in the module docstring, equal to the sum of w_k * _n_ratio(m, n, k),
+    once ``_freq2_dropped_vanish`` holds.
+
+    Term (j, i) has k = 1 + j + i and s_j = (-1)^ceil(j/2), the Hankel sign
+    of ``expansions.base_expansion``.  Its n-free factor, Weber-Schafheitlin's
+    constant included, is read off WS at n = k.
+    """
+    _freq2_dropped_vanish(m, variant, kind)
+    parity = 0 if kind == "cos" else 1
     t = coefficient_tables(variant)
     alphas = t.alphas_cos if kind == "cos" else t.alphas_sin
     weights: dict[int, Fraction] = {}
@@ -311,43 +321,52 @@ def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
 
 
 def prop_4r_chain(m: int, n: int) -> float:
-    """Recomputed proof chain behind the frequency-4r bound.
+    """Recomputed proof chain behind the frequency-4r bound: the Gaussian-sum
+    estimate times the central-binomial bound times the 4^-(2n+m) kernel
+    factor.  It underflows to 0.0 from about m = n = 580 on; the check
+    reads ``_log_4r_chain``, which does not."""
+    return math.exp(_log_4r_chain(m, n))
 
-    Gaussian-sum estimate times the central-binomial bound times the
-    4^-(2n+m) kernel factor; powers of two are folded together so the
-    evaluation stays finite for any n.  Where the unfolded factors are
-    representable, the binomial factor is checked to dominate
-    ``descent_bound(n, n + m, 1)``, the bound on the frequency-4 integral of
-    J_n J_{n+m} / r that it stands for.
+
+def _log_4r_chain(m: int, n: int) -> float:
+    """The logarithm of ``prop_4r_chain``, summed from the logs of its
+    factors with the powers of two folded together, so it stays finite for
+    any n.  Where the unfolded factors are representable, the binomial
+    factor is checked to dominate ``descent_bound(n, n + m, 1)``, the bound
+    on the frequency-4 integral of J_n J_{n+m} / r that it stands for.
     """
     m, n = check_domain(m, n)
     A = 4.0 ** (math.log(2.0) / 9.0) * math.exp(-((math.log(2.0) / 3.0) ** 2))
     require(A <= 1.06, "Gaussian constant A exceeds 1.06")
     # sum over the coefficient indices, Gaussian-peak times term count,
     # with the confluent top index folded in via the 103/100 factor
-    s1 = 1.03 * (2.0 * math.exp(1 / 24) / math.sqrt(math.pi)) * (m + 1) ** -0.5 * (m / 2 + 1) * A ** (m + 1)
+    log_s1 = (
+        math.log(1.03 * (2.0 * math.exp(1 / 24) / math.sqrt(math.pi)) * (m / 2 + 1))
+        - 0.5 * math.log(m + 1)
+        + (m + 1) * math.log(A)
+    )
     x, d = n + m / 2.0, m / 2.0
     # central-binomial factor with its 2^(2x) growth stripped: the powers
     # of two from s1 (2^m), the coefficient count (2^(m/3)), the binomial
     # (2^(2n+m)) and the kernel (4^-(2n+m)) fold to 2^(m/3 - 2n)
-    s2 = math.exp(1 / 24) / (2.0 * math.sqrt(math.pi)) * math.sqrt(x) * math.exp(-d * d / x) / (n * (n + m))
-    chain = s1 * s2 * 2.0 ** (m / 3.0 - 2.0 * n)
+    log_s2 = 1 / 24 - math.log(2.0 * math.sqrt(math.pi)) + 0.5 * math.log(x) - d * d / x - math.log(n * (n + m))
+    log_chain = log_s1 + log_s2 + (m / 3.0 - 2.0 * n) * math.log(2.0)
     if 2 * (2 * n + m) < 1000:
         # representable without over/underflow: take the binomial factor
         # verbatim and confirm the folding
         binomial = gaussian_binomial_bound(x, d) / (n * (n + m)) * 4.0 ** -(2 * n + m)
         require(descent_bound(n, n + m, 1) <= Fraction(binomial), f"descent bound exceeds the 4r chain at {m, n}")
-        direct = s1 * 2.0 ** (m + m / 3.0) * binomial
-        require(math.isclose(direct, chain, rel_tol=1e-9), "folded and direct chains disagree")
-    return chain
+        direct = math.exp(log_s1) * 2.0 ** (m + m / 3.0) * binomial
+        require(math.isclose(direct, math.exp(log_chain), rel_tol=1e-9), "folded and direct chains disagree")
+    return log_chain
 
 
 @lru_cache(maxsize=None)
 def _chain_dominated(m: int, n: int) -> float:
-    """The printed bound n^-1 0.35^n, once the recomputed chain is below it."""
-    bound = n ** -1.0 * 0.35**n
-    require(prop_4r_chain(m, n) <= bound, f"4r chain fails at {m, n}")
-    return bound
+    """The printed bound n^-1 0.35^n, once the recomputed chain is below it.
+    Compared in logs: both sides underflow for large n."""
+    require(_log_4r_chain(m, n) <= n * math.log(0.35) - math.log(n), f"4r chain fails at {m, n}")
+    return n ** -1.0 * 0.35**n
 
 
 _E2_PRINTED = {"I0": Fraction("0.39"), "I1": Fraction("0.30")}

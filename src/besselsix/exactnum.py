@@ -1,12 +1,15 @@
 """Exact rational arithmetic, half-integer Gamma values, and Gamma inequalities.
 
-Everything here is either exact (arbitrary-precision rationals, optionally
-carrying a power of sqrt(pi)) or a closed-form upper bound (the Gaussian
-binomial bound and the coefficient-size lemma).  These are the scalars that
-all closed-form integral values and asymptotic-series coefficients are built
-from; keeping them exact is what lets the higher layers compare recomputed
-constants against their stored counterparts with ``==`` instead of a
-tolerance.
+The module also states the package's input rules once (orders, the
+certified regime, variants and table rows) and holds ``CertifiedValue``,
+the midpoint-and-radius pair both routes return; none of it needs numpy.
+Everything else here is either exact (arbitrary-precision rationals,
+optionally carrying a power of sqrt(pi)) or a closed-form upper bound (the
+Gaussian binomial bound and the coefficient-size lemma).  These are the
+scalars that all closed-form integral values and asymptotic-series
+coefficients are built from; keeping them exact is what lets the higher
+layers compare recomputed constants against their stored counterparts with
+``==`` instead of a tolerance.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "check_variant",
     "Rational",
     "ExactScalar",
+    "CertifiedValue",
     "gamma_half",
     "gamma_ratio",
     "a_coeff",
@@ -102,6 +106,19 @@ def check_variant(variant: str) -> str:
     if variant not in _FIXED_ORDERS:
         raise ValueError(f"variant must be 'I0' or 'I1', got {variant!r}")
     return variant
+
+
+#: The verification table's rows n: 2 <= n < N0, where only quadrature applies.
+_TABLE_ROWS = range(2, N0)
+
+
+def _table_rows(n_range) -> tuple[int, ...]:
+    """``n_range`` as int table rows, if each is one of ``_TABLE_ROWS``."""
+    rows = tuple(as_order(n) for n in n_range)
+    for n in rows:
+        if n not in _TABLE_ROWS:
+            raise ValueError(f"table rows cover {_TABLE_ROWS[0]} <= n <= {_TABLE_ROWS[-1]}, got {n}")
+    return rows
 
 
 # sqrt(pi) to 45 digits; used only to convert ExactScalar to a float, so the
@@ -211,6 +228,24 @@ class ExactScalar:
 
     def __str__(self) -> str:
         return self.serialize()
+
+
+@dataclass(frozen=True)
+class CertifiedValue:
+    """A midpoint with a rigorous absolute-error radius.
+
+    Enclosure semantics: the true value lies in [mid - rad, mid + rad].
+    Midpoint and radius may be floats or exact ``Fraction``s (the series
+    oracle returns exact ones, so its enclosures can be tighter than one
+    float ulp).
+    """
+
+    mid: float | Fraction
+    rad: float | Fraction
+
+    def __post_init__(self) -> None:
+        if not (self.rad >= 0):
+            raise ValueError(f"radius must be nonnegative, got {self.rad}")
 
 
 def _is_pole(two_x: int) -> bool:

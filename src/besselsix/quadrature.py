@@ -67,10 +67,19 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .bessel import MAX_ORDER, CertifiedValue, _bessel_rows, _check_r, phase
+from .bessel import MAX_ORDER, _bessel_rows, _check_r, phase
 from .certify import NORMALIZATION
 from .core_integrals import main_term
-from .exactnum import _FIXED_ORDERS, as_even_order, as_order, check_variant, require
+from .exactnum import (
+    _FIXED_ORDERS,
+    _TABLE_ROWS,
+    CertifiedValue,
+    _table_rows,
+    as_even_order,
+    as_order,
+    check_variant,
+    require,
+)
 from .expansions import TrigPoly, _carrier, _fourier
 
 __all__ = [
@@ -108,9 +117,8 @@ _GAUSS_HIGH = (66, 2.0)
 # constants, which every ``integral`` budget charges.
 _MAX_CELL_ORDER = 37
 
-# The verification table's rows n, and the paper's radius, which the table
-# adds to every cell and every budget must meet.
-_TABLE_ROWS = range(2, 20)
+# The paper's radius, which the table adds to every cell and every budget
+# must meet.
 _RADIUS_TARGET = 0.9e-8
 
 # The printed bound on the Hankel envelope's six order corrections at S.
@@ -772,15 +780,6 @@ def _integral_and_budget(
     m, n, tail, budget = _itemized_budget(variant, m, n, scheme)
     mid = _composite_sum(variant, m, n, scheme) + tail.mid
     return CertifiedValue(mid, budget.total), budget
-
-
-def _table_rows(n_range) -> tuple[int, ...]:
-    """``n_range`` as int table rows, if each is one of ``_TABLE_ROWS``."""
-    rows = tuple(as_order(n) for n in n_range)
-    for n in rows:
-        if n not in _TABLE_ROWS:
-            raise ValueError(f"table rows cover {_TABLE_ROWS[0]} <= n <= {_TABLE_ROWS[-1]}, got {n}")
-    return rows
 
 
 @lru_cache(maxsize=None)

@@ -83,6 +83,15 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
             'certify.predict(0, 25, "I0")',
             id="4r-bound-predict",
         ),
+        # at m = n = 1000 the chain and its bound both underflow to 0.0
+        pytest.param(
+            "import math\n"
+            "_chain = core_integrals._log_4r_chain\n"
+            "core_integrals._log_4r_chain = lambda m, n: (\n"
+            "    _chain(m, n) if m < 1000 else math.log(100 / n) + n * math.log(0.35))",
+            'certify.predict(1000, 1000, "I0")',
+            id="4r-chain-underflow-predict",
+        ),
         pytest.param(_MOVED_RULE.format(index=1, delta="1e-6"), _INTEGRAL, id="gauss-weight-1e-6"),
         pytest.param(_MOVED_RULE.format(index=0, delta="1e-9"), _INTEGRAL, id="gauss-node-1e-9"),
         pytest.param(

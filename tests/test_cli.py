@@ -15,6 +15,7 @@ from besselsix.bessel import CertifiedValue
 from besselsix.certify import THEOREM_MAP
 from besselsix.core_integrals import core_bound_breakdown
 from besselsix.expansions import base_expansion, product_expansion
+from testkit import breakdown_from_payload, expansion_from_payload, integrate_from_payload
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BUDGET_ITEMS = ["quad_low", "quad_high", "tail_main_eval", "tail_error_terms", "rounding"]
@@ -155,7 +156,7 @@ def test_check_theorem_pass_exit_zero(capsys):
 
 def test_check_theorem_failure_exit_two(monkeypatch, capsys):
     # No real cell fails, so splice in an enclosure that deviates wildly.
-    monkeypatch.setattr(cli, "integral", lambda *a, **k: CertifiedValue(1.0, 0.0))
+    monkeypatch.setattr(quadrature, "integral", lambda *a, **k: CertifiedValue(1.0, 0.0))
     code = cli.main(["check-theorem", "--variant", "0", "--m", "2", "--n", "2"])
     out = capsys.readouterr().out
     assert code == 2
@@ -178,17 +179,68 @@ def test_eval_bessel_output(capsys):
     assert abs(value - mid) <= rad + 1e-15  # J_5(10) = -0.23406152818679364...
 
 
+def _loaded_after(code: str, module: str) -> bool:
+    """Whether ``module`` is in ``sys.modules`` after ``code`` ran in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    probe = f"{code}\nimport sys\nprint({module!r} in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
 @pytest.mark.parametrize("code", [
     "import besselsix",
     "from besselsix import cli; cli.main(['integrate', '--variant', '0', '--m', '0', '--n', '7', '--json'])",
 ], ids=["import", "integrate"])
 def test_scipy_is_never_imported(code):
     # the package evaluates every Bessel factor with numpy alone
-    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
-    probe = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert not _loaded_after(code, "scipy")
+
+
+def _cli_exits(argv: list[str], status: int) -> str:
+    return f"from besselsix import cli\nassert cli.main({argv!r}) == {status}"
+
+
+@pytest.mark.parametrize("code", [
+    "import besselsix",
+    "import besselsix\np = besselsix.predict(2, 25, 'I0')\n"
+    "assert besselsix.check_theorem(2, 25, 'I0', besselsix.CertifiedValue(p.main.to_real(), p.radius)).passed",
+    "from besselsix.core_integrals import core_bound_breakdown\ncore_bound_breakdown(2, 25, 'I0')",
+    _cli_exits(["predict", "--variant", "0", "--m", "2", "--n", "25", "--budget"], 0),
+    _cli_exits(["core-bounds", "--variant", "1", "--m", "2", "--n", "30", "--breakdown"], 0),
+    _cli_exits(["closed-form", "--n", "1", "--m", "1", "--k", "2"], 0),
+    _cli_exits(["expansion", "--which", "j110", "--json"], 0),
+    _cli_exits(["theorem-map"], 0),
+    _cli_exits(["table", "--rows", "25"], 1),
+], ids=["import", "predict-check", "breakdown", "cli-predict", "cli-core-bounds", "cli-closed-form",
+        "cli-expansion", "cli-theorem-map", "cli-refused-table"])
+def test_analytic_route_never_imports_numpy(code):
+    # numpy, and the bessel and quadrature modules built on it, load only
+    # when a Bessel function is evaluated
+    assert not _loaded_after(code, "numpy")
+
+
+def test_numeric_names_load_on_first_use():
+    import besselsix
+    from besselsix import (
+        DEFAULT_SCHEME,
+        PAPER_SCHEME,
+        CertifiedValue,
+        QuadratureScheme,
+        bessel_j,
+        build_table,
+        integral,
+    )
+
+    assert (integral, build_table, QuadratureScheme) == (
+        quadrature.integral, quadrature.build_table, quadrature.QuadratureScheme
+    )
+    assert (DEFAULT_SCHEME, PAPER_SCHEME) == (quadrature.DEFAULT_SCHEME, quadrature.PAPER_SCHEME)
+    assert bessel_j is besselsix.bessel.bessel_j
+    assert CertifiedValue is besselsix.bessel.CertifiedValue is besselsix.exactnum.CertifiedValue
+    assert "integral" in vars(besselsix)  # bound on first access
+    with pytest.raises(AttributeError):
+        besselsix.no_such_name
 
 
 _REFUSE_LINALG = """
@@ -268,26 +320,26 @@ def test_expansion_json_round_trip_base(flag, name, capsys):
     assert cli.main(["expansion", "--which", flag, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
-    assert cli.expansion_from_payload(payload) == base_expansion(name)
+    assert expansion_from_payload(payload) == base_expansion(name)
 
 
 @pytest.mark.parametrize("flag,name", [("j000", "J000"), ("j110", "J110")])
 def test_expansion_json_round_trip_product(flag, name, capsys):
     assert cli.main(["expansion", "--which", flag, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert cli.expansion_from_payload(payload) == product_expansion(name)
+    assert expansion_from_payload(payload) == product_expansion(name)
 
 
 def test_core_bounds_json_round_trip(capsys):
     assert cli.main(["core-bounds", "--variant", "1", "--m", "2", "--n", "30", "--breakdown"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert cli.breakdown_from_payload(payload) == core_bound_breakdown(2, 30, "I1")
+    assert breakdown_from_payload(payload) == core_bound_breakdown(2, 30, "I1")
 
 
 def test_integrate_json_round_trip(capsys):
     assert cli.main(["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    value, budget = cli.integrate_from_payload(payload)
+    value, budget = integrate_from_payload(payload)
     assert payload["schema"] == 1
     assert list(payload["budget"]) == [*BUDGET_ITEMS, "total"]
     assert value.rad == budget.total
@@ -316,7 +368,7 @@ def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
         monkeypatch.setattr(quadrature, name, counted)
     argv = ["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json"]
     assert cli.main(argv) == 0
-    value, budget = cli.integrate_from_payload(json.loads(capsys.readouterr().out))
+    value, budget = integrate_from_payload(json.loads(capsys.readouterr().out))
     assert value.rad == budget.total
     assert calls == {"tail_main": 1, "quad_error": 2, "tail_error_budget": 1}
 

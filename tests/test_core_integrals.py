@@ -501,6 +501,23 @@ def test_prop_4r_bound_large_n_stays_finite():
     assert prop_4r_chain(100, 5000) == 0.0
 
 
+def test_chain_check_holds_where_both_sides_underflow(monkeypatch):
+    # at m = n = 1000 the chain (1e-555) and its bound n^-1 0.35^n (1e-459)
+    # are both 0.0 in floats; the check compares their logarithms, so a
+    # chain set to 100 times the bound is still refused
+    from besselsix.certify import predict
+
+    assert prop_4r_chain(1000, 1000) == 0.0 and 1000**-1.0 * 0.35**1000 == 0.0
+    real = core_integrals._log_4r_chain
+    monkeypatch.setattr(
+        core_integrals, "_log_4r_chain", lambda m, n: real(m, n) if m < 1000 else math.log(100 / n) + n * math.log(0.35)
+    )
+    _chain_dominated.cache_clear()
+    core_integrals._e2_dominates.cache_clear()
+    with pytest.raises(exactnum.CertificationError, match=r"4r chain fails at \(1000, 1000\)"):
+        predict(1000, 1000, "I0")
+
+
 # ---------------------------------------------------------------------------
 # the expansion-remainder contribution
 # ---------------------------------------------------------------------------

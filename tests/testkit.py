@@ -2,20 +2,64 @@
 
 Each one checks a lemma or a rule from outside the package's own paths: the
 Stirling enclosure of Gamma, float evaluation of a remaindered expansion,
-and the paper's composite Newton-Cotes rule on a plain callable.  Unlike
-``hiprec``, which shares no code with the package, these reuse its pieces.
+the paper's composite Newton-Cotes rule on a plain callable, exact interval
+queries on a ``CertifiedValue``, and the readers of the CLI's schema-1 JSON.
+Unlike ``hiprec``, which shares no code with the package, these reuse its
+pieces.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from besselsix.bessel import CertifiedValue, phase
-from besselsix.exactnum import as_integer
+from besselsix.bessel import phase
+from besselsix.core_integrals import CoreBoundBreakdown
+from besselsix.exactnum import CertifiedValue, ExactScalar, as_integer
 from besselsix.expansions import RemainderedExpansion, TrigPoly
-from besselsix.quadrature import _eval_chunked, _NC7Region
+from besselsix.quadrature import ErrorBudget, _eval_chunked, _NC7Region
+
+
+def contains(v: CertifiedValue, x) -> bool:
+    """Is x in [mid - rad, mid + rad]?  Compared exactly."""
+    m, r, x = Fraction(v.mid), Fraction(v.rad), Fraction(x)
+    return m - r <= x <= m + r
+
+
+def encloses(outer: CertifiedValue, inner: CertifiedValue) -> bool:
+    """Is ``inner``'s interval inside ``outer``'s?  Compared exactly."""
+    m, r = Fraction(outer.mid), Fraction(outer.rad)
+    om, orad = Fraction(inner.mid), Fraction(inner.rad)
+    return m - r <= om - orad and om + orad <= m + r
+
+
+def expansion_from_payload(payload: dict) -> RemainderedExpansion:
+    """The expansion an ``expansion --json`` payload describes."""
+    terms = tuple(
+        TrigPoly(tuple(((i, j, k), Fraction(v)) for i, j, k, v in term))
+        for term in payload["terms"]
+    )
+    remainders = tuple(Fraction(v) for v in payload["remainders"])
+    return RemainderedExpansion(terms, remainders)
+
+
+def integrate_from_payload(payload: dict) -> tuple[CertifiedValue, ErrorBudget]:
+    """The enclosure and budget an ``integrate --json`` payload describes."""
+    return CertifiedValue(payload["mid"], payload["rad"]), ErrorBudget(**payload["budget"])
+
+
+def breakdown_from_payload(payload: dict) -> CoreBoundBreakdown:
+    """The breakdown a ``core-bounds --breakdown`` payload describes."""
+    return CoreBoundBreakdown(
+        main_cos=ExactScalar(Fraction(payload["main_cos"])),
+        main_sin=ExactScalar(Fraction(payload["main_sin"])),
+        e1_cos=payload["e1_cos"],
+        e1_sin=payload["e1_sin"],
+        e2_cos=payload["e2_cos"],
+        e2_sin=payload["e2_sin"],
+    )
 
 
 def stirling_gamma_bounds(x: float) -> tuple[float, float]:
