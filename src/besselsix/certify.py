@@ -9,7 +9,8 @@ relaxed to the anchor n0 = 20.  Each constant is read only through the
 first-use check that guards it, in the module that owns its table, so a
 constant that fails its recomputation fails the bounds and every
 prediction alike; the items' roll-ups are stored and revalidated against
-their sums.  Everything is finally scaled by the kernel normalization
+their sums.  The items form an ``exactnum.Budget``, whose total is the
+radius.  Everything is finally scaled by the kernel normalization
 4/pi^2.
 
 Below n = 20 nothing here applies -- that regime is handled by rigorous
@@ -25,7 +26,18 @@ from functools import lru_cache
 
 from . import core_integrals, expansions
 from .core_integrals import main_term
-from .exactnum import N0, CertifiedValue, ExactScalar, as_even_order, as_order, check_domain, check_variant, require
+from .exactnum import (
+    N0,
+    Budget,
+    CertifiedValue,
+    ExactScalar,
+    as_even_order,
+    as_order,
+    check_domain,
+    check_n_cap,
+    check_variant,
+    require,
+)
 
 __all__ = [
     "NORMALIZATION",
@@ -43,20 +55,18 @@ _NORMALIZATION_FLOAT = NORMALIZATION.to_real()
 
 @dataclass(frozen=True)
 class Prediction:
-    """An enclosure of one integral for n >= 20: exact center, certified radius."""
+    """An enclosure of one integral for n >= 20: exact center, certified
+    radius ``budget.total``."""
 
     variant: str
     m: int
     n: int
     main: ExactScalar
-    radius: float
-    budget: tuple[tuple[str, float], ...]
+    budget: Budget
 
-    def __post_init__(self) -> None:
-        if any(value < 0 for _, value in self.budget):
-            raise ValueError("budget items must be nonnegative")
-        if self.radius != sum(value for _, value in self.budget):
-            raise ValueError("radius must equal the sum of the budget items")
+    @property
+    def radius(self) -> float:
+        return self.budget.total
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +132,12 @@ def predict(m: int, n: int, variant: str) -> Prediction:
     _rolled_ok(min(m, 6), variant)
     tau, _ = core_integrals._decay(m)
     scale = _NORMALIZATION_FLOAT * float(n) ** -tau
-    budget = tuple((name, c * scale) for name, c in constants.items())
     return Prediction(
         variant=variant,
         m=m,
         n=n,
         main=NORMALIZATION * main_term(m, n, variant),
-        radius=sum(value for _, value in budget),
-        budget=budget,
+        budget=Budget((name, c * scale) for name, c in constants.items()),
     )
 
 
@@ -195,11 +203,13 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     pass is rigorous whenever the enclosure itself is: the verdict compares
     exact rationals, charging the 2 ulp of the rounded main term to the
     deviation and reading the constant as its decimal.  The reported
-    deviation and allowance are the plain float values.
+    deviation and allowance are the plain float values.  Like ``predict``,
+    it refuses n past ``N_MAX``.
     """
     constant = theorem_constants(m, n, variant)
     if constant is None:
         raise ValueError(f"no certified constant for (m={m}, n={n}, {variant})")
+    check_n_cap(n)
     main = (NORMALIZATION * main_term(m, n, variant)).to_real()
     deviation = abs(float(measured.mid) - main) + float(measured.rad)
     allowance = constant * float(n) ** -4

@@ -20,13 +20,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
 from typing import TYPE_CHECKING
 
 from .certify import THEOREM_MAP, check_theorem, predict
 from .closed_form import kapteyn, weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
-from .exactnum import CertificationError, CertifiedValue, _table_rows, as_even_order
+from .exactnum import Budget, CertificationError, CertifiedValue, _table_rows, as_even_order, check_m_le_n
 from .expansions import (
     _PRODUCT_TAG,
     RemainderedExpansion,
@@ -36,7 +35,7 @@ from .expansions import (
 )
 
 if TYPE_CHECKING:
-    from .quadrature import ErrorBudget, QuadratureScheme
+    from .quadrature import QuadratureScheme
 
 SCHEMA_VERSION = 1
 
@@ -157,8 +156,7 @@ def _check_cell(m: int, n: int) -> None:
     as_even_order(m)
     if n < 2:
         raise UsageError(f"n must be at least 2, got {n}")
-    if m > n:
-        raise UsageError(f"m must not exceed n, got m={m}, n={n}")
+    check_m_le_n(m, n)
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -208,7 +206,7 @@ def expansion_payload(which: str, e: RemainderedExpansion) -> dict:
     }
 
 
-def integrate_payload(ns: argparse.Namespace, value: CertifiedValue, budget: ErrorBudget) -> dict:
+def integrate_payload(ns: argparse.Namespace, value: CertifiedValue, budget: Budget) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": "integrate",
@@ -217,7 +215,7 @@ def integrate_payload(ns: argparse.Namespace, value: CertifiedValue, budget: Err
         "n": ns.n,
         "mid": float(value.mid),
         "rad": float(value.rad),
-        "budget": asdict(budget),
+        "budget": {**dict(budget), "total": budget.total},
     }
 
 
@@ -261,6 +259,12 @@ def _render_poly(p: TrigPoly) -> str:
 def _ceil2(x: float) -> float:
     """Round up to two decimals, the table's upper-bound convention."""
     return math.ceil(x * 100.0 - 1e-9) / 100.0
+
+
+def _print_budget(budget: Budget) -> None:
+    width = max(len(name) for name, _ in budget) + 2
+    for name, value in budget:
+        print(f"  {name:<{width}} {value:.6g}")
 
 
 def _emit(lines: list[str], path: str) -> None:
@@ -336,8 +340,7 @@ def _cmd_predict(ns: argparse.Namespace) -> int:
         f"{p.variant}(m={p.m}, n={p.n}) = {p.main.to_real():.17g} +/- {p.radius:.6g}"
     )
     if ns.budget:
-        for name, value in p.budget:
-            print(f"  {name:<12} {value:.6g}")
+        _print_budget(p.budget)
     return EXIT_OK
 
 
@@ -360,7 +363,7 @@ def _cmd_theorem_map(ns: argparse.Namespace) -> int:
 
 
 def _cmd_integrate(ns: argparse.Namespace) -> int:
-    from .quadrature import ErrorBudget, _integral_and_budget
+    from .quadrature import _integral_and_budget
 
     scheme = _scheme_from(ns)
     value, budget = _integral_and_budget(ns.variant, ns.m, ns.n, scheme)
@@ -368,8 +371,7 @@ def _cmd_integrate(ns: argparse.Namespace) -> int:
         print(_json_dumps(integrate_payload(ns, value, budget)))
         return EXIT_OK
     print(f"{ns.variant}(m={ns.m}, n={ns.n}) = {float(value.mid):.17g} +/- {float(value.rad):.3g}")
-    for name in (f.name for f in fields(ErrorBudget) if f.name != "total"):
-        print(f"  {name:<18} {getattr(budget, name):.6g}")
+    _print_budget(budget)
     return EXIT_OK
 
 

@@ -11,51 +11,16 @@ rational times a power of sqrt(pi)) arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import ExactScalar, Rational, as_order, gamma_ratio, require
 
 __all__ = [
-    "CoreIntegralKey",
     "kapteyn",
     "weber_schafheitlin",
     "vanishes_freq2",
     "descent_bound",
 ]
-
-_FREQS = ("zero", "two", "four")
-_TRIGS = ("cos", "sin", "none")
-
-
-@dataclass(frozen=True)
-class CoreIntegralKey:
-    """Parameters (n, m, k, freq, trig) of a core two-Bessel integral
-
-        int_0^inf J_n(r) J_m(r) * w(freq*r) * r^(-k) dr
-
-    where w is cos, sin, or absent (freq "zero")."""
-
-    n: int
-    m: int
-    k: int
-    freq: str = "zero"
-    trig: str = "none"
-
-    def __post_init__(self) -> None:
-        for name in ("n", "m", "k"):
-            object.__setattr__(self, name, as_order(getattr(self, name)))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.freq not in _FREQS:
-            raise ValueError(f"freq must be one of {_FREQS}")
-        if self.trig not in _TRIGS:
-            raise ValueError(f"trig must be one of {_TRIGS}")
-        if self.freq == "zero" and self.trig != "none":
-            raise ValueError("a frequency-zero integral carries no trig factor")
-        if self.freq != "zero" and self.trig == "none":
-            raise ValueError("an oscillatory integral needs cos or sin")
-
 
 def kapteyn(n: int, m: int) -> ExactScalar:
     """int_0^inf J_n J_m / r dr = (2/pi) sin((m-n)pi/2) / (m^2 - n^2),
@@ -96,23 +61,21 @@ def weber_schafheitlin(n: int, m: int, k: int) -> ExactScalar:
     return value
 
 
-def vanishes_freq2(key: CoreIntegralKey) -> bool:
-    """Exact-zero test for int J_n J_m {cos,sin}(2r) r^(-k) dr.
+def vanishes_freq2(n: int, m: int, k: int, trig: str) -> bool:
+    """Exact-zero test for int J_n J_m trig(2r) r^(-k) dr, k >= 1 and trig
+    "cos" or "sin".
 
     True precisely under the hypotheses that force the value to vanish:
-    n, m of equal parity, 1 <= k <= n+m, and the trig factor matching the
+    n, m of equal parity, k <= n+m, and the trig factor matching the
     parity of k (cos with even k, sin with odd k).  False makes no claim
     about the value.
     """
-    if key.freq != "two":
-        raise ValueError("the vanishing test applies to frequency-2 keys only")
-    if (key.n - key.m) % 2 != 0:
-        return False
-    if not (1 <= key.k <= key.n + key.m):
-        return False
-    if key.k % 2 == 0:
-        return key.trig == "cos"
-    return key.trig == "sin"
+    n, m, k = as_order(n), as_order(m), as_order(k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if trig not in ("cos", "sin"):
+        raise ValueError(f'trig must be "cos" or "sin", got {trig!r}')
+    return (n - m) % 2 == 0 and k <= n + m and trig == ("cos" if k % 2 == 0 else "sin")
 
 
 def descent_bound(n: int, m: int, k: int) -> Rational:

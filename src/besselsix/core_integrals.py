@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .closed_form import CoreIntegralKey, descent_bound, vanishes_freq2, weber_schafheitlin
+from .closed_form import descent_bound, vanishes_freq2, weber_schafheitlin
 from .exactnum import (
     N0,
     ExactScalar,
@@ -204,7 +204,7 @@ def _freq2_dropped_vanish(m: int, variant: str, kind: str) -> None:
     The series keeps only the route's constant part.  Each term (j, i) it
     drops from the route's cos 2r or sin 2r row is the integral of J_n
     J_{n+m} cos 2r or sin 2r against r^-k, k = 1 + j + i, required to
-    vanish by ``vanishes_freq2``.  It is keyed at n = N0: the key's only
+    vanish by ``vanishes_freq2``.  It is tested at n = N0: the test's only
     n-dependence is k <= 2n + m, and k <= m + 9 <= 2 N0 + m.  Cached per
     route, not per part: "main" and "e1" drop the same terms.
     """
@@ -213,8 +213,7 @@ def _freq2_dropped_vanish(m: int, variant: str, kind: str) -> None:
     rows = [(name[:3], i) for name in ("cos2", "sin2") for i in route.get(name, ())]
     dropped = {(1 + j + i, trig) for trig, i in rows for j in range(parity, m + 4, 2)}
     for k, trig in dropped:
-        key = CoreIntegralKey(N0, N0 + m, k, "two", trig)
-        require(vanishes_freq2(key), f"dropped {trig} 2r term with k={k} of {m, variant} does not vanish")
+        require(vanishes_freq2(N0, N0 + m, k, trig), f"dropped {trig} 2r term with k={k} of {m, variant} does not vanish")
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +224,8 @@ def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[i
 
     Term (j, i) has k = 1 + j + i and s_j = (-1)^ceil(j/2), the Hankel sign
     of ``expansions.base_expansion``.  Its n-free factor, Weber-Schafheitlin's
-    constant included, is read off WS at n = k.
+    constant included, is read off WS at n = k, which is rational: with m
+    even and k odd every Gamma argument is an integer.
     """
     _freq2_dropped_vanish(m, variant, kind)
     parity = 0 if kind == "cos" else 1
@@ -239,7 +239,9 @@ def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[i
             if (part == "main") != (m <= 4 and j + i <= max(m, 2)):
                 continue
             k = 1 + j + i
-            ws = weber_schafheitlin(k, k + m, k).coeff / _n_ratio(m, k, k)
+            ws = weber_schafheitlin(k, k + m, k)
+            require(ws.sqrtpi_power == 0, f"WS({k}, {k + m}, {k}) of {m, variant} is not rational")
+            ws = ws.coeff / _n_ratio(m, k, k)
             sign = (-1) ** (m // 2 + (j + 1) // 2)
             weights[k] = weights.get(k, 0) + sign * _aj(j, m) * alpha * ws / (8 * 16**i)
     return tuple(weights.items())
@@ -363,10 +365,11 @@ def _log_4r_chain(m: int, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _chain_dominated(m: int, n: int) -> float:
-    """The printed bound n^-1 0.35^n, once the recomputed chain is below it.
-    Compared in logs: both sides underflow for large n."""
-    require(_log_4r_chain(m, n) <= n * math.log(0.35) - math.log(n), f"4r chain fails at {m, n}")
-    return n ** -1.0 * 0.35**n
+    """The logarithm of the printed bound n^-1 0.35^n, once the recomputed
+    chain is below it.  Logs, not values: both sides underflow for large n."""
+    log_bound = n * math.log(0.35) - math.log(n)
+    require(_log_4r_chain(m, n) <= log_bound, f"4r chain fails at {m, n}")
+    return log_bound
 
 
 _E2_PRINTED = {"I0": Fraction("0.39"), "I1": Fraction("0.30")}
@@ -398,7 +401,9 @@ def _e2_prefactor_ok(variant: str) -> Fraction:
 @lru_cache(maxsize=None)
 def _e2_dominates(m: int, variant: str) -> Fraction:
     """The printed E2 prefactor c, returned once c n^-1 0.35^n, which bounds
-    each route's frequency-4 terms, is below the e2 item at n0 = max(20, m).
+    each route's frequency-4 terms, is below the e2 item c theta^20 n^-tau
+    at n0 = max(20, m).  Compared in logs, where c cancels: the 4r bound
+    underflows from about n0 = 700 on.
 
     One check covers every n >= n0: the ratio of the two sides,
     n^(tau-1) 0.35^n / theta^20, decreases for n >= 5, and
@@ -406,8 +411,8 @@ def _e2_dominates(m: int, variant: str) -> Fraction:
     """
     c, n0 = _e2_prefactor_ok(variant), max(N0, m)
     tau, theta = _decay(m)
-    e2_item = float(c) * theta**N0 * float(n0) ** -tau
-    require(float(c) * _chain_dominated(m, n0) <= e2_item, f"4r bound of {m, variant} exceeds e2")
+    log_e2_item = N0 * math.log(theta) - tau * math.log(n0)
+    require(_chain_dominated(m, n0) <= log_e2_item, f"4r bound of {m, variant} exceeds e2")
     return c
 
 

@@ -2,7 +2,8 @@
 
 The module also states the package's input rules once (orders, the
 certified regime, variants and table rows) and holds ``CertifiedValue``,
-the midpoint-and-radius pair both routes return; none of it needs numpy.
+the midpoint-and-radius pair both routes return, and ``Budget``, the
+itemized radius behind it; none of it needs numpy.
 Everything else here is either exact (arbitrary-precision rationals,
 optionally carrying a power of sqrt(pi)) or a closed-form upper bound (the
 Gaussian binomial bound and the coefficient-size lemma).  These are the
@@ -22,16 +23,20 @@ from functools import lru_cache
 
 __all__ = [
     "N0",
+    "N_MAX",
     "CertificationError",
     "require",
     "as_integer",
     "as_order",
     "as_even_order",
+    "check_m_le_n",
+    "check_n_cap",
     "check_domain",
     "check_variant",
     "Rational",
     "ExactScalar",
     "CertifiedValue",
+    "Budget",
     "gamma_half",
     "gamma_ratio",
     "a_coeff",
@@ -44,6 +49,11 @@ Rational = Fraction
 
 #: The anchor order: all printed constants are calibrated at n = 20.
 N0 = 20
+
+#: The largest n the n >= N0 route accepts.  Its fastest-falling bound is
+#: ``estimate_B`` at m = 4, c/N0 n^-8 with c >= 2.823, which is a normal
+#: float up to here and subnormal from about n = 2.2e38 on.
+N_MAX = 10**38
 
 
 class CertificationError(Exception):
@@ -86,14 +96,27 @@ def as_even_order(m) -> int:
     return m
 
 
+def check_m_le_n(m: int, n: int) -> None:
+    """Refuse m > n: no cell J_{n+m} J_n J_m of the package has m above n."""
+    if m > n:
+        raise ValueError(f"m must not exceed n, got m={m}, n={n}")
+
+
+def check_n_cap(n: int) -> None:
+    """Refuse n > N_MAX, past which the n >= N0 route's floats leave the
+    normal range."""
+    if n > N_MAX:
+        raise ValueError(f"the certified regime needs n <= {N_MAX:.0e}")
+
+
 def check_domain(m, n) -> tuple[int, int]:
-    """(m, n) as ints, if they lie in the certified regime: m even, n >= N0
-    and m <= n."""
+    """(m, n) as ints, if they lie in the certified regime: m even,
+    N0 <= n <= N_MAX and m <= n."""
     m, n = as_even_order(m), as_order(n)
     if n < N0:
         raise ValueError(f"the certified regime needs n >= {N0}")
-    if m > n:
-        raise ValueError("m must not exceed n")
+    check_n_cap(n)
+    check_m_le_n(m, n)
     return m, n
 
 
@@ -246,6 +269,26 @@ class CertifiedValue:
     def __post_init__(self) -> None:
         if not (self.rad >= 0):
             raise ValueError(f"radius must be nonnegative, got {self.rad}")
+
+
+class Budget(tuple):
+    """An itemized absolute-error bound: (name, value) pairs, each value
+    nonnegative.  A tuple, so ``dict(budget)`` and ``for name, value in
+    budget`` read it."""
+
+    __slots__ = ()
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        for name, value in self:
+            if not (value >= 0):
+                raise ValueError(f"budget item {name} must be nonnegative, got {value}")
+        return self
+
+    @property
+    def total(self) -> float:
+        """The radius the items certify: their plain float sum, left to right."""
+        return sum(value for _, value in self)
 
 
 def _is_pole(two_x: int) -> bool:

@@ -73,10 +73,12 @@ from .core_integrals import main_term
 from .exactnum import (
     _FIXED_ORDERS,
     _TABLE_ROWS,
+    Budget,
     CertifiedValue,
     _table_rows,
     as_even_order,
     as_order,
+    check_m_le_n,
     check_variant,
     require,
 )
@@ -86,7 +88,6 @@ __all__ = [
     "QuadratureScheme",
     "DEFAULT_SCHEME",
     "PAPER_SCHEME",
-    "ErrorBudget",
     "TableEntry",
     "deriv8_bound",
     "quad_error",
@@ -210,25 +211,6 @@ def _regions(scheme: QuadratureScheme) -> tuple:
     if scheme is PAPER_SCHEME:
         return (_NC7Region(0.0, _S, 0.003), _NC7Region(_S, _R, 0.05))
     raise ValueError(f"scheme must be DEFAULT_SCHEME or PAPER_SCHEME, got {scheme!r}")
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Itemized absolute-error bound for one evaluated integral."""
-
-    quad_low: float
-    quad_high: float
-    tail_main_eval: float
-    tail_error_terms: float
-    rounding: float
-    total: float
-
-    def __post_init__(self) -> None:
-        items = (self.quad_low, self.quad_high, self.tail_main_eval, self.tail_error_terms, self.rounding)
-        if any(not (x >= 0) for x in items):
-            raise ValueError("error budget items must be nonnegative")
-        if self.total != sum(items):
-            raise ValueError("budget total must equal the sum of its items")
 
 
 @dataclass(frozen=True)
@@ -743,22 +725,26 @@ def tail_error_budget(variant: str, m: int, n: int) -> float:
 _ROUNDING_ALLOWANCE = 0.05e-8
 
 
-def _itemized_budget(variant: str, m: int, n: int, scheme: QuadratureScheme) -> tuple[int, int, CertifiedValue, ErrorBudget]:
+def _itemized_budget(variant: str, m: int, n: int, scheme: QuadratureScheme) -> tuple[int, int, CertifiedValue, Budget]:
     """(m, n) as ints, the tail and the itemized budget of a cell ``integral``
     certifies (even m <= n, n + m <= _MAX_CELL_ORDER), each computed once;
     the total must meet the 0.9e-8 radius."""
     check_variant(variant)
     m, n = _covered_cell(m, n)
-    if m > n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    check_m_le_n(m, n)
     tail = tail_main(variant, _parity(n))
-    items = (quad_error("low", scheme), quad_error("high", scheme), tail.rad, tail_error_budget(variant, m, n))
-    budget = ErrorBudget(*items, _ROUNDING_ALLOWANCE, sum(items) + _ROUNDING_ALLOWANCE)
+    budget = Budget((
+        ("quad_low", quad_error("low", scheme)),
+        ("quad_high", quad_error("high", scheme)),
+        ("tail_main_eval", tail.rad),
+        ("tail_error_terms", tail_error_budget(variant, m, n)),
+        ("rounding", _ROUNDING_ALLOWANCE),
+    ))
     require(budget.total <= _RADIUS_TARGET, f"radius {budget.total:g} of {variant}({m}, {n}) exceeds {_RADIUS_TARGET:g}")
     return m, n, tail, budget
 
 
-def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> ErrorBudget:
+def error_budget(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Budget:
     """The itemized absolute-error bound claimed by ``integral``."""
     return _itemized_budget(variant, m, n, scheme)[3]
 
@@ -775,7 +761,7 @@ def integral(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SC
 
 def _integral_and_budget(
     variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME
-) -> tuple[CertifiedValue, ErrorBudget]:
+) -> tuple[CertifiedValue, Budget]:
     """``integral`` together with the budget behind its radius."""
     m, n, tail, budget = _itemized_budget(variant, m, n, scheme)
     mid = _composite_sum(variant, m, n, scheme) + tail.mid

@@ -16,7 +16,6 @@ from scipy.special import jv
 import hiprec
 from besselsix import certify, cli, quadrature
 from besselsix.closed_form import (
-    CoreIntegralKey,
     kapteyn,
     vanishes_freq2,
     weber_schafheitlin,
@@ -237,7 +236,7 @@ def test_criterion_3_closed_form_vs_quadrature():
         (2, 6, 4, "cos", np.cos),
     ]
     for n, m, k, name, trig in cases:
-        assert vanishes_freq2(CoreIntegralKey(n, m, k, "two", name))
+        assert vanishes_freq2(n, m, k, name)
         body = nc7_composite(_pair_integrand(n, m, k, trig), 0.0, CROSS_R, CROSS_W)
         assert abs(body) <= 1e-5, (n, m, k, name)
 
@@ -267,7 +266,7 @@ def test_criterion_4_constant_dominance():
     # oscillatory chain below the uniform n^-1 0.35^n bound (the chain
     # itself asserts its Gaussian constant A <= 1.06 on every call)
     for m, n in ((0, 20), (2, 20), (20, 20), (0, 24), (6, 50), (0, 200)):
-        assert prop_4r_chain(m, n) <= core_integrals._chain_dominated(m, n), (m, n)
+        assert prop_4r_chain(m, n) <= math.exp(core_integrals._chain_dominated(m, n)), (m, n)
 
     # second-kind prefactors vs printed 0.39 / 0.30
     for kind in ("cos", "sin"):

@@ -1,6 +1,7 @@
 """Tests for the large-order prediction assembly and theorem constants."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from besselsix.certify import (
     theorem_constants,
 )
 from besselsix.core_integrals import e1_bound, e2_bound, estimate_B, main_term
-from besselsix.exactnum import ExactScalar
+from besselsix.exactnum import N_MAX, Budget, ExactScalar
 from besselsix.expansions import estimate_A
 from besselsix.quadrature import integral
 
@@ -102,10 +103,36 @@ def test_main_m0_limit():
 
 
 def test_prediction_validation():
+    # a negative item is refused; the radius is the items' sum and cannot be
+    # set to disagree with them
     with pytest.raises(ValueError):
-        Prediction("I0", 0, 20, ExactScalar(0), 1.0, (("e1", -1.0), ("e2", 2.0)))
-    with pytest.raises(ValueError):
-        Prediction("I0", 0, 20, ExactScalar(0), 1.0, (("e1", 0.5), ("e2", 0.25)))
+        Prediction("I0", 0, 20, ExactScalar(0), Budget((("e1", -1.0), ("e2", 2.0))))
+    p = Prediction("I0", 0, 20, ExactScalar(0), Budget((("e1", 0.5), ("e2", 0.25))))
+    assert p.radius == 0.75
+    with pytest.raises(AttributeError):
+        p.radius = 1.0
+
+
+def test_n_cap_keeps_every_float_of_the_route_normal():
+    # estimate_B at m = 4, c/20 n^-8, falls fastest: normal at the cap,
+    # subnormal a few times past it
+    tiny = sys.float_info.min
+    assert 2.885 / 20 * 3e38**-8 < tiny
+    for variant in ("I0", "I1"):
+        assert estimate_B(4, N_MAX, variant) >= tiny
+        for m in (0, 2, 4, 6, 100):
+            p = predict(m, N_MAX, variant)
+            assert min(value for _, value in p.budget) >= tiny, (m, variant)
+            outcome = check_theorem(m, N_MAX, variant, CertifiedValue(p.main.to_real(), p.radius))
+            assert outcome.allowance >= tiny
+        for call in (
+            lambda: predict(4, N_MAX + 1, variant),
+            lambda: estimate_B(4, N_MAX + 1, variant),
+            lambda: check_theorem(0, N_MAX + 1, variant, CertifiedValue(0.0, 0.0)),
+            lambda: check_theorem(0, 10**400, variant, CertifiedValue(0.0, 0.0)),
+        ):
+            with pytest.raises(ValueError, match="^the certified regime needs n <= 1e\\+38$"):
+                call()
 
 
 def test_predict_domain():

@@ -75,11 +75,12 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
                      'core_integrals.estimate_B(0, 25, "I0")', id="b-estimate_B"),
         # the lemmas that let the budget drop the frequency-2 terms and bound
         # the frequency-4 ones
-        pytest.param("core_integrals.vanishes_freq2 = lambda key: False", 'certify.predict(0, 25, "I0")',
+        pytest.param("core_integrals.vanishes_freq2 = lambda *a: False", 'certify.predict(0, 25, "I0")',
                      id="freq2-predict"),
         pytest.param(
+            "import math\n"
             "_chain = core_integrals._chain_dominated\n"
-            "core_integrals._chain_dominated = lambda m, n: 100 * _chain(m, n)",
+            "core_integrals._chain_dominated = lambda m, n: math.log(100) + _chain(m, n)",
             'certify.predict(0, 25, "I0")',
             id="4r-bound-predict",
         ),
@@ -91,6 +92,22 @@ _INTEGRAL = 'quadrature.integral("I0", 0, 7)'
             "    _chain(m, n) if m < 1000 else math.log(100 / n) + n * math.log(0.35))",
             'certify.predict(1000, 1000, "I0")',
             id="4r-chain-underflow-predict",
+        ),
+        # at m = n = 1000 the 4r bound and the e2 item (here forced below it)
+        # both underflow to 0.0
+        pytest.param(
+            "_decay = core_integrals._decay\n"
+            "core_integrals._decay = lambda m: (4, 1e-23) if m == 1000 else _decay(m)",
+            'certify.predict(1000, 1000, "I0")',
+            id="e2-underflow-predict",
+        ),
+        # the series reads WS(k, k + m, k) as a rational; a 1/pi would rescale it
+        pytest.param(
+            "from besselsix.exactnum import ExactScalar\n"
+            "_ws = core_integrals.weber_schafheitlin\n"
+            "core_integrals.weber_schafheitlin = lambda n, m, k: ExactScalar(_ws(n, m, k).coeff, -2)",
+            'certify.predict(0, 25, "I0")',
+            id="ws-sqrtpi-predict",
         ),
         pytest.param(_MOVED_RULE.format(index=1, delta="1e-6"), _INTEGRAL, id="gauss-weight-1e-6"),
         pytest.param(_MOVED_RULE.format(index=0, delta="1e-9"), _INTEGRAL, id="gauss-node-1e-9"),

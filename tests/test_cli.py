@@ -14,6 +14,7 @@ from besselsix import certify, cli, quadrature
 from besselsix.bessel import CertifiedValue
 from besselsix.certify import THEOREM_MAP
 from besselsix.core_integrals import core_bound_breakdown
+from besselsix.exactnum import N_MAX
 from besselsix.expansions import base_expansion, product_expansion
 from testkit import breakdown_from_payload, expansion_from_payload, integrate_from_payload
 
@@ -134,6 +135,18 @@ def test_default_table_matches_the_paper_rule(capsys):
 def test_predict_below_cutoff_is_domain_error(capsys):
     assert cli.main(["predict", "--variant", "0", "--m", "0", "--n", "10"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["predict", "core-bounds"])
+def test_n_past_the_cap_is_a_domain_error(command, capsys):
+    # past the cap, predict printed "+/- 0" and exited 0; at 10^400 both
+    # commands exited 4 with an OverflowError
+    argv = [command, "--variant", "0", "--m", "4"]
+    assert cli.main([*argv, "--n", str(N_MAX)]) == 0
+    capsys.readouterr()
+    for n in (N_MAX + 1, 10**400):
+        assert cli.main([*argv, "--n", str(n)]) == 3
+        assert capsys.readouterr().err == "domain error: the certified regime needs n <= 1e+38\n"
 
 
 def test_predict_certification_failure_exit_four(monkeypatch, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from besselsix.closed_form import (
-    CoreIntegralKey,
     descent_bound,
     kapteyn,
     vanishes_freq2,
@@ -21,16 +20,13 @@ from besselsix.closed_form import (
 
 
 def test_key_invariants():
-    CoreIntegralKey(2, 2, 3)  # fine
-    CoreIntegralKey(3, 5, 2, "two", "cos")
+    # the key (n, m, k, trig) of a frequency-2 integral: k >= 1, trig cos or sin
+    vanishes_freq2(2, 2, 3, "sin")  # fine
+    vanishes_freq2(3, 5, 2, "cos")
     with pytest.raises(ValueError):
-        CoreIntegralKey(2, 2, 0)
+        vanishes_freq2(2, 2, 0, "cos")
     with pytest.raises(ValueError):
-        CoreIntegralKey(2, 2, 1, "zero", "cos")
-    with pytest.raises(ValueError):
-        CoreIntegralKey(2, 2, 1, "four", "none")
-    with pytest.raises(ValueError):
-        CoreIntegralKey(2, 2, 1, "six", "cos")
+        vanishes_freq2(2, 2, 1, "none")
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +131,11 @@ def test_ws_known_diagonal_forms():
 
 
 def test_vanishing_examples():
-    assert vanishes_freq2(CoreIntegralKey(3, 5, 2, "two", "cos"))
-    assert vanishes_freq2(CoreIntegralKey(3, 5, 3, "two", "sin"))
-    assert not vanishes_freq2(CoreIntegralKey(3, 4, 2, "two", "cos"))
-    assert not vanishes_freq2(CoreIntegralKey(3, 5, 2, "two", "sin"))
-    assert not vanishes_freq2(CoreIntegralKey(3, 5, 9, "two", "sin"))  # k > n+m
-    with pytest.raises(ValueError):
-        vanishes_freq2(CoreIntegralKey(3, 5, 2, "four", "cos"))
+    assert vanishes_freq2(3, 5, 2, "cos")
+    assert vanishes_freq2(3, 5, 3, "sin")
+    assert not vanishes_freq2(3, 4, 2, "cos")
+    assert not vanishes_freq2(3, 5, 2, "sin")
+    assert not vanishes_freq2(3, 5, 9, "sin")  # k > n+m
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix.closed_form import CoreIntegralKey, descent_bound, vanishes_freq2, weber_schafheitlin
+from besselsix.closed_form import descent_bound, vanishes_freq2, weber_schafheitlin
 from besselsix.core_integrals import (
     CoefficientTables,
     CoreBoundBreakdown,
@@ -171,8 +171,7 @@ def test_frequency_two_terms_all_certified_zero():
                 for trig, name in (("cos", "cos2"), ("sin", "sin2")):
                     for j in red[name]:
                         for k in range(m // 2 + 2):
-                            key = CoreIntegralKey(n, n + m, 2 * k + base + j, "two", trig)
-                            assert vanishes_freq2(key), (variant, m, route, trig, j, k)
+                            assert vanishes_freq2(n, n + m, 2 * k + base + j, trig), (variant, m, route, trig, j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def test_main_term_printed_m4(n):
 def test_main_term_vanishes_above_m4():
     for m in (6, 8, 10, 40):
         for v in ("I0", "I1"):
-            assert main_term(m, 20, v).is_zero
+            assert main_term(m, 20, v).is_zero()
 
 
 def test_main_term_aggregation_identities():
@@ -485,8 +484,8 @@ def test_chain_value_spot():
 
 
 def test_prop_4r_bound_cases_and_domain():
-    # the proposition's uniform bound n^-1 0.35^n, held by _chain_dominated
-    assert _chain_dominated(0, 20) == pytest.approx(20.0**-1 * 0.35**20)
+    # the proposition's uniform bound n^-1 0.35^n, held in logs by _chain_dominated
+    assert math.exp(_chain_dominated(0, 20)) == pytest.approx(20.0**-1 * 0.35**20)
     with pytest.raises(ValueError):
         _chain_dominated(22, 20)
     with pytest.raises(ValueError):
@@ -497,7 +496,8 @@ def test_prop_4r_bound_cases_and_domain():
 
 def test_prop_4r_bound_large_n_stays_finite():
     # the folded powers keep the recomputation representable
-    assert _chain_dominated(100, 5000) == 0.0  # underflows, but cleanly
+    # the bound underflows, but its logarithm does not
+    assert _chain_dominated(100, 5000) == pytest.approx(5000 * math.log(0.35) - math.log(5000))
     assert prop_4r_chain(100, 5000) == 0.0
 
 
@@ -516,6 +516,22 @@ def test_chain_check_holds_where_both_sides_underflow(monkeypatch):
     core_integrals._e2_dominates.cache_clear()
     with pytest.raises(exactnum.CertificationError, match=r"4r chain fails at \(1000, 1000\)"):
         predict(1000, 1000, "I0")
+
+
+def test_e2_check_holds_where_both_sides_underflow(monkeypatch):
+    # at m = n = 1000 the 4r bound n^-1 0.35^n (1e-459) is 0.0 in floats, and
+    # so is the e2 item once theta = 1e-23 forces it below the bound; the
+    # check compares their logarithms, so it still refuses
+    from besselsix.certify import predict
+
+    real = core_integrals._decay
+    monkeypatch.setattr(core_integrals, "_decay", lambda m: (4, 1e-23) if m == 1000 else real(m))
+    core_integrals._e2_dominates.cache_clear()
+    try:
+        with pytest.raises(exactnum.CertificationError, match=r"4r bound of \(1000, 'I0'\) exceeds e2"):
+            predict(1000, 1000, "I0")
+    finally:
+        core_integrals._e2_dominates.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix import certify, closed_form, core_integrals, expansions, quadrature
+from besselsix import certify, cli, closed_form, core_integrals, expansions, quadrature
 from besselsix.bessel import (
     _bessel_rows,
     asymptotic_eval,
@@ -18,6 +18,7 @@ from besselsix.bessel import (
     phase,
 )
 from besselsix.exactnum import (
+    Budget,
     ExactScalar,
     a_coeff,
     a_m4_bound,
@@ -319,8 +320,8 @@ def test_as_order_keeps_integral_values():
         lambda: closed_form.weber_schafheitlin(2.5, 3, 2),
         lambda: closed_form.kapteyn(2.5, 3),
         lambda: closed_form.descent_bound(2.5, 3, 1),
-        lambda: closed_form.vanishes_freq2(closed_form.CoreIntegralKey(2.5, 4.5, 2, "two", "cos")),
-        lambda: closed_form.CoreIntegralKey(2, 4, 1.5, "two", "sin"),
+        lambda: closed_form.vanishes_freq2(2.5, 4.5, 2, "cos"),
+        lambda: closed_form.vanishes_freq2(2, 4, 1.5, "sin"),
     ],
     ids=["bessel_j", "bessel_rows", "integrand", "integral", "integral_and_budget",
          "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
@@ -343,7 +344,7 @@ def test_non_integral_orders_are_refused(call):
     [
         lambda: a_coeff(1, -1),
         lambda: bessel_series_oracle(-1, 1.0, 60),
-        lambda: closed_form.CoreIntegralKey(-1, 2, 1),
+        lambda: closed_form.vanishes_freq2(-1, 2, 1, "sin"),
         lambda: closed_form.kapteyn(-1, 2),
         lambda: closed_form.weber_schafheitlin(-1, 3, 1),
         lambda: closed_form.descent_bound(-1, 3, 1),
@@ -397,12 +398,15 @@ def test_non_integral_counts_are_refused(call, what):
         lambda: core_integrals.e2_bound(22, 20, "I0", "cos"),
         lambda: core_integrals.core_bound_breakdown(22, 20, "I0"),
         lambda: certify.predict(22, 20, "I0"),
+        lambda: quadrature.error_budget("I0", 12, 10),
+        lambda: cli._check_cell(22, 20),
     ],
-    ids=["estimate_A", "estimate_B", "e1_bound", "e2_bound", "core_bound_breakdown", "predict"],
+    ids=["estimate_A", "estimate_B", "e1_bound", "e2_bound", "core_bound_breakdown", "predict",
+         "error_budget", "cli_check_cell"],
 )
 def test_m_beyond_n_is_refused_with_one_message(call):
     # estimate_A returned 3.01e-11 for (22, 20)
-    with pytest.raises(ValueError, match="^m must not exceed n$"):
+    with pytest.raises(ValueError, match=r"^m must not exceed n, got m=\d+, n=\d+$"):
         call()
 
 
@@ -463,3 +467,25 @@ def test_integral_valued_floats_still_accepted():
 def test_every_variant_check_says_the_same(call):
     with pytest.raises(ValueError, match=r"^variant must be 'I0' or 'I1', got 'I2'$"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the itemized budget
+# ---------------------------------------------------------------------------
+
+
+def test_budget_reads_as_pairs_and_sums_left_to_right():
+    items = (("a", 0.1), ("b", 0.2), ("c", 0.3))
+    b = Budget(items)
+    assert b == items and dict(b) == dict(items)
+    assert [name for name, _ in b] == ["a", "b", "c"]
+    assert b.total == (0.1 + 0.2) + 0.3
+    assert b.total != 0.1 + (0.2 + 0.3)
+    assert Budget(()).total == 0
+
+
+def test_budget_refuses_negative_and_nan_items():
+    # one check for both routes' budgets, a prediction's and a quadrature's
+    for value in (-1e-300, -1.0, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="^budget item e1 must be nonnegative"):
+            Budget((("e2", 2.0), ("e1", value)))

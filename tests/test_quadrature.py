@@ -16,12 +16,11 @@ from besselsix import quadrature
 from besselsix.bessel import CertifiedValue, _bessel_rows
 from besselsix.certify import NORMALIZATION
 from besselsix.core_integrals import main_term
-from besselsix.exactnum import CertificationError
+from besselsix.exactnum import Budget, CertificationError
 from besselsix.expansions import TrigPoly, _carrier, _fourier
 from besselsix.quadrature import (
     DEFAULT_SCHEME,
     PAPER_SCHEME,
-    ErrorBudget,
     QuadratureScheme,
     TableEntry,
     _NC7_WEIGHTS,
@@ -171,10 +170,13 @@ def test_gauss_scheme_needs_width_30_panels(S, R):
 
 
 def test_error_budget_total_must_match_items():
+    names = ("quad_low", "quad_high", "tail_main_eval", "tail_error_terms", "rounding")
     with pytest.raises(ValueError):
-        ErrorBudget(1e-9, 1e-9, 1e-10, 1e-9, 5e-10, 1e-8)
-    with pytest.raises(ValueError):
-        ErrorBudget(-1e-9, 1e-9, 1e-10, 1e-9, 5e-10, 1.6e-9)
+        Budget(zip(names, (-1e-9, 1e-9, 1e-10, 1e-9, 5e-10)))
+    b = Budget(zip(names, (1e-9, 1e-9, 1e-10, 1e-9, 5e-10)))
+    assert b.total == 1e-9 + 1e-9 + 1e-10 + 1e-9 + 5e-10
+    with pytest.raises(AttributeError):
+        b.total = 1e-8
 
 
 def test_table_entry_nonnegative():
@@ -389,11 +391,12 @@ def test_fresh_process_certifies_each_rule_once():
 def test_default_budget_meets_the_radius_target():
     for variant, m, n in (("I0", 0, 2), ("I1", 0, 7), ("I0", 4, 11), ("I1", 18, 19)):
         b = error_budget(variant, m, n)
-        assert b.quad_low + b.quad_high <= 1e-10
+        items = dict(b)
+        assert items["quad_low"] + items["quad_high"] <= 1e-10
         assert b.total <= 0.9e-8
     # the paper's NC7 budget is unchanged
-    paper = error_budget("I0", 0, 7, PAPER_SCHEME)
-    assert (paper.quad_low, paper.quad_high) == (quad_error("low", PAPER_SCHEME), quad_error("high", PAPER_SCHEME))
+    paper = dict(error_budget("I0", 0, 7, PAPER_SCHEME))
+    assert (paper["quad_low"], paper["quad_high"]) == (quad_error("low", PAPER_SCHEME), quad_error("high", PAPER_SCHEME))
 
 
 @pytest.mark.parametrize("cell", [("I0", 0, 7), ("I1", 4, 11), ("I0", 18, 19)])
@@ -565,12 +568,16 @@ def test_tail_error_budget_domain():
 
 def test_budget_dominance_and_rollup():
     b = error_budget("I0", 0, 20)
-    assert b.quad_low <= 1.49e-9
-    assert b.quad_high <= 1.42e-9
-    assert b.tail_main_eval <= 1e-10
-    assert b.tail_error_terms <= 5.5e-9
-    assert b.rounding <= 0.05e-8
-    assert b.total == b.quad_low + b.quad_high + b.tail_main_eval + b.tail_error_terms + b.rounding
+    items = dict(b)
+    assert list(items) == ["quad_low", "quad_high", "tail_main_eval", "tail_error_terms", "rounding"]
+    assert items["quad_low"] <= 1.49e-9
+    assert items["quad_high"] <= 1.42e-9
+    assert items["tail_main_eval"] <= 1e-10
+    assert items["tail_error_terms"] <= 5.5e-9
+    assert items["rounding"] <= 0.05e-8
+    assert b.total == (
+        items["quad_low"] + items["quad_high"] + items["tail_main_eval"] + items["tail_error_terms"] + items["rounding"]
+    )
     assert b.total <= 0.9e-8
 
 
@@ -587,7 +594,7 @@ def test_integral_argument_validation():
 
 def test_error_budget_refuses_m_above_n():
     # it used to itemize a 1.1e-9 budget for a cell that integral refuses
-    with pytest.raises(ValueError, match="^need 0 <= m <= n, got m=4, n=2$"):
+    with pytest.raises(ValueError, match="^m must not exceed n, got m=4, n=2$"):
         error_budget("I0", 4, 2)
 
 

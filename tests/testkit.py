@@ -17,9 +17,9 @@ import numpy as np
 
 from besselsix.bessel import phase
 from besselsix.core_integrals import CoreBoundBreakdown
-from besselsix.exactnum import CertifiedValue, ExactScalar, as_integer
+from besselsix.exactnum import Budget, CertifiedValue, ExactScalar, as_integer
 from besselsix.expansions import RemainderedExpansion, TrigPoly
-from besselsix.quadrature import ErrorBudget, _eval_chunked, _NC7Region
+from besselsix.quadrature import _eval_chunked, _NC7Region
 
 
 def contains(v: CertifiedValue, x) -> bool:
@@ -45,9 +45,15 @@ def expansion_from_payload(payload: dict) -> RemainderedExpansion:
     return RemainderedExpansion(terms, remainders)
 
 
-def integrate_from_payload(payload: dict) -> tuple[CertifiedValue, ErrorBudget]:
-    """The enclosure and budget an ``integrate --json`` payload describes."""
-    return CertifiedValue(payload["mid"], payload["rad"]), ErrorBudget(**payload["budget"])
+def integrate_from_payload(payload: dict) -> tuple[CertifiedValue, Budget]:
+    """The enclosure and budget an ``integrate --json`` payload describes;
+    its stored total must be the items' sum."""
+    items = dict(payload["budget"])
+    total = items.pop("total")
+    budget = Budget(items.items())
+    if total != budget.total:
+        raise ValueError("budget total must equal the sum of its items")
+    return CertifiedValue(payload["mid"], payload["rad"]), budget
 
 
 def breakdown_from_payload(payload: dict) -> CoreBoundBreakdown:
