@@ -49,12 +49,16 @@ takes a float ndarray of nodes and returns the values at those nodes.  The
 grid sums of ``integral`` and ``build_table`` read per-order value rows
 over each region, evaluated by the multi-order kernel ``_bessel_rows`` (all
 missing orders of a request in one pass) and memoized for the scheme in
-use; asking for another scheme frees the last one's rows.  All grid
-evaluation is deterministic: nodes are generated from integer indices,
-per-node values depend only on the node and the order (never on the chunk
-or on the other orders evaluated with it), and every weighted reduction is a
-single pairwise ``np.sum``.  Nodes are evaluated on one thread in fixed
-65536-point chunks, which only bound the kernel's temporaries.
+use; asking for another scheme frees the last one's rows.  Beside them the
+scheme keeps one weighted row per family and region: the full rule weight
+times r times the family's three fixed factors (J_0^3, or J_1^2 J_0) at every
+node, so a cell's rule value is the single pairwise ``np.sum`` of
+J_{n+m} J_n J_m times that row, and a warm cell builds no nodes, weights or
+fixed products.  All grid evaluation is deterministic: nodes are generated
+from integer indices, and per-node values depend only on the node and the
+order (never on the chunk or on the other orders evaluated with it).  Nodes
+are evaluated on one thread in fixed 16384-point chunks, which only bound
+the kernel's temporaries.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -99,7 +103,7 @@ __all__ = [
     "build_table",
 ]
 
-_CHUNK = 65536
+_CHUNK = 16384
 
 # The paper's split radii: the grid regions [0, S] and [S, R], the tail past R.
 _S = 3600.0
@@ -155,9 +159,17 @@ class _NC7Region:
     def nodes(self) -> np.ndarray:
         return self.a + self.w * np.arange(6 * _panel_count(self.a, self.b, self.w) + 1)
 
-    def weighted_sum(self, values: np.ndarray) -> float:
-        """The rule's sum over ``values`` at ``nodes()``; weighs them in place."""
-        return (self.w / 140.0) * float(np.sum(_weigh(values)))
+    def weights(self) -> np.ndarray:
+        """The rule's weight at each of ``nodes()``: w times 41, 216, 27,
+        272, 27, 216, 41 over 140 per panel, with 82 where two panels share
+        a node; each weight the float nearest its exact value."""
+        w = Fraction(self.w)
+        out = np.empty(6 * _panel_count(self.a, self.b, self.w) + 1)
+        for j in range(1, 6):
+            out[j::6] = float(w * _NC7_WEIGHTS[j])
+        out[::6] = float(w * (_NC7_WEIGHTS[0] + _NC7_WEIGHTS[6]))
+        out[0], out[-1] = float(w * _NC7_WEIGHTS[0]), float(w * _NC7_WEIGHTS[6])
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,11 +195,9 @@ class _GaussRegion:
         offsets = _GAUSS_HALF * _gauss_rule(self.points).nodes
         return (self.centers()[:, None] + offsets).ravel()
 
-    def weighted_sum(self, values: np.ndarray) -> float:
-        """The rule's sum over ``values`` at ``nodes()``; weighs them in place."""
-        panels = values.reshape(-1, self.points)  # a view: weighs values in place
-        panels *= _gauss_rule(self.points).weights
-        return _GAUSS_HALF * float(np.sum(values))
+    def weights(self) -> np.ndarray:
+        """The rule's weight at each of ``nodes()``: h times the stored rule's."""
+        return np.tile(_GAUSS_HALF * _gauss_rule(self.points).weights, self.centers().shape[0])
 
 
 class QuadratureScheme(Enum):
@@ -241,25 +251,8 @@ def _parity(n: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _weigh(values: np.ndarray) -> np.ndarray:
-    """Multiply the node values of chained 7-point rules in place by their
-    weights (times 140); returns ``values``.
-
-    Interior panel boundaries are shared nodes and carry the combined
-    weight 41 + 41 = 82.  No weight vector is built: one fewer full-size
-    array per cell.
-    """
-    w = [float(140 * c) for c in _NC7_WEIGHTS]
-    for j in range(1, 6):
-        values[j::6] *= w[j]
-    values[6:-1:6] *= w[0] + w[6]
-    values[0] *= w[0]
-    values[-1] *= w[6]
-    return values
-
-
 def _eval_chunked(f, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[..., i]`` with f at ``nodes[i]``, one fixed 65536-point
+    """Fill ``out[..., i]`` with f at ``nodes[i]``, one fixed ``_CHUNK``-point
     chunk of nodes at a time; returns ``out``."""
     for lo in range(0, nodes.shape[0], _CHUNK):
         out[..., lo:lo + _CHUNK] = f(nodes[lo:lo + _CHUNK])
@@ -484,7 +477,7 @@ def deriv8_bound(region: str) -> float:
     trivial bound |J_nu(z)| <= e^|Im z| gives ``8! e^6 (S+1)``; past S the
     circle lies in Re z >= S - 1, |Im z| <= 1, where the Hankel envelope
     sqrt(2/(pi|z|)) cosh(1) of each of the six factors applies with the
-    order corrections of ``_envelope_factor``.  Their product is 2.43 at
+    order corrections of ``_envelope_factor``.  Their product is 2.42 at
     S = 3600, checked below the printed budget's factor 3, which gives
     ``3 * 8! * (2/(pi(S-1)))^3 cosh(1)^6 (R+1)``.
     """
@@ -559,39 +552,75 @@ def _cell_product(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray) -
     return values
 
 
+class _SchemeRows(dict):
+    """Value rows keyed by (order, region), and in ``weighted`` the weighted
+    rows keyed by (family, region)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.weighted: dict = {}
+
+
 @lru_cache(maxsize=1)
-def _scheme_rows(scheme: QuadratureScheme) -> dict:
-    """The per-order value rows evaluated so far under ``scheme``, keyed by
-    (order, region).  One scheme at a time: asking for another frees these.
-    All 38 table orders over both default Gauss regions take 42 MB; over the
-    paper's NC7 grids they take 0.73 GB, which buys evaluating each row once."""
-    return {}
+def _scheme_rows(scheme: QuadratureScheme) -> _SchemeRows:
+    """The value rows and weighted rows evaluated so far under ``scheme``.
+    One scheme at a time: asking for another frees both.  All 38 table
+    orders over both default Gauss regions take 42.5 MB and the two weighted
+    rows 2.2 MB; over the paper's NC7 grids they take 0.73 GB and 38 MB,
+    which buys evaluating each row once."""
+    return _SchemeRows()
 
 
-def _order_rows(orders, region, nodes: np.ndarray, memo: dict) -> dict[int, np.ndarray]:
-    """The rows of ``orders`` over ``nodes`` = ``region.nodes()``, read from
-    and added to ``memo``.  Missing orders are evaluated together in one
+def _order_rows(orders, region, nodes, memo: dict) -> dict[int, np.ndarray]:
+    """The rows of ``orders`` over the nodes of ``region``, read from and
+    added to ``memo``.  ``nodes()`` returns those nodes; it is called only
+    if an order is missing.  Missing orders are evaluated together in one
     pass, into one frozen block whose rows are views."""
     missing = sorted({k for k in orders if (k, region) not in memo})
     if missing:
-        block = np.empty((len(missing), nodes.shape[0]))
-        _eval_chunked(lambda chunk: _bessel_rows(missing, chunk), nodes, block)
+        r = nodes()
+        block = np.empty((len(missing), r.shape[0]))
+        _eval_chunked(lambda chunk: _bessel_rows(missing, chunk), r, block)
         block.setflags(write=False)
         memo.update(((k, region), row) for k, row in zip(missing, block))
     return {k: memo[k, region] for k in orders}
 
 
-def _grid_composite(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray, region) -> float:
-    """One cell's rule value over one region, weighted in the same buffer."""
-    return region.weighted_sum(_cell_product(variant, m, n, rows, nodes))
+def _weighted_row(variant: str, region, rows: dict, nodes, weighted: dict) -> np.ndarray:
+    """w_i r_i J_0^3 (or w_i r_i J_1^2 J_0 for I1) at every node of
+    ``region``, w_i the full rule weight: the weights times the nodes, then
+    times each fixed row in order, frozen and kept in ``weighted``."""
+    key = (variant, region)
+    if key not in weighted:
+        row = region.weights() * nodes()
+        for k in _FIXED_ORDERS[variant]:
+            row *= rows[k]
+        row.setflags(write=False)
+        weighted[key] = row
+    return weighted[key]
 
 
-def _region_sums(cells, region, memo: dict) -> list[float]:
-    """The rule values of the (variant, m, n) ``cells`` over one region,
-    reading the union of their orders in one row lookup."""
-    nodes = region.nodes()
+def _grid_composite(variant: str, m: int, n: int, rows: dict, weighted: np.ndarray) -> float:
+    """One cell's rule value over one region: the pairwise ``np.sum`` of
+    J_{n+m} J_n J_m times the family's weighted row, in one new buffer.
+    Each term still carries eight rounded multiplications (five into the
+    weighted row, three here), as the six factors, r, the weight and the
+    scale h or w/140 did before, so the budget's ``rounding`` allowance
+    covers the same per-term error."""
+    values = np.multiply(rows[n + m], rows[n])
+    values *= rows[m]
+    values *= weighted
+    return float(np.sum(values))
+
+
+def _region_sums(cells, region, memo: _SchemeRows) -> list[float]:
+    """The rule values of the (variant, m, n) ``cells`` over one region.
+    The union of their orders, fixed orders included, is read in one row
+    lookup; the region's nodes are built at most once, and only if a row or
+    a weighted row is missing."""
+    nodes = cache(region.nodes)
     rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, memo)
-    return [_grid_composite(*cell, rows, nodes, region) for cell in cells]
+    return [_grid_composite(*cell, rows, _weighted_row(cell[0], region, rows, nodes, memo.weighted)) for cell in cells]
 
 
 def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme) -> float:
@@ -630,6 +659,7 @@ _TAIL_MAIN_PRINTED = {
 _TAIL_RADIUS_TARGET = 1e-10
 
 
+@lru_cache(maxsize=None)
 def tail_main(variant: str, n_parity: str) -> CertifiedValue:
     """Enclosure of integral_R^inf (2/(pi r))^3 T(omega_0) r dr.
 
@@ -637,7 +667,8 @@ def tail_main(variant: str, n_parity: str) -> CertifiedValue:
     factors.  Its mean integrates exactly to (8/pi^3) mean(T) / R; each
     harmonic cos(2k omega_0) r^-2 is integrated by parts twice, giving two
     boundary terms at R plus a remainder below 1/(2 k^2 R^3) in magnitude,
-    which goes into the radius.
+    which goes into the radius.  Computed and checked once per family and
+    parity.
     """
     check_variant(variant)
     if n_parity not in ("even", "odd"):

@@ -33,7 +33,6 @@ from besselsix.quadrature import (
     _region_sums,
     _regions,
     _tail_error_pieces,
-    _weigh,
     build_table,
     deriv8_bound,
     error_budget,
@@ -117,12 +116,13 @@ def test_panel_count_values():
 
 
 def test_weight_vector_layout():
-    wv = _weigh(np.ones(6 * 2 + 1))
+    # node spacing 140 makes every weight w c / 140 the integer c
+    wv = _NC7Region(0.0, 12 * 140.0, 140.0).weights()
     expected = [41, 216, 27, 272, 27, 216, 82, 216, 27, 272, 27, 216, 41]
     assert wv.tolist() == expected
-    assert _weigh(np.ones(7)).tolist() == [41, 216, 27, 272, 27, 216, 41]
+    assert _NC7Region(0.0, 6 * 140.0, 140.0).weights().tolist() == [41, 216, 27, 272, 27, 216, 41]
     # per panel the weights sum to 6 * 140
-    assert float(np.sum(_weigh(np.ones(6 * 5 + 1)))) == 5 * 840.0
+    assert float(np.sum(_NC7Region(0.0, 30 * 140.0, 140.0).weights())) == 5 * 840.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +287,11 @@ def test_gauss_weighted_sum_is_the_panel_rule():
     low = _regions(DEFAULT_SCHEME)[0]
     nodes = low.nodes()
     t = (nodes - 1800.0) / 1800.0
+    weights = low.weights()
+    assert weights.shape == nodes.shape
     # 1800 * integral_{-1}^{1} (t^9 + 3 t^2) dt
-    assert low.weighted_sum(t**9 + 3.0 * t**2) == pytest.approx(3600.0, rel=1e-13)
-    assert low.weighted_sum(np.ones(nodes.shape[0])) == pytest.approx(3600.0, rel=1e-14)
+    assert float(np.sum(weights * (t**9 + 3.0 * t**2))) == pytest.approx(3600.0, rel=1e-13)
+    assert float(np.sum(weights * np.ones(nodes.shape[0]))) == pytest.approx(3600.0, rel=1e-14)
 
 
 def test_gauss_rule_certificate():
@@ -402,8 +404,8 @@ def test_default_budget_meets_the_radius_target():
 @pytest.mark.parametrize("cell", [("I0", 0, 7), ("I1", 4, 11), ("I0", 18, 19)])
 def test_gauss_and_nc7_region_sums_agree(cell):
     for gauss, nc7 in zip(_regions(DEFAULT_SCHEME), _regions(PAPER_SCHEME)):
-        g = _region_sums([cell], gauss, {})[0]
-        p = _region_sums([cell], nc7, {})[0]
+        g = _region_sums([cell], gauss, quadrature._SchemeRows())[0]
+        p = _region_sums([cell], nc7, quadrature._SchemeRows())[0]
         assert abs(g - p) <= 1e-15, (cell, gauss.a, g - p)
 
 
@@ -621,12 +623,12 @@ def test_rounding_allowance_is_generous():
     region = _NC7Region(0.0, 3600.0, 0.003)
     nodes = region.nodes()
     assert np.array_equal(nodes, 0.003 * np.arange(count))
-    rows = _order_rows((0, 2), region, nodes, {})
+    rows = _order_rows((0, 2), region, region.nodes, {})
     row0, row2 = rows[0], rows[2]
     values = row2 * row2 * row0 * row0 * row0 * nodes
-    wv = _weigh(np.ones(count))
-    plain = (0.003 / 140.0) * float(np.sum(wv * values))
-    compensated = (0.003 / 140.0) * math.fsum((wv * values).tolist())
+    wv = region.weights()
+    plain = float(np.sum(wv * values))
+    compensated = math.fsum((wv * values).tolist())
     assert abs(plain - compensated) <= 0.05e-8 / 100.0
 
 
@@ -637,28 +639,30 @@ def test_rounding_allowance_is_generous():
 
 def test_order_rows_chunk_independent(monkeypatch):
     # the fixed chunks are the only partition of the node vector; rows must
-    # not depend on it, across the scipy/Hankel switch and many chunks
-    orders = (0, 7, 30)
+    # not depend on it, across the small-r/Hankel switch and many chunks
+    orders = (0, 1, 7, 30, 37)
     regions = _regions(DEFAULT_SCHEME)
-    default = [_order_rows(orders, region, region.nodes(), {}) for region in regions]
-    monkeypatch.setattr(quadrature, "_CHUNK", 4096)
-    small = [_order_rows(orders, region, region.nodes(), {}) for region in regions]
     assert all(region.nodes().shape[0] > 4096 for region in regions)
-    for a, b in zip(default, small):
-        for k in orders:
-            assert np.array_equal(a[k], b[k])
+    blocks = []
+    for chunk in (4096, 16384, 65536):
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        blocks.append([np.stack(list(_order_rows(orders, region, region.nodes, {}).values())) for region in regions])
+    for other in blocks[1:]:
+        for a, b in zip(blocks[0], other):
+            assert np.array_equal(a, b)
 
 
 def test_order_rows_cached_and_frozen():
-    nodes = SMALL.nodes()
     memo = {}
-    a = _order_rows((0,), SMALL, nodes, memo)[0]
-    b = _order_rows((0,), SMALL, nodes, memo)[0]
-    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, 0.03), nodes, memo)[0]
+    a = _order_rows((0,), SMALL, SMALL.nodes, memo)[0]
+    b = _order_rows((0,), SMALL, SMALL.nodes, memo)[0]
+    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, 0.03), SMALL.nodes, memo)[0]
     assert a is b is c
     assert not a.flags.writeable
+    # nodes are built only when an order is missing (None is not callable)
+    assert _order_rows((0, 3), SMALL, None, memo)[0] is a
     # the orders missing from one request share one frozen block
-    rows = _order_rows((1, 5, 6), SMALL, nodes, memo)
+    rows = _order_rows((1, 5, 6), SMALL, SMALL.nodes, memo)
     assert rows[1].base is rows[5].base is rows[6].base is not a.base
     assert not rows[5].base.flags.writeable
 
@@ -678,7 +682,7 @@ def _count_kernel_rows(monkeypatch) -> list:
 
 def test_table_band_evaluates_each_row_once(monkeypatch):
     # rows 7..9 read 16 distinct orders in each of the two regions: 32 rows,
-    # each evaluated over its whole region once (the [S, R] grid spans two
+    # each evaluated over its whole region once (the [S, R] grid spans eight
     # chunks, so count nodes rather than kernel calls)
     quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
@@ -692,7 +696,7 @@ def test_table_band_evaluates_each_row_once(monkeypatch):
 def test_full_default_table_evaluates_each_row_once(monkeypatch):
     # rows 2..19 read 38 distinct orders in each region: 76 rows, all of
     # of which the scheme's memo holds, so no row is evaluated twice.  The
-    # [S, R] grid spans two chunks, so count nodes rather than kernel calls.
+    # [S, R] grid spans eight chunks, so count nodes rather than kernel calls.
     quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
     build_table()
@@ -706,20 +710,55 @@ def test_full_default_table_evaluates_each_row_once(monkeypatch):
 def test_repeated_integral_evaluates_no_row(monkeypatch):
     quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
+    built = []
+    for cls in (_GaussRegion, _NC7Region):
+        def counting(region, _real=cls.nodes):
+            built.append(region)
+            return _real(region)
+
+        monkeypatch.setattr(cls, "nodes", counting)
     first = integral("I1", 2, 9)
     assert evaluated
+    # one node build per region feeds both its rows and its weighted row
+    assert sorted(region.a for region in built) == [0.0, 3600.0]
     evaluated.clear()
+    built.clear()
     assert integral("I1", 2, 9) == first
     assert evaluated == []
+    assert built == []
+
+
+def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
+    quadrature._scheme_rows.cache_clear()
+    build_table([2])
+    store = quadrature._scheme_rows(DEFAULT_SCHEME)
+    assert {(variant, region) for variant, region in store.weighted} == {
+        (variant, region) for variant in ("I0", "I1") for region in _regions(DEFAULT_SCHEME)
+    }
+    for (variant, region), row in store.weighted.items():
+        expected = region.weights() * region.nodes()
+        for k in {"I0": (0, 0, 0), "I1": (1, 1, 0)}[variant]:
+            expected = expected * store[k, region]
+        assert np.array_equal(row, expected)
+        assert not row.flags.writeable
+    # a cell's rule value is the sum of its three pair rows times that row
+    low = _regions(DEFAULT_SCHEME)[0]
+    pair = store[2, low] * store[2, low] * store[0, low]
+    assert _region_sums([("I1", 0, 2)], low, store)[0] == float(np.sum(pair * store.weighted["I1", low]))
 
 
 def test_second_scheme_frees_the_first_schemes_rows():
     quadrature._scheme_rows.cache_clear()
     build_table([2])
-    blocks = {id(row.base): weakref.ref(row.base) for row in quadrature._scheme_rows(DEFAULT_SCHEME).values()}
+    store = quadrature._scheme_rows(DEFAULT_SCHEME)
+    blocks = {id(row.base): weakref.ref(row.base) for row in store.values()}
     assert len(blocks) == 2  # one block per region
+    weighted = [weakref.ref(row) for row in store.weighted.values()]
+    assert len(weighted) == 4  # one per family and region
+    del store
     build_table([2], scheme=PAPER_SCHEME)
     assert all(ref() is None for ref in blocks.values())
+    assert all(ref() is None for ref in weighted)
     assert {region for _, region in quadrature._scheme_rows(PAPER_SCHEME)} == set(_regions(PAPER_SCHEME))
     quadrature._scheme_rows.cache_clear()  # the paper's rows take 57 MB
 

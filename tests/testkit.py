@@ -132,4 +132,4 @@ def nc7_composite(f, a: float, b: float, w: float) -> float:
     """
     region = _NC7Region(a, b, w)
     nodes = region.nodes()
-    return region.weighted_sum(_eval_chunked(f, nodes, np.empty(nodes.shape[0])))
+    return float(np.sum(region.weights() * _eval_chunked(f, nodes, np.empty(nodes.shape[0]))))
