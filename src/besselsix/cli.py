@@ -291,9 +291,10 @@ def _cmd_eval_bessel(ns: argparse.Namespace) -> int:
     from .bessel import bessel_j, bessel_series_oracle
 
     value = bessel_j(ns.n, ns.r)
+    # the enclosure first, so a refused oracle prints nothing
+    enclosure = bessel_series_oracle(ns.n, ns.r, _ORACLE_BITS) if ns.oracle else None
     print(f"J_{ns.n}({ns.r:g}) = {value:.17g}")
-    if ns.oracle:
-        enclosure = bessel_series_oracle(ns.n, ns.r, _ORACLE_BITS)
+    if enclosure is not None:
         print(f"series enclosure: {float(enclosure.mid):.17g} +/- {float(enclosure.rad):.3g}")
     return EXIT_OK
 

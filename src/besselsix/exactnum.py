@@ -267,6 +267,10 @@ class CertifiedValue:
     rad: float | Fraction
 
     def __post_init__(self) -> None:
+        # a Fraction or an int is finite, and may be too large for a float
+        for name, value in (("midpoint", self.mid), ("radius", self.rad)):
+            if not (isinstance(value, (int, Fraction)) or math.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.rad >= 0):
             raise ValueError(f"radius must be nonnegative, got {self.rad}")
 

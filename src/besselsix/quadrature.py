@@ -6,7 +6,9 @@ The integrals
     I1(m, n) = integral_0^inf J_{n+m} J_n J_m J_1^2 J_0 r dr
 
 are evaluated for small orders by splitting at the paper's two radii
-S = 3600 and R = 63000, with one of two rules on the grid regions:
+S = 3600 and R = 63000, with one of two rules on the grid regions.  Each
+region is built once, as a member of ``QuadratureScheme``, and carries its
+rule's nodes, weights and certified error (``error()``):
 
 * ``[0, S]`` and ``[S, R]``, by default: width-30 Gauss-Legendre panels, 76
   points each below S and 66 above it, with nodes ``a + h(2p+1) + h x_i``
@@ -27,9 +29,9 @@ S = 3600 and R = 63000, with one of two rules on the grid regions:
   41)/140, exact through degree 7) with node spacings w = 0.003 and 0.05.
   The composite error over an interval of length L is bounded by
   ``L * w^8 * (6^3/5) * M8 / 8!`` where ``M8`` is a certified sup-bound on
-  the eighth derivative of the integrand, obtained from Cauchy's integral
-  formula on unit circles; ``M8`` grows only linearly in the interval
-  endpoint, uniformly over both integrand families.
+  the eighth derivative of the integrand over the region, obtained from
+  Cauchy's integral formula on unit circles; ``M8`` grows only linearly in
+  the region's right endpoint, uniformly over both integrand families.
 
 * ``[R, inf)``: after replacing every Bessel factor by its leading asymptotic
   term, the product of the six carriers cos(omega - nu pi/2) is a profile in
@@ -44,9 +46,7 @@ Every ``integral`` budget must meet the paper's radius 0.9e-8, which the
 table adds to every cell; ``build_table`` first checks, once per scheme,
 that each cell's quadrature plus printed tail value meets it too.
 
-Integrands are vectorized: every callable handed to the composite rule
-takes a float ndarray of nodes and returns the values at those nodes.  The
-grid sums of ``integral`` and ``build_table`` read per-order value rows
+The grid sums of ``integral`` and ``build_table`` read per-order value rows
 over each region, evaluated by the multi-order kernel ``_bessel_rows`` (all
 missing orders of a request in one pass) and memoized for the scheme in
 use; asking for another scheme frees the last one's rows.  Beside them the
@@ -54,7 +54,8 @@ scheme keeps one weighted row per family and region: the full rule weight
 times r times the family's three fixed factors (J_0^3, or J_1^2 J_0) at every
 node, so a cell's rule value is the single pairwise ``np.sum`` of
 J_{n+m} J_n J_m times that row, and a warm cell builds no nodes, weights or
-fixed products.  All grid evaluation is deterministic: nodes are generated
+fixed products.  ``integrand`` forms its values by the same product, with
+weight 1.  All grid evaluation is deterministic: nodes are generated
 from integer indices, and per-node values depend only on the node and the
 order (never on the chunk or on the other orders evaluated with it).  Nodes
 are evaluated on one thread in fixed 16384-point chunks, which only bound
@@ -94,7 +95,6 @@ __all__ = [
     "PAPER_SCHEME",
     "TableEntry",
     "deriv8_bound",
-    "quad_error",
     "integrand",
     "tail_main",
     "tail_error_budget",
@@ -112,11 +112,8 @@ _R = 63000.0
 # The seven exact Newton-Cotes weights; their sum is 6, one panel width.
 _NC7_WEIGHTS = tuple(Fraction(c, 140) for c in (41, 216, 27, 272, 27, 216, 41))
 
-# Gauss-Legendre panels: half-width h, and per region (points per panel,
-# Bernstein-ellipse parameter rho of its error bound).
+# The half-width h of every Gauss-Legendre panel.
 _GAUSS_HALF = 15.0
-_GAUSS_LOW = (76, 3.0)
-_GAUSS_HIGH = (66, 2.0)
 
 # The largest n + m any certified cell reaches: the order range of the tail
 # constants, which every ``integral`` budget charges.
@@ -171,6 +168,12 @@ class _NC7Region:
         out[0], out[-1] = float(w * _NC7_WEIGHTS[0]), float(w * _NC7_WEIGHTS[6])
         return out
 
+    def error(self) -> float:
+        """Certified bound on |integral - rule| over the region, for every
+        cell: the composite law ``L * w^8 * (6^3/5) * M8 / 8!`` with L the
+        region's length and M8 its ``deriv8_bound``."""
+        return (self.b - self.a) * self.w**8 * (216.0 / 5.0) * deriv8_bound(self) / math.factorial(8)
+
 
 @dataclass(frozen=True)
 class _GaussRegion:
@@ -199,28 +202,61 @@ class _GaussRegion:
         """The rule's weight at each of ``nodes()``: h times the stored rule's."""
         return np.tile(_GAUSS_HALF * _gauss_rule(self.points).weights, self.centers().shape[0])
 
+    @cache
+    def error(self) -> float:
+        """Certified bound on |integral - rule| over the region, for every
+        cell; computed once per region.
+
+        Per panel of center c, the Chebyshev coefficients of f(c + h t) obey
+        |a_k| <= min(2 s, 2 M rho^-k), with s a bound on |f| over the real
+        panel and M one over the Bernstein ellipse E_rho: |f(z)| <= |z|
+        e^(6 |Im z|) for the region at the origin, and the Hankel envelope of
+        ``_envelope_factor`` for a region past it.  The panel error is then
+        h sum_k |a_k| |I(T_k) - Q(T_k)|: certified moment errors for k < 2n,
+        and sum |w| + |I(T_k)| for the rest, a geometric tail.  Each stored
+        node c + h x_i is off its exact position by at most 2^-53 (h +
+        |node|), which |f'(x)| <= (1 + 6x) min(1, _LANDAU6/x^2) (from
+        |J_k'| <= max |J_{k+-1}|) charges.
+        """
+        rule = _gauss_rule(self.points)
+        n, rho, h = self.points, self.rho, _GAUSS_HALF
+        c = self.centers()
+        semi, height = h * (rho + 1.0 / rho) / 2.0, h * (rho - 1.0 / rho) / 2.0
+        zmax = c + semi + height
+        if self.a > 0:
+            xmin = c - semi
+            require(xmin[0] > 0, "the Hankel envelope needs every ellipse inside Re z > 0")
+            bound = zmax * (2.0 / (math.pi * xmin)) ** 3 * math.cosh(height) ** 6 * _envelope_factor(xmin, height)
+        else:
+            bound = zmax * math.exp(6.0 * height)
+        k = np.arange(2 * n)
+        coeffs = np.minimum(2.0 * _real_sup(c - h, c + h)[:, None], 2.0 * bound[:, None] * rho ** -k)
+        tail = 2.0 * bound * (rule.abs_weights + 2.0 / (4 * n * n - 1)) * rho ** (-2 * n) / (1.0 - 1.0 / rho)
+        x1 = np.maximum(c - h - 1.0, math.sqrt(_LANDAU6))
+        slope = (1.0 + 6.0 * x1) * np.minimum(1.0, _LANDAU6 / x1**2)
+        nodes = rule.abs_weights * 2.0**-52 * (c + 2.0 * h) * slope
+        return _PAD * h * float(np.sum(coeffs @ rule.moment_errors + tail + nodes))
+
 
 class QuadratureScheme(Enum):
-    """The rule on the grid regions [0, S] and [S, R]: ``GAUSS``, certified
-    Gauss-Legendre panels (the default), or ``PAPER``, the paper's composite
-    Newton-Cotes rule with node spacings 0.003 and 0.05."""
+    """The rule on the grid regions [0, S] and [S, R], each member's value
+    its two regions: ``GAUSS``, certified Gauss-Legendre panels of 76 and 66
+    points (the default), or ``PAPER``, the paper's composite Newton-Cotes
+    rule with node spacings 0.003 and 0.05."""
 
-    GAUSS = "gauss"
-    PAPER = "paper"
+    GAUSS = (_GaussRegion(0.0, _S, 76, 3.0), _GaussRegion(_S, _R, 66, 2.0))
+    PAPER = (_NC7Region(0.0, _S, 0.003), _NC7Region(_S, _R, 0.05))
 
 
 DEFAULT_SCHEME = QuadratureScheme.GAUSS
 PAPER_SCHEME = QuadratureScheme.PAPER
 
 
-@lru_cache(maxsize=None)
 def _regions(scheme: QuadratureScheme) -> tuple:
-    """The grid regions [0, S] and [S, R] of a scheme, built once each."""
-    if scheme is DEFAULT_SCHEME:
-        return (_GaussRegion(0.0, _S, *_GAUSS_LOW), _GaussRegion(_S, _R, *_GAUSS_HIGH))
-    if scheme is PAPER_SCHEME:
-        return (_NC7Region(0.0, _S, 0.003), _NC7Region(_S, _R, 0.05))
-    raise ValueError(f"scheme must be DEFAULT_SCHEME or PAPER_SCHEME, got {scheme!r}")
+    """The grid regions [0, S] and [S, R] of a scheme."""
+    if not isinstance(scheme, QuadratureScheme):
+        raise ValueError(f"scheme must be DEFAULT_SCHEME or PAPER_SCHEME, got {scheme!r}")
+    return scheme.value
 
 
 @dataclass(frozen=True)
@@ -429,83 +465,33 @@ def _real_sup(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(hi <= peak, hi, np.where(lo >= peak, _LANDAU6 / np.maximum(lo, peak), peak))
 
 
-@lru_cache(maxsize=None)
-def _gauss_error(region: _GaussRegion) -> float:
-    """Certified bound on |integral - rule| over one region, for every cell.
-
-    Per panel of center c, the Chebyshev coefficients of f(c + h t) obey
-    |a_k| <= min(2 s, 2 M rho^-k), with s a bound on |f| over the real panel
-    and M one over the Bernstein ellipse E_rho: |f(z)| <= |z| e^(6 |Im z|)
-    for the region at the origin, and the Hankel envelope of
-    ``_envelope_factor`` for a region past it.  The panel error is then
-    h sum_k |a_k| |I(T_k) - Q(T_k)|: certified moment errors for k < 2n,
-    and sum |w| + |I(T_k)| for the rest, a geometric tail.  Each stored node
-    c + h x_i is off its exact position by at most 2^-53 (h + |node|), which
-    |f'(x)| <= (1 + 6x) min(1, _LANDAU6/x^2) (from |J_k'| <= max |J_{k+-1}|)
-    charges.
-    """
-    rule = _gauss_rule(region.points)
-    n, rho, h = region.points, region.rho, _GAUSS_HALF
-    c = region.centers()
-    semi, height = h * (rho + 1.0 / rho) / 2.0, h * (rho - 1.0 / rho) / 2.0
-    zmax = c + semi + height
-    if region.a > 0:
-        xmin = c - semi
-        require(xmin[0] > 0, "the Hankel envelope needs every ellipse inside Re z > 0")
-        bound = zmax * (2.0 / (math.pi * xmin)) ** 3 * math.cosh(height) ** 6 * _envelope_factor(xmin, height)
-    else:
-        bound = zmax * math.exp(6.0 * height)
-    k = np.arange(2 * n)
-    coeffs = np.minimum(2.0 * _real_sup(c - h, c + h)[:, None], 2.0 * bound[:, None] * rho ** -k)
-    tail = 2.0 * bound * (rule.abs_weights + 2.0 / (4 * n * n - 1)) * rho ** (-2 * n) / (1.0 - 1.0 / rho)
-    x1 = np.maximum(c - h - 1.0, math.sqrt(_LANDAU6))
-    slope = (1.0 + 6.0 * x1) * np.minimum(1.0, _LANDAU6 / x1**2)
-    nodes = rule.abs_weights * 2.0**-52 * (c + 2.0 * h) * slope
-    return _PAD * h * float(np.sum(coeffs @ rule.moment_errors + tail + nodes))
-
-
 # ---------------------------------------------------------------------------
-# Error bounds of the two rules
+# The derivative bound of the NC7 rule
 # ---------------------------------------------------------------------------
 
 
-def deriv8_bound(region: str) -> float:
-    """Certified sup-bound for the eighth derivative of either integrand.
+def deriv8_bound(region: _NC7Region) -> float:
+    """Certified sup-bound for the eighth derivative of either integrand
+    over a region [a, b] with a = 0 or a > 1.
 
     Both families are entire, so Cauchy's formula on the unit circle about r
-    bounds f^(8)(r) by 8! times the sup of |f| on the circle.  Below S the
-    trivial bound |J_nu(z)| <= e^|Im z| gives ``8! e^6 (S+1)``; past S the
-    circle lies in Re z >= S - 1, |Im z| <= 1, where the Hankel envelope
+    bounds f^(8)(r) by 8! times the sup of |f| on the circle.  At the origin
+    the trivial bound |J_nu(z)| <= e^|Im z| gives ``8! e^6 (b+1)``; past it
+    the circle lies in Re z >= a - 1, |Im z| <= 1, where the Hankel envelope
     sqrt(2/(pi|z|)) cosh(1) of each of the six factors applies with the
     order corrections of ``_envelope_factor``.  Their product is 2.42 at
-    S = 3600, checked below the printed budget's factor 3, which gives
-    ``3 * 8! * (2/(pi(S-1)))^3 cosh(1)^6 (R+1)``.
+    a = S = 3600, checked below the printed budget's factor 3, which gives
+    ``3 * 8! * (2/(pi(a-1)))^3 cosh(1)^6 (b+1)``.
     """
-    if region == "low":
-        return math.factorial(8) * math.e**6 * (_S + 1.0)
-    if region == "high":
-        derived = float(_envelope_factor(_S - 1.0, 1.0))
-        require(
-            derived <= _ENVELOPE_PRINTED,
-            f"the envelope's order corrections reach {derived:g}, above the printed {_ENVELOPE_PRINTED:g}",
-        )
-        return _ENVELOPE_PRINTED * math.factorial(8) * (2.0 / (math.pi * (_S - 1.0))) ** 3 * math.cosh(1.0) ** 6 * (_R + 1.0)
-    raise ValueError(f"region must be 'low' or 'high', got {region!r}")
-
-
-def quad_error(region: str, scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """Certified error bound of the scheme's rule over one region of the split.
-
-    Gauss panels carry the certificate of ``_gauss_error``; the paper's NC7
-    region of length L and node spacing w the composite law
-    ``L * w^8 * (6^3/5) * deriv8_bound / 8!``.
-    """
-    if region not in ("low", "high"):
-        raise ValueError(f"region must be 'low' or 'high', got {region!r}")
-    grid = _regions(scheme)[region == "high"]
-    if scheme is DEFAULT_SCHEME:
-        return _gauss_error(grid)
-    return (grid.b - grid.a) * grid.w**8 * (216.0 / 5.0) * deriv8_bound(region) / math.factorial(8)
+    if region.a == 0:
+        return math.factorial(8) * math.e**6 * (region.b + 1.0)
+    x = region.a - 1.0
+    derived = float(_envelope_factor(x, 1.0))
+    require(
+        derived <= _ENVELOPE_PRINTED,
+        f"the envelope's order corrections reach {derived:g}, above the printed {_ENVELOPE_PRINTED:g}",
+    )
+    return _ENVELOPE_PRINTED * math.factorial(8) * (2.0 / (math.pi * x)) ** 3 * math.cosh(1.0) ** 6 * (region.b + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +517,7 @@ def integrand(variant: str, m: int, n: int):
         r = _check_r(r)
         nodes = r.ravel()
         rows = dict(zip(orders, _bessel_rows(orders, nodes)))
-        return _cell_product(variant, m, n, rows, nodes).reshape(r.shape)[()]
+        return _grid_composite(m, n, rows, _fixed_row(variant, rows, 1.0, nodes)).reshape(r.shape)[()]
 
     return f
 
@@ -539,17 +525,6 @@ def integrand(variant: str, m: int, n: int):
 def _cell_orders(variant: str, m: int, n: int) -> tuple[int, ...]:
     """The six Bessel orders of the cell's integrand, in product order."""
     return (n + m, n, m, *_FIXED_ORDERS[variant])
-
-
-def _cell_product(variant: str, m: int, n: int, rows: dict, nodes: np.ndarray) -> np.ndarray:
-    """J_{n+m} J_n J_m J_0^3 r (or J_1^2 J_0 for I1) from per-order value
-    rows, multiplied left to right in one new buffer."""
-    first, second, *rest = _cell_orders(variant, m, n)
-    values = np.multiply(rows[first], rows[second])
-    for k in rest:
-        values *= rows[k]
-    values *= nodes
-    return values
 
 
 class _SchemeRows(dict):
@@ -586,31 +561,37 @@ def _order_rows(orders, region, nodes, memo: dict) -> dict[int, np.ndarray]:
     return {k: memo[k, region] for k in orders}
 
 
+def _fixed_row(variant: str, rows: dict, weights, nodes: np.ndarray) -> np.ndarray:
+    """w_i r_i J_0^3 (or w_i r_i J_1^2 J_0 for I1) at every node r_i, in one
+    new buffer: the weights times the nodes, then times each fixed row in
+    order.  The grid sums pass the rule weights, ``integrand`` the weight 1."""
+    row = np.multiply(weights, nodes)
+    for k in _FIXED_ORDERS[variant]:
+        row *= rows[k]
+    return row
+
+
 def _weighted_row(variant: str, region, rows: dict, nodes, weighted: dict) -> np.ndarray:
-    """w_i r_i J_0^3 (or w_i r_i J_1^2 J_0 for I1) at every node of
-    ``region``, w_i the full rule weight: the weights times the nodes, then
-    times each fixed row in order, frozen and kept in ``weighted``."""
+    """The ``_fixed_row`` of ``region``'s rule weights and nodes, frozen and
+    kept in ``weighted``."""
     key = (variant, region)
     if key not in weighted:
-        row = region.weights() * nodes()
-        for k in _FIXED_ORDERS[variant]:
-            row *= rows[k]
+        row = _fixed_row(variant, rows, region.weights(), nodes())
         row.setflags(write=False)
         weighted[key] = row
     return weighted[key]
 
 
-def _grid_composite(variant: str, m: int, n: int, rows: dict, weighted: np.ndarray) -> float:
-    """One cell's rule value over one region: the pairwise ``np.sum`` of
-    J_{n+m} J_n J_m times the family's weighted row, in one new buffer.
-    Each term still carries eight rounded multiplications (five into the
-    weighted row, three here), as the six factors, r, the weight and the
-    scale h or w/140 did before, so the budget's ``rounding`` allowance
-    covers the same per-term error."""
+def _grid_composite(m: int, n: int, rows: dict, fixed: np.ndarray) -> np.ndarray:
+    """J_{n+m} J_n J_m times a ``_fixed_row``, multiplied left to right in
+    one new buffer: a cell's rule terms over one region, or its integrand
+    values.  A rule term carries eight rounded multiplications (five into
+    the weighted row, three here), which the budget's ``rounding``
+    allowance covers."""
     values = np.multiply(rows[n + m], rows[n])
     values *= rows[m]
-    values *= weighted
-    return float(np.sum(values))
+    values *= fixed
+    return values
 
 
 def _region_sums(cells, region, memo: _SchemeRows) -> list[float]:
@@ -620,7 +601,10 @@ def _region_sums(cells, region, memo: _SchemeRows) -> list[float]:
     a weighted row is missing."""
     nodes = cache(region.nodes)
     rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, memo)
-    return [_grid_composite(*cell, rows, _weighted_row(cell[0], region, rows, nodes, memo.weighted)) for cell in cells]
+    return [
+        float(np.sum(_grid_composite(m, n, rows, _weighted_row(variant, region, rows, nodes, memo.weighted))))
+        for variant, m, n in cells
+    ]
 
 
 def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme) -> float:
@@ -764,9 +748,10 @@ def _itemized_budget(variant: str, m: int, n: int, scheme: QuadratureScheme) -> 
     m, n = _covered_cell(m, n)
     check_m_le_n(m, n)
     tail = tail_main(variant, _parity(n))
+    low, high = _regions(scheme)
     budget = Budget((
-        ("quad_low", quad_error("low", scheme)),
-        ("quad_high", quad_error("high", scheme)),
+        ("quad_low", low.error()),
+        ("quad_high", high.error()),
         ("tail_main_eval", tail.rad),
         ("tail_error_terms", tail_error_budget(variant, m, n)),
         ("rounding", _ROUNDING_ALLOWANCE),

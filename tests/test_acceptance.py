@@ -46,7 +46,6 @@ from besselsix.quadrature import (
     PAPER_SCHEME,
     build_table,
     integral,
-    quad_error,
     tail_error_budget,
     tail_main,
 )
@@ -315,8 +314,9 @@ def test_criterion_5_tail_reproduction():
         assert enclosure.rad <= 1e-10
     assert tail_error_budget("I0", 18, 19) <= 5.5e-9
     assert tail_error_budget("I1", 0, 20) <= 5.5e-9
-    assert quad_error("low", PAPER_SCHEME) <= 1.49e-9
-    assert quad_error("high", PAPER_SCHEME) <= 1.42e-9
+    low, high = PAPER_SCHEME.value
+    assert low.error() <= 1.49e-9
+    assert high.error() <= 1.42e-9
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import hiprec
 from testkit import contains, encloses
 from besselsix import bessel
+from besselsix.certify import check_theorem
 from besselsix.quadrature import integrand
 from besselsix.bessel import (
     MAX_ORDER,
@@ -34,6 +35,15 @@ from besselsix.bessel import (
 def test_certified_value_rejects_negative_radius():
     with pytest.raises(ValueError):
         CertifiedValue(1.0, -1e-30)
+    # nor a non-finite midpoint or radius; check_theorem used to meet them
+    # as an OverflowError or an unrelated ValueError
+    for mid, rad in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            CertifiedValue(mid, rad)
+    with pytest.raises(ValueError, match="midpoint must be finite"):
+        check_theorem(0, 20, "I0", CertifiedValue(math.inf, 0.0))
+    # exact values are finite whatever their size
+    assert CertifiedValue(Fraction(10**400), 10**400).rad == 10**400
 
 
 def test_certified_value_exact_queries():

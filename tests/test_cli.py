@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, formats, round-trips."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -97,9 +98,12 @@ def test_readme_command_lines_parse():
 
 
 def test_domain_error_exit_code(capsys):
-    # The series oracle is only certified out to r = 200.
-    assert cli.main(["eval-bessel", "--n", "3", "--r", "500", "--oracle"]) == 3
-    assert "domain error" in capsys.readouterr().err
+    # The series oracle is only certified out to r = 200; a refusal prints no value.
+    for r in ("250", "500"):
+        assert cli.main(["eval-bessel", "--n", "3", "--r", r, "--oracle"]) == 3
+        captured = capsys.readouterr()
+        assert "domain error" in captured.err
+        assert captured.out == ""
     # the phase reduction is exact only below about 5.27e7; 1e20 used to exit 4
     assert cli.main(["eval-bessel", "--n", "2", "--r", "1e20"]) == 3
     assert capsys.readouterr().err.startswith("domain error: r must lie in [0, 5.27072e+07)")
@@ -328,6 +332,30 @@ def test_json_dumps_17_digit_reals():
         cli._json_dumps({"bad": object()})
 
 
+def test_expansion_text_lists_every_term_and_the_remainders(capsys):
+    assert cli.main(["expansion", "--which", "j0"]) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head == "J0: six terms in t = 1/(16r), c = cos(r - pi/4), s = sin(r - pi/4)"
+    assert len(base_expansion("J0").terms) == 6
+    assert lines == [
+        "  term[0] = (1) c",
+        "  term[1] = (2) s t",
+        "  term[2] = (-18) c t^2",
+        "  term[3] = (-300) s t^3",
+        "  term[4] = (7350) c t^4",
+        "  term[5] = (238140) s t^5",
+        "  truncation remainders (deviation <= remainder[K] * (16r)^-K):",
+        "  9/8, 2, 18, 300, 7350, 238140, 9604980",
+    ]
+
+
+def test_closed_form_kapteyn_text(capsys):
+    # k = 1 takes the Kapteyn branch: integral J_1 J_2 / r = 2/(3 pi)
+    assert cli.main(["closed-form", "--n", "1", "--m", "2", "--k", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"integral of J_1 J_2 r^-1: 2/3*sqrtpi^-2 = {2 / (3 * math.pi):.17g}\n"
+
+
 @pytest.mark.parametrize("flag,name", [("j0", "J0"), ("j1", "J1")])
 def test_expansion_json_round_trip_base(flag, name, capsys):
     assert cli.main(["expansion", "--which", flag, "--json"]) == 0
@@ -372,18 +400,24 @@ def test_integrate_human_output_itemizes_the_budget(capsys):
 
 
 def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
-    calls = {"tail_main": 0, "quad_error": 0, "tail_error_budget": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(quadrature, name), **kwargs):
+    calls = {"tail_main": 0, "error": 0, "tail_error_budget": 0}
+    # the rule errors are the grid regions' error() methods, under either rule
+    owners = [(quadrature, "tail_main"), (quadrature, "tail_error_budget")]
+    owners += [(quadrature._GaussRegion, "error"), (quadrature._NC7Region, "error")]
+    for owner, name in owners:
+        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, name, counted)
-    argv = ["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json"]
-    assert cli.main(argv) == 0
-    value, budget = integrate_from_payload(json.loads(capsys.readouterr().out))
-    assert value.rad == budget.total
-    assert calls == {"tail_main": 1, "quad_error": 2, "tail_error_budget": 1}
+        monkeypatch.setattr(owner, name, counted)
+    for flags in ([], ["--paper"]):
+        calls.update(dict.fromkeys(calls, 0))
+        argv = ["integrate", "--variant", "0", "--m", "0", "--n", "7", "--json", *flags]
+        assert cli.main(argv) == 0
+        value, budget = integrate_from_payload(json.loads(capsys.readouterr().out))
+        assert value.rad == budget.total
+        assert calls == {"tail_main": 1, "error": 2, "tail_error_budget": 1}
+    quadrature._scheme_rows.cache_clear()  # the paper's rows for the cell take 38 MB
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from besselsix.quadrature import (
     error_budget,
     integral,
     integrand,
-    quad_error,
     tail_error_budget,
     tail_main,
 )
@@ -190,7 +189,7 @@ def test_table_entry_nonnegative():
 
 
 def test_deriv8_low_printed_form():
-    assert deriv8_bound("low") == math.factorial(8) * math.e**6 * 3601.0
+    assert deriv8_bound(_regions(PAPER_SCHEME)[0]) == math.factorial(8) * math.e**6 * 3601.0
 
 
 def test_deriv8_high_printed_form():
@@ -201,7 +200,7 @@ def test_deriv8_high_printed_form():
         * math.cosh(1.0) ** 6
         * 63001.0
     )
-    assert deriv8_bound("high") == expected
+    assert deriv8_bound(_regions(PAPER_SCHEME)[1]) == expected
 
 
 def _envelope_corrections(x, y, orders):
@@ -236,29 +235,24 @@ def test_envelope_factor_derives_the_printed_three():
 def test_envelope_factor_above_three_is_refused(monkeypatch):
     # the printed factor 3 stands only while the derived one stays below it
     monkeypatch.setattr(quadrature, "_envelope_factor", lambda x, y: np.float64(3.01))
+    high = _regions(PAPER_SCHEME)[1]
     with pytest.raises(CertificationError, match="above the printed 3"):
-        deriv8_bound("high")
+        deriv8_bound(high)
     with pytest.raises(CertificationError, match="above the printed 3"):
-        quad_error("high", PAPER_SCHEME)
-
-
-def test_deriv8_region_validated():
-    with pytest.raises(ValueError):
-        deriv8_bound("mid")
+        high.error()
 
 
 def test_quad_error_below_printed_ceilings():
-    low = quad_error("low", PAPER_SCHEME)
-    high = quad_error("high", PAPER_SCHEME)
+    low, high = (region.error() for region in _regions(PAPER_SCHEME))
     assert 1.4e-9 < low <= 1.49e-9
     assert 1.4e-9 < high <= 1.42e-9
 
 
 def test_quad_error_follows_the_composite_law():
     # length * w^8 * (6^3/5) * M8 / 8!, on each of the paper's two regions
-    for region, length, w in (("low", 3600.0, 0.003), ("high", 59400.0, 0.05)):
+    for region, length, w in zip(_regions(PAPER_SCHEME), (3600.0, 59400.0), (0.003, 0.05)):
         expected = length * w**8 * (216.0 / 5.0) * deriv8_bound(region) / math.factorial(8)
-        assert quad_error(region, PAPER_SCHEME) == expected
+        assert region.error() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +392,7 @@ def test_default_budget_meets_the_radius_target():
         assert b.total <= 0.9e-8
     # the paper's NC7 budget is unchanged
     paper = dict(error_budget("I0", 0, 7, PAPER_SCHEME))
-    assert (paper["quad_low"], paper["quad_high"]) == (quad_error("low", PAPER_SCHEME), quad_error("high", PAPER_SCHEME))
+    assert (paper["quad_low"], paper["quad_high"]) == tuple(region.error() for region in _regions(PAPER_SCHEME))
 
 
 @pytest.mark.parametrize("cell", [("I0", 0, 7), ("I1", 4, 11), ("I0", 18, 19)])
