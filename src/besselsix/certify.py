@@ -74,9 +74,11 @@ class Prediction:
 # ---------------------------------------------------------------------------
 
 
-def _budget_constants(m: int, variant: str) -> dict[str, float]:
-    """The anchored per-item constants of the bracketed budget sum, read
-    through the checks of the four bounds' printed constants.
+@lru_cache(maxsize=None)
+def _budget_constants(m: int, variant: str) -> tuple[tuple[str, float], ...]:
+    """The anchored per-item constants of the bracketed budget sum, as
+    (name, constant) pairs, read through the checks of the four bounds'
+    printed constants.  Cached: those checks depend on (m, variant) alone.
 
     Multiplied by n^-tau (tau = 6 for m = 4, else 4) these give the
     unnormalized radius.  A factor n^-k beyond n^-tau is relaxed to the
@@ -90,12 +92,12 @@ def _budget_constants(m: int, variant: str) -> dict[str, float]:
     require(pn >= tau, f"e1 n-exponent {pn} of {m, variant} is below tau = {tau}")
     require((p0_sin, pn_sin) == (p0, pn), f"e1 routes of {m, variant} have different exponents")
     require(tau_b >= tau, f"B exponent {tau_b} of {m, variant} is below tau = {tau}")
-    return {
-        "estimate_A": float(expansions._a_dominates(variant)) * float(N0) ** (tau - 6.5),
-        "estimate_B": float(c_b) / float(N0) ** (1 + tau_b - tau),
-        "e1": (float(c_cos) + float(c_sin)) / float(N0) ** (p0 + pn - tau),
-        "e2": 2 * float(core_integrals._e2_dominates(m, variant)) * theta**N0,
-    }
+    return (
+        ("estimate_A", float(expansions._a_dominates(variant)) * float(N0) ** (tau - 6.5)),
+        ("estimate_B", float(c_b) / float(N0) ** (1 + tau_b - tau)),
+        ("e1", (float(c_cos) + float(c_sin)) / float(N0) ** (p0 + pn - tau)),
+        ("e2", 2 * float(core_integrals._e2_dominates(m, variant)) * theta**N0),
+    )
 
 
 # stored roll-ups of the budget constants, truncated outward at four decimals
@@ -113,7 +115,7 @@ _ROLLED = {
 
 @lru_cache(maxsize=None)
 def _rolled_ok(m_case: int, variant: str) -> None:
-    total = sum(_budget_constants(m_case, variant).values())
+    total = sum(c for _, c in _budget_constants(m_case, variant))
     require(total <= _ROLLED[(m_case, variant)], f"roll-up of {m_case, variant} fails")
 
 
@@ -137,7 +139,7 @@ def predict(m: int, n: int, variant: str) -> Prediction:
         m=m,
         n=n,
         main=NORMALIZATION * main_term(m, n, variant),
-        budget=Budget((name, c * scale) for name, c in constants.items()),
+        budget=Budget((name, c * scale) for name, c in constants),
     )
 
 
@@ -196,14 +198,24 @@ class TheoremCheck:
         return self.allowance - self.deviation
 
 
+@lru_cache(maxsize=None)
+def _decimal(constant: float) -> tuple[int, int]:
+    """A theorem constant as the exact ratio of its decimal, parsed once."""
+    return Fraction(str(constant)).as_integer_ratio()
+
+
 def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> TheoremCheck:
     """Is |measured - main| certifiably below the theorem's c n^-4?
 
     The measured enclosure's full width counts against the allowance, so a
-    pass is rigorous whenever the enclosure itself is: the verdict compares
-    exact rationals, charging the 2 ulp of the rounded main term to the
-    deviation and reading the constant as its decimal.  The reported
-    deviation and allowance are the plain float values.  Like ``predict``,
+    pass is rigorous whenever the enclosure itself is.  The verdict is
+    exact and in integers, one path for float, int and ``Fraction``
+    enclosures: the midpoint, the rounded main term, the radius and the
+    2 ulp charged for that rounding are taken as integer ratios, summed
+    over their product denominator without normalizing, and
+    cross-multiplied with the constant read as its decimal.  The reported
+    deviation and allowance are the plain float values; an exact enclosure
+    past the float range reports an infinite deviation.  Like ``predict``,
     it refuses n past ``N_MAX``.
     """
     constant = theorem_constants(m, n, variant)
@@ -211,8 +223,17 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
         raise ValueError(f"no certified constant for (m={m}, n={n}, {variant})")
     check_n_cap(n)
     main = (NORMALIZATION * main_term(m, n, variant)).to_real()
-    deviation = abs(float(measured.mid) - main) + float(measured.rad)
+    try:
+        deviation = abs(float(measured.mid) - main) + float(measured.rad)
+    except OverflowError:
+        deviation = math.inf
     allowance = constant * float(n) ** -4
-    deviation_up = abs(Fraction(measured.mid) - Fraction(main)) + Fraction(measured.rad)
-    passed = deviation_up + Fraction(2 * math.ulp(main)) <= Fraction(str(constant)) / n**4
+    p, q = measured.mid.as_integer_ratio()
+    a, b = main.as_integer_ratio()
+    r, s = measured.rad.as_integer_ratio()
+    u, v = (2 * math.ulp(main)).as_integer_ratio()
+    c, d = _decimal(constant)
+    # |p/q - a/b| + r/s + u/v over the denominator q b s v
+    num = (abs(p * b - a * q) * s + r * q * b) * v + u * q * b * s
+    passed = num * d * n**4 <= c * q * b * s * v
     return TheoremCheck(passed, deviation, allowance)

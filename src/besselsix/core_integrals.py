@@ -16,7 +16,11 @@ The constant terms are one series of Weber-Schafheitlin integrals,
 over j <= m+3 and i <= 5, both even on the cosine route and both odd on
 the sine route (s_j the Hankel sign, alpha_i the coefficient tables).  The
 main term is the part with j + i <= max(m, 2) when m <= 4 and nothing when
-m >= 6; the first-kind error is the rest.  Everything here is either an
+m >= 6; the first-kind error is the rest.  Each part of each route is
+stored once per (m, variant, kind, part) as one rational function of
+y = 2n + m with integer coefficients (``_series_form``), so a main term or
+first-kind error at any n costs a few integer products and one
+``Fraction``, and nothing is cached per n.  Everything here is either an
 exact rational in n or a closed-form bound; printed constants are checked
 against their recomputed counterparts on first use, and so are the lemmas
 that drop or bound terms: ``vanishes_freq2`` for every frequency-2 term the
@@ -247,8 +251,60 @@ def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[i
     return tuple(weights.items())
 
 
+def _evaluate(form: tuple[tuple[int, ...], int, int], y: int) -> Fraction:
+    """N(y^2) / (L P_K(y)) for the form (N, L, K) of ``_series_form``: Horner
+    over the integers, then one ``Fraction``."""
+    coeffs, lcm, K = form
+    if not coeffs:
+        return Fraction(0)
+    x, num = y * y, 0
+    for c in coeffs:
+        num = num * x + c
+    return Fraction(num, lcm * math.prod(range(y - K + 1, y + K, 2)))
+
+
+@lru_cache(maxsize=None)
+def _series_form(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int, ...], int, int]:
+    """(N, L, K): the part of the kind's series as one rational function of
+    y = 2n + m, N(y^2) / (L P_K(y)), with N's integer coefficients highest
+    first.  An empty series is ((), 1, 0).
+
+    For odd k, _n_ratio(m, n, k) = 2^k / P_k(y), where P_k(y) is the
+    product of y + s over s = -(k-1), -(k-3), ..., k-1.  These nest:
+    P_K / P_k is the product of y^2 - s^2 over s = k+1, k+3, ..., K-1.  So
+    with K the largest k of the weights, L the lcm of the denominators of
+    w_k 2^k and N(y^2) = L sum_k w_k 2^k P_K(y) / P_k(y), the series is
+    N(y^2) / (L P_K(y)).  Required at the least n of the part's domain: the
+    smallest factor y - K + 1 of P_K is positive (so it is for every larger
+    n), and the form equals the sum of w_k _n_ratio(m, n, k).
+    """
+    weights = _series_weights(m, variant, kind, part)
+    if not weights:
+        return (), 1, 0
+    K = max(k for k, _ in weights)
+    scaled = [(k, w * 2**k) for k, w in weights]
+    lcm = math.lcm(*(c.denominator for _, c in scaled))
+    low_first = [0] * ((K - min(k for k, _ in weights)) // 2 + 1)
+    for k, c in scaled:
+        poly = [int(c * lcm)]
+        for s in range(k + 1, K, 2):  # times (x - s^2), lowest power first
+            poly = [a - s * s * b for a, b in zip([0, *poly], [*poly, 0])]
+        for d, a in enumerate(poly):
+            low_first[d] += a
+    form = tuple(reversed(low_first)), lcm, K
+    n = 2 if part == "main" else max(N0, m)  # main_term_parts' and e1_exact's least n
+    y = 2 * n + m
+    require(y - K + 1 > 0, f"P_{K} of {m, variant, kind, part} has a nonpositive factor at n={n}")
+    exact = sum(w * _n_ratio(m, n, k) for k, w in weights)
+    require(_evaluate(form, y) == exact, f"stored series of {m, variant, kind, part} fails at n={n}")
+    return form
+
+
 def _series(m: int, n: int, variant: str, kind: str, part: str) -> Fraction:
-    return sum((w * _n_ratio(m, n, k) for k, w in _series_weights(m, variant, kind, part)), Fraction(0))
+    """The part ("main" or "e1") of the kind's series at n, the sum of
+    w_k _n_ratio(m, n, k), read from its stored rational function: a few
+    integer products and one ``Fraction`` per call, for any n."""
+    return _evaluate(_series_form(m, variant, kind, part), 2 * n + m)
 
 
 def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactScalar]:

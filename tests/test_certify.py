@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix import CertificationError, core_integrals
+from besselsix import CertificationError, certify, core_integrals
 from besselsix.bessel import CertifiedValue
 from besselsix.certify import (
     NORMALIZATION,
@@ -22,6 +22,7 @@ from besselsix.core_integrals import e1_bound, e2_bound, estimate_B, main_term
 from besselsix.exactnum import N_MAX, Budget, ExactScalar
 from besselsix.expansions import estimate_A
 from besselsix.quadrature import integral
+from testkit import theorem_verdict
 
 NORM = 4.0 / math.pi**2
 
@@ -153,11 +154,13 @@ def test_predict_refuses_an_e1_exponent_below_tau(monkeypatch):
         c0, c1, p0, _ = core_integrals._E1_PRINTED[(4, kind)]
         monkeypatch.setitem(core_integrals._E1_PRINTED, (4, kind), (c0, c1, p0, 5))
     core_integrals._e1_dominates.cache_clear()
+    certify._budget_constants.cache_clear()
     try:
         with pytest.raises(CertificationError, match="n-exponent 5"):
             predict(4, 40, "I0")
     finally:
         core_integrals._e1_dominates.cache_clear()
+        certify._budget_constants.cache_clear()
 
 
 @given(st.integers(20, 10**5), st.sampled_from([0, 2, 4, 6]), st.sampled_from(["I0", "I1"]))
@@ -273,6 +276,78 @@ def test_check_is_exact_at_the_boundary(m, n, variant):
     report = check_theorem(m, n, variant, CertifiedValue(main, c * n**-4))
     assert report.deviation == report.allowance == c * float(n) ** -4
     assert not report.passed
+
+
+def test_check_reports_an_enclosure_past_the_float_range():
+    # an exact midpoint too large for a float is a valid enclosure; it fails
+    # the theorem, with an infinite deviation, instead of raising
+    for measured in (CertifiedValue(Fraction(10) ** 400, 0), CertifiedValue(0, Fraction(10) ** 400)):
+        report = check_theorem(0, 25, "I0", measured)
+        assert not report.passed
+        assert report.deviation == math.inf
+
+
+def _boundary_enclosures(m, n, variant):
+    """Enclosures at the edge of the verdict: around the rounded main term
+    with the float radius nearest the exact slack and one ulp either side,
+    midpoints one ulp off, and exact ones on the edge and just past it."""
+    main = (NORMALIZATION * main_term(m, n, variant)).to_real()
+    slack = Fraction(str(theorem_constants(m, n, variant))) / n**4 - Fraction(2 * math.ulp(main))
+    if slack <= 0:  # past where 2 ulp of the main term exceed the allowance
+        return [CertifiedValue(main, 0.0), CertifiedValue(Fraction(main), 0)]
+    r = float(slack)
+    radii = (math.nextafter(r, 0), r, math.nextafter(r, math.inf))
+    offset = Fraction(main) + slack / 3
+    return [
+        *(CertifiedValue(main, rad) for rad in radii),
+        *(CertifiedValue(math.nextafter(main, to), radii[0]) for to in (-math.inf, math.inf)),
+        CertifiedValue(offset, slack * 2 / 3),
+        CertifiedValue(offset, slack * 2 / 3 + slack / 10**30),
+    ]
+
+
+def test_integer_verdict_matches_the_fraction_rule():
+    cases = []
+    for variant, m, n in OVERLAP:
+        p = predict(m, n, variant)
+        cases += [(m, n, variant, integral(variant, m, n)), (m, n, variant, CertifiedValue(p.main.to_real(), p.radius))]
+    for variant in ("I0", "I1"):
+        for m in (0, 2, 4, 6):
+            for n in (20, 37, 10**6, N_MAX):
+                edge = _boundary_enclosures(m, n, variant)
+                verdicts = [theorem_verdict(m, n, variant, e) for e in edge]
+                if len(edge) > 2:  # each side of the edge is met
+                    assert verdicts[:3] == [True, True, False] or verdicts[:3] == [True, False, False]
+                    assert verdicts[-2:] == [True, False]
+                cases += [(m, n, variant, e) for e in edge]
+            p = predict(m, N_MAX, variant)
+            cases.append((m, N_MAX, variant, CertifiedValue(p.main.to_real(), p.radius)))
+        cases += [(6, 30, variant, CertifiedValue(0, 0)), (0, 30, variant, CertifiedValue(1, 0))]
+    seen = set()
+    for m, n, variant, measured in cases:
+        expected = theorem_verdict(m, n, variant, measured)
+        assert check_theorem(m, n, variant, measured).passed == expected, (m, n, variant, measured)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_warm_route_calls_no_gamma_ratio(monkeypatch):
+    # after first use, every n is a few integer products: no Gamma ratio
+    cells = [(m, v) for m in (0, 2, 4, 6, 8) for v in ("I0", "I1")]
+
+    def sweep(ns):
+        for m, v in cells:
+            for n in ns:
+                p = predict(m, n, v)
+                check_theorem(m, n, v, CertifiedValue(p.main.to_real(), p.radius))
+                core_integrals.core_bound_breakdown(m, n, v)
+
+    sweep([20])
+    calls = []
+    real = core_integrals.gamma_ratio
+    monkeypatch.setattr(core_integrals, "gamma_ratio", lambda *a: calls.append(a) or real(*a))
+    sweep([21, 419, 10**6 + 1, N_MAX])
+    assert calls == []
 
 
 def test_check_requires_applicable_cell():

@@ -29,7 +29,7 @@ from besselsix.core_integrals import (
     trig_reduce,
 )
 from besselsix import core_integrals, exactnum
-from besselsix.exactnum import ExactScalar, a_coeff, gaussian_binomial_bound
+from besselsix.exactnum import N_MAX, ExactScalar, a_coeff, gaussian_binomial_bound
 from besselsix.expansions import TrigPoly, product_expansion
 
 F = Fraction
@@ -342,6 +342,7 @@ def test_e1_first_use_check_computes_each_coefficient_once(monkeypatch, kind):
     monkeypatch.setattr(exactnum, "gamma_ratio", counting)
     exactnum.a_coeff.cache_clear()
     core_integrals._series_weights.cache_clear()
+    core_integrals._series_form.cache_clear()
     core_integrals._e1_dominates.__wrapped__(1000, "I0", kind)
     large = [call for call in calls if call[0] > 2000]
     assert large and len(large) == len(set(large))
@@ -369,15 +370,41 @@ def _series_by_terms(m, n, variant, kind, part):
 
 @pytest.mark.parametrize("variant", ["I0", "I1"])
 def test_main_terms_and_e1_are_one_weber_schafheitlin_series(variant):
+    # the stored rational functions against the term-by-term sum, from the
+    # least n of each domain to the cap
     for m in range(0, 42, 2):
-        for n in sorted({max(20, m), 137}):
+        n0 = max(20, m)
+        for n in sorted({n0, n0 + 1, 137, 10**6, N_MAX}):
             for kind, main in zip(("cos", "sin"), main_term_parts(m, n, variant)):
                 assert main.coeff == _series_by_terms(m, n, variant, kind, "main"), (m, n, kind)
                 assert e1_exact(m, n, variant, kind) == _series_by_terms(m, n, variant, kind, "e1"), (m, n, kind)
-    for m in (0, 2, 4):
-        for n in (2, 3, 7, 19):
+    for n in range(2, 20):  # every table cell with a main term
+        for m in range(0, min(n, 4) + 1, 2):
             for kind, main in zip(("cos", "sin"), main_term_parts(m, n, variant)):
                 assert main.coeff == _series_by_terms(m, n, variant, kind, "main"), (m, n, kind)
+    for m in (100, 200):
+        for kind in ("cos", "sin"):
+            assert e1_exact(m, m, variant, kind) == _series_by_terms(m, m, variant, kind, "e1"), (m, kind)
+
+
+def test_each_series_form_is_built_once(monkeypatch):
+    # one rational function per (m, variant, kind, part), whatever n asks
+    builds = []
+    real = core_integrals._series_weights
+
+    def counting(*key):
+        builds.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(core_integrals, "_series_weights", counting)
+    core_integrals._series_form.cache_clear()
+    keys = {(m, v, kind, part) for m in (0, 2, 4, 6, 8) for v in ("I0", "I1") for kind in ("cos", "sin")
+            for part in ("main", "e1")}
+    for m, v, kind, _ in sorted(keys):
+        for n in (20, 21, 137, 10**6, N_MAX):
+            main_term_parts(m, n, v)
+            e1_exact(m, n, v, kind)
+    assert sorted(builds) == sorted(keys)
 
 
 @pytest.mark.parametrize(

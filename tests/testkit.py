@@ -3,7 +3,8 @@
 Each one checks a lemma or a rule from outside the package's own paths: the
 Stirling enclosure of Gamma, float evaluation of a remaindered expansion,
 the paper's composite Newton-Cotes rule on a plain callable, exact interval
-queries on a ``CertifiedValue``, and the readers of the CLI's schema-1 JSON.
+queries on a ``CertifiedValue``, the readers of the CLI's schema-1 JSON, and
+the ``Fraction`` rule that ``check_theorem``'s integer verdict replaced.
 Unlike ``hiprec``, which shares no code with the package, these reuse its
 pieces.
 """
@@ -16,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from besselsix.bessel import phase
-from besselsix.core_integrals import CoreBoundBreakdown
+from besselsix.certify import NORMALIZATION, theorem_constants
+from besselsix.core_integrals import CoreBoundBreakdown, main_term
 from besselsix.exactnum import Budget, CertifiedValue, ExactScalar, as_integer
 from besselsix.expansions import RemainderedExpansion, TrigPoly
 from besselsix.quadrature import _eval_chunked, _NC7Region
@@ -33,6 +35,15 @@ def encloses(outer: CertifiedValue, inner: CertifiedValue) -> bool:
     m, r = Fraction(outer.mid), Fraction(outer.rad)
     om, orad = Fraction(inner.mid), Fraction(inner.rad)
     return m - r <= om - orad and om + orad <= m + r
+
+
+def theorem_verdict(m: int, n: int, variant: str, measured: CertifiedValue) -> bool:
+    """``check_theorem``'s verdict by the ``Fraction`` rule: |mid - main| +
+    rad, plus 2 ulp of the rounded main term, at most the constant's decimal
+    times n^-4."""
+    main = (NORMALIZATION * main_term(m, n, variant)).to_real()
+    deviation = abs(Fraction(measured.mid) - Fraction(main)) + Fraction(measured.rad)
+    return deviation + Fraction(2 * math.ulp(main)) <= Fraction(str(theorem_constants(m, n, variant))) / n**4
 
 
 def expansion_from_payload(payload: dict) -> RemainderedExpansion:
