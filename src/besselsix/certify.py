@@ -20,6 +20,7 @@ quadrature instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,6 +199,12 @@ class TheoremCheck:
         return self.allowance - self.deviation
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x as an exact (numerator, denominator) of Python ints.  A numpy
+    integer, which has no ``as_integer_ratio``, is read as its index."""
+    return x.as_integer_ratio() if hasattr(x, "as_integer_ratio") else (operator.index(x), 1)
+
+
 @lru_cache(maxsize=None)
 def _decimal(constant: float) -> tuple[int, int]:
     """A theorem constant as the exact ratio of its decimal, parsed once."""
@@ -210,10 +217,11 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     The measured enclosure's full width counts against the allowance, so a
     pass is rigorous whenever the enclosure itself is.  The verdict is
     exact and in integers, one path for float, int and ``Fraction``
-    enclosures: the midpoint, the rounded main term, the radius and the
-    2 ulp charged for that rounding are taken as integer ratios, summed
-    over their product denominator without normalizing, and
-    cross-multiplied with the constant read as its decimal.  The reported
+    enclosures, numpy numbers included: the midpoint, the rounded main
+    term, the radius and the 2 ulp charged for that rounding are taken as
+    integer ratios, summed over their product denominator without
+    normalizing, and cross-multiplied with the constant read as its
+    decimal.  The reported
     deviation and allowance are the plain float values; an exact enclosure
     past the float range reports an infinite deviation.  Like ``predict``,
     it refuses n past ``N_MAX``.
@@ -228,9 +236,9 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     except OverflowError:
         deviation = math.inf
     allowance = constant * float(n) ** -4
-    p, q = measured.mid.as_integer_ratio()
+    p, q = _ratio(measured.mid)
     a, b = main.as_integer_ratio()
-    r, s = measured.rad.as_integer_ratio()
+    r, s = _ratio(measured.rad)
     u, v = (2 * math.ulp(main)).as_integer_ratio()
     c, d = _decimal(constant)
     # |p/q - a/b| + r/s + u/v over the denominator q b s v

@@ -251,6 +251,11 @@ def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[i
     return tuple(weights.items())
 
 
+#: The least n that ``main_term_parts`` takes; ``_series_form`` checks its
+#: stored main terms there.
+_MAIN_N_MIN = 2
+
+
 def _evaluate(form: tuple[tuple[int, ...], int, int], y: int) -> Fraction:
     """N(y^2) / (L P_K(y)) for the form (N, L, K) of ``_series_form``: Horner
     over the integers, then one ``Fraction``."""
@@ -292,7 +297,7 @@ def _series_form(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int,
         for d, a in enumerate(poly):
             low_first[d] += a
     form = tuple(reversed(low_first)), lcm, K
-    n = 2 if part == "main" else max(N0, m)  # main_term_parts' and e1_exact's least n
+    n = _MAIN_N_MIN if part == "main" else max(N0, m)  # the least n of main_term_parts and check_domain
     y = 2 * n + m
     require(y - K + 1 > 0, f"P_{K} of {m, variant, kind, part} has a nonpositive factor at n={n}")
     exact = sum(w * _n_ratio(m, n, k) for k, w in weights)
@@ -312,8 +317,8 @@ def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactSca
     j + i <= max(m, 2) of the series for m <= 4; for m >= 6 orthogonality
     leaves none."""
     m, n = as_even_order(m), as_order(n)
-    if n < 2:
-        raise ValueError("main terms need n >= 2")
+    if n < _MAIN_N_MIN:
+        raise ValueError(f"main terms need n >= {_MAIN_N_MIN}")
     check_variant(variant)
     return tuple(ExactScalar(_series(m, n, variant, kind, "main")) for kind in ("cos", "sin"))
 

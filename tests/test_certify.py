@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,6 +329,23 @@ def test_integer_verdict_matches_the_fraction_rule():
         expected = theorem_verdict(m, n, variant, measured)
         assert check_theorem(m, n, variant, measured).passed == expected, (m, n, variant, measured)
         seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_check_reads_numpy_numbers_as_their_values():
+    # numpy integers have no as_integer_ratio; each enclosure gets the
+    # report of its builtin twin
+    main = (NORMALIZATION * main_term(2, 20, "I0")).to_real()
+    pairs = [
+        ((6, 30), CertifiedValue(np.int64(0), np.uint8(0)), CertifiedValue(0, 0)),
+        ((0, 30), CertifiedValue(np.int64(1), np.int32(0)), CertifiedValue(1, 0)),
+        ((2, 20), CertifiedValue(np.float64(main), np.float32(2.0**-40)), CertifiedValue(main, 2.0**-40)),
+        ((2, 20), CertifiedValue(np.float32(main), np.int64(1)), CertifiedValue(float(np.float32(main)), 1)),
+    ]
+    seen = set()
+    for (m, n), numpy_value, builtin in pairs:
+        assert check_theorem(m, n, "I0", numpy_value) == check_theorem(m, n, "I0", builtin), (m, n, numpy_value)
+        seen.add(theorem_verdict(m, n, "I0", builtin))
     assert seen == {True, False}
 
 

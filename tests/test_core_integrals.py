@@ -378,8 +378,8 @@ def test_main_terms_and_e1_are_one_weber_schafheitlin_series(variant):
             for kind, main in zip(("cos", "sin"), main_term_parts(m, n, variant)):
                 assert main.coeff == _series_by_terms(m, n, variant, kind, "main"), (m, n, kind)
                 assert e1_exact(m, n, variant, kind) == _series_by_terms(m, n, variant, kind, "e1"), (m, n, kind)
-    for n in range(2, 20):  # every table cell with a main term
-        for m in range(0, min(n, 4) + 1, 2):
+    for n in range(2, 20):  # every table cell with a main term, and m = 4 below it
+        for m in (0, 2, 4):
             for kind, main in zip(("cos", "sin"), main_term_parts(m, n, variant)):
                 assert main.coeff == _series_by_terms(m, n, variant, kind, "main"), (m, n, kind)
     for m in (100, 200):
