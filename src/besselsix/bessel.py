@@ -287,17 +287,25 @@ def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
     recurrence below ``_SWITCH_R``, and the Hankel sums plus forward
     recurrence above.  Every route evaluates the same fixed sequence of
     orders whatever is requested, so a value depends only on its order and
-    node, never on the other orders or nodes requested.
+    node, never on the other orders or nodes requested.  When one route
+    serves every node, its rows are returned as they are, with no gather
+    or scatter.
     """
     orders = [as_order(k) for k in orders]
     for k in orders:
         if k > MAX_ORDER:
             raise ValueError(f"order must lie in 0..{MAX_ORDER}, got {k}")
-    out = np.empty((len(orders), r.shape[0]))
     tiny, large = r < _TINY_R, r >= _SWITCH_R
-    for route, where in ((_series_rows, tiny), (_miller_rows, ~tiny & ~large), (_hankel_rows, large)):
-        if np.any(where):
-            out[:, where] = route(orders, r[where])
+    routes = [
+        (route, where)
+        for route, where in ((_series_rows, tiny), (_miller_rows, ~tiny & ~large), (_hankel_rows, large))
+        if np.any(where)
+    ]
+    if len(routes) == 1:
+        return routes[0][0](orders, r)
+    out = np.empty((len(orders), r.shape[0]))
+    for route, where in routes:
+        out[:, where] = route(orders, r[where])
     return out
 
 
@@ -337,7 +345,8 @@ def _miller_rows(orders, r: np.ndarray) -> np.ndarray:
             out *= scale
     for i in slots.get(0, ()):
         out[i] = b
-    return out / (b + 2.0 * even_sum)
+    out /= b + 2.0 * even_sum
+    return out
 
 
 def _hankel_rows(orders, r: np.ndarray) -> np.ndarray:

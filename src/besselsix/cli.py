@@ -11,7 +11,10 @@ Exit codes: 0 success, 1 usage error, 2 failed check, 3 domain error
 
 numpy and the modules built on it (``bessel``, ``quadrature``) are imported
 inside the commands that evaluate Bessel functions, so the analytic commands
-and a refused command line start without them.
+and a refused command line start without them.  Before that, ``main`` asks
+OpenBLAS for one thread (``_one_blas_thread``): the package's only BLAS call
+is one small matrix-vector product per grid region, and the worker thread
+that ``import numpy`` would otherwise start only burns CPU.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -47,6 +51,9 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
+
+# The variables OpenBLAS reads its thread count from, in its order.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -415,7 +422,17 @@ def _cmd_figure1(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on one thread in this process, unless numpy is already
+    loaded (then OpenBLAS has read its count) or the user set a count in one
+    of ``_BLAS_THREAD_VARS`` (then theirs wins).  Only the command-line
+    program does this: a library leaves its host's environment alone."""
+    if "numpy" not in sys.modules and not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     try:
         ns = parse_args(argv)
     except UsageError as exc:

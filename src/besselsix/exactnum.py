@@ -151,6 +151,12 @@ _SQRTPI = Fraction(
 )
 
 
+@lru_cache(maxsize=None)
+def _sqrtpi_power(k: int) -> Fraction:
+    """``_SQRTPI ** k``, computed once per exponent."""
+    return _SQRTPI**k
+
+
 @dataclass(frozen=True)
 class ExactScalar:
     """A rational number times an integer power of sqrt(pi).
@@ -225,7 +231,7 @@ class ExactScalar:
             return float(self.coeff)
         # One exact rational product with a 45-digit sqrt(pi), then a single
         # correctly rounded conversion.
-        return float(self.coeff * _SQRTPI ** self.sqrtpi_power)
+        return float(self.coeff * _sqrtpi_power(self.sqrtpi_power))
 
     # -- serialization ---------------------------------------------------
 

@@ -48,8 +48,10 @@ that each cell's quadrature plus printed tail value meets it too.
 
 The grid sums of ``integral`` and ``build_table`` read per-order value rows
 over each region, evaluated by the multi-order kernel ``_bessel_rows`` (all
-missing orders of a request in one pass) and memoized for the scheme in
-use; asking for another scheme frees the last one's rows.  Beside them the
+missing orders of a request in one pass; ``build_table`` makes one request
+per region for its whole band, so the Hankel sums and the forward
+recurrence run once per region) and memoized for the scheme in use; asking
+for another scheme frees the last one's rows.  Beside them the
 scheme keeps one weighted row per family and region: the full rule weight
 times r times the family's three fixed factors (J_0^3, or J_1^2 J_0) at every
 node, so a cell's rule value is the single pairwise ``np.sum`` of
@@ -59,7 +61,10 @@ weight 1.  All grid evaluation is deterministic: nodes are generated
 from integer indices, and per-node values depend only on the node and the
 order (never on the chunk or on the other orders evaluated with it).  Nodes
 are evaluated on one thread in fixed 16384-point chunks, which only bound
-the kernel's temporaries.
+the kernel's temporaries.  The module's only BLAS call is one small
+matrix-vector product per Gauss region, in its certificate; it leaves the
+BLAS thread count to the host process (the ``besselsix`` command asks for
+one thread before numpy loads, a library user's setting is never touched).
 """
 
 from __future__ import annotations
@@ -599,7 +604,13 @@ def _region_sums(cells, region, memo: _SchemeRows) -> list[float]:
     The union of their orders, fixed orders included, is read in one row
     lookup; the region's nodes are built at most once, and only if a row or
     a weighted row is missing."""
-    nodes = cache(region.nodes)
+    built = []
+
+    def nodes() -> np.ndarray:
+        if not built:
+            built.append(region.nodes())
+        return built[0]
+
     rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, memo)
     return [
         float(np.sum(_grid_composite(m, n, rows, _weighted_row(variant, region, rows, nodes, memo.weighted))))
@@ -811,13 +822,11 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     rows = _table_rows(_TABLE_ROWS if n_range is None else n_range)
     _table_radius_ok(scheme)
     memo = _scheme_rows(scheme)
-    # region-major: each table row reads the union of its cells' orders once
-    # per region, so a row evaluated for one cell serves all the others
-    by_row = [[(variant, m, n) for m in range(0, n + 1, 2) for variant in ("I0", "I1")] for n in rows]
-    low, high = (
-        [s for cells in by_row for s in _region_sums(cells, region, memo)] for region in _regions(scheme)
-    )
-    cells = [cell for row in by_row for cell in row]
+    # region-major: the band reads the union of its cells' orders once per
+    # region, so the kernel runs one pass per region (J0, J1 and the forward
+    # recurrence once) and a row evaluated for one cell serves all the others
+    cells = [(variant, m, n) for n in rows for m in range(0, n + 1, 2) for variant in ("I0", "I1")]
+    low, high = (_region_sums(cells, region, memo) for region in _regions(scheme))
     bounds = []
     for (variant, m, n), lo, hi in zip(cells, low, high):
         main = (NORMALIZATION * main_term(m, n, variant)).to_real()

@@ -172,6 +172,26 @@ def test_rows_match_single_order_bitwise_for_any_order_set():
             assert np.array_equal(row, single[k]), (orders, k)
 
 
+def test_single_route_vectors_match_mixed_vectors():
+    # a vector on one route skips the gather and scatter of a mixed one; each
+    # node's values must not depend on which of the two it went through
+    rng = np.random.default_rng(5)
+    routes = {
+        "tiny": np.concatenate([[0.0, 5e-324, 1e-300, 2.0**-31], rng.uniform(0.0, 2.0**-30, 20)]),
+        "miller": np.concatenate([[2.0**-30, 1e-3, 49.999], rng.uniform(0.0, 50.0, 60)]),
+        "large": np.concatenate([[50.0, 500.0, 63000.0, 5e7], rng.uniform(50.0, 63000.0, 60)]),
+    }
+    orders = (0, 1, 2, 7, 30, 40)
+    mixed = np.concatenate(list(routes.values()))
+    order = rng.permutation(mixed.shape[0])
+    mixed_rows = np.empty((len(orders), mixed.shape[0]))
+    mixed_rows[:, order] = _bessel_rows(orders, mixed[order])
+    start = 0
+    for name, rs in routes.items():
+        assert np.array_equal(_bessel_rows(orders, rs), mixed_rows[:, start:start + rs.shape[0]]), name
+        start += rs.shape[0]
+
+
 def test_values_below_500_within_independent_enclosure():
     # both sides of the r = 50 switch and the (200, 500) gap of the exact
     # series oracle, against the independent interval-arithmetic enclosure

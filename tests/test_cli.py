@@ -290,6 +290,66 @@ def test_no_cli_path_calls_linear_algebra():
     assert result.stdout.splitlines() == ["[0, 0]"], result.stderr
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+_THREADS_AFTER = """
+import contextlib, io, json, os
+before = dict(os.environ)
+%s
+print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    "added": sorted(set(os.environ) - set(before)),
+    "changed": sorted(k for k in before if os.environ.get(k) != before[k]),
+    "blas": {k: os.environ.get(k) for k in %r},
+}))
+"""
+
+
+def _environment_after(code: str, **preset: str) -> dict:
+    """Threads and environment changes after ``code`` ran in a fresh
+    interpreter started with none of the BLAS thread variables but ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(README.parent / "src"))
+    probe = _THREADS_AFTER % (code, _BLAS_VARS)
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+_INTEGRATE_QUIETLY = (
+    "from besselsix import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(['integrate', '--variant', '0', '--m', '0', '--n', '7', '--json']) == 0"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_cli_process_runs_on_one_thread():
+    # numpy loads inside the command, after main asked OpenBLAS for one
+    # thread, so no idle BLAS worker is ever started
+    after = _environment_after(_INTEGRATE_QUIETLY)
+    assert after["threads"] == 1
+    assert after["added"] == ["OPENBLAS_NUM_THREADS"]
+    assert after["blas"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_keeps_a_thread_count_the_user_set(name):
+    after = _environment_after(_INTEGRATE_QUIETLY, **{name: "2"})
+    assert after["added"] == [] and after["changed"] == []
+    assert after["blas"] == {k: "2" if k == name else None for k in _BLAS_VARS}
+
+
+@pytest.mark.parametrize("code", [
+    "import besselsix.quadrature",
+    "import besselsix\nbesselsix.integral('I0', 0, 2)",
+], ids=["import", "integral"])
+def test_library_leaves_the_environment_alone(code):
+    # only the command-line program configures its own process
+    after = _environment_after(code)
+    assert after["added"] == [] and after["changed"] == []
+
+
 def test_closed_form_output(capsys):
     assert cli.main(["closed-form", "--n", "1", "--m", "1", "--k", "2"]) == 0
     out = capsys.readouterr().out

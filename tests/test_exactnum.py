@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsix import certify, cli, closed_form, core_integrals, expansions, quadrature
+from besselsix import certify, cli, closed_form, core_integrals, exactnum, expansions, quadrature
 from besselsix.bessel import (
     _bessel_rows,
     asymptotic_eval,
@@ -64,6 +64,15 @@ def test_scalar_to_real():
     assert ExactScalar(Fraction(1), 2).to_real() == pytest.approx(math.pi)
     assert ExactScalar(Fraction(1), -2).to_real() == pytest.approx(1 / math.pi)
     assert ExactScalar(Fraction(7, 2)).to_real() == 3.5
+
+
+def test_to_real_is_one_rounding_of_the_exact_product():
+    # the powers of sqrt(pi) are kept once per exponent; the float must stay
+    # the single rounding of coeff * sqrt(pi)^k
+    for coeff in (Fraction(1), Fraction(-7, 3), Fraction(22, 10**30), Fraction(10**40 + 1, 3**50)):
+        for k in range(-6, 7):
+            expected = float(coeff * exactnum._SQRTPI**k)
+            assert ExactScalar(coeff, k).to_real().hex() == expected.hex(), (coeff, k)
 
 
 @given(

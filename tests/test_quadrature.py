@@ -680,11 +680,24 @@ def test_table_band_evaluates_each_row_once(monkeypatch):
     # chunks, so count nodes rather than kernel calls)
     quadrature._scheme_rows.cache_clear()
     evaluated = _count_kernel_rows(monkeypatch)
+    passes = []
+
+    def counting_passes(orders, region, nodes, memo, _real=quadrature._order_rows):
+        before = len(memo)
+        rows = _real(orders, region, nodes, memo)
+        if len(memo) > before:
+            passes.append(region)
+        return rows
+
+    monkeypatch.setattr(quadrature, "_order_rows", counting_passes)
     build_table([7, 8, 9])
     assert len(set(evaluated)) == len(evaluated)
     low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
     assert sum(count for _, _, count in evaluated) == 16 * (low + high)
     assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 32
+    # the band's rows come from one evaluating pass per region, so the Hankel
+    # sums and the forward recurrence run once per region, not once per row
+    assert passes == list(_regions(DEFAULT_SCHEME))
 
 
 def test_full_default_table_evaluates_each_row_once(monkeypatch):
