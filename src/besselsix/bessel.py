@@ -279,8 +279,10 @@ def _bessel_j_array(n: int, r: np.ndarray) -> np.ndarray:
     return _bessel_rows((n,), r.ravel())[0].reshape(r.shape)
 
 
-def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
-    """J_k(r) for each k in ``orders`` over the 1-d node vector r, one row each.
+def _bessel_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """J_k(r) for each k in ``orders`` over the 1-d node vector r, one row
+    each, written into ``out`` (shape (len(orders), len(r))) if given and
+    returned.
 
     Each node takes one of three routes by its argument alone: the leading
     series term below ``_TINY_R`` (r = 0 included), Miller's backward
@@ -288,8 +290,8 @@ def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
     recurrence above.  Every route evaluates the same fixed sequence of
     orders whatever is requested, so a value depends only on its order and
     node, never on the other orders or nodes requested.  When one route
-    serves every node, its rows are returned as they are, with no gather
-    or scatter.
+    serves every node, it writes its rows straight into ``out``, with no
+    gather or scatter.
     """
     orders = [as_order(k) for k in orders]
     for k in orders:
@@ -302,21 +304,22 @@ def _bessel_rows(orders, r: np.ndarray) -> np.ndarray:
         if np.any(where)
     ]
     if len(routes) == 1:
-        return routes[0][0](orders, r)
-    out = np.empty((len(orders), r.shape[0]))
+        return routes[0][0](orders, r, out)
+    out = np.empty((len(orders), r.shape[0])) if out is None else out
     for route, where in routes:
         out[:, where] = route(orders, r[where])
     return out
 
 
-def _series_rows(orders, r: np.ndarray) -> np.ndarray:
+def _series_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The leading series term (r/2)^k / k!; exact to 2^-62 relative below
-    ``_TINY_R``, where the next term is (r/2)^2/(k+1) times smaller."""
+    ``_TINY_R``, where the next term is (r/2)^2/(k+1) times smaller.  Each
+    route writes into ``out`` if given, as ``_bessel_rows`` does."""
     k = np.array(orders, dtype=np.intp)[:, None]
-    return (0.5 * r) ** k / _FACTORIALS[k]
+    return np.divide((0.5 * r) ** k, _FACTORIALS[k], out=out)
 
 
-def _miller_rows(orders, r: np.ndarray) -> np.ndarray:
+def _miller_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Miller's algorithm: b_{k-1} = (2k/r) b_k - b_{k+1} from b_N = 1,
     b_{N+1} = 0, normalized by J_0 + 2 sum J_{2k} = 1.
 
@@ -327,7 +330,8 @@ def _miller_rows(orders, r: np.ndarray) -> np.ndarray:
     slots = {}
     for i, k in enumerate(orders):
         slots.setdefault(k, []).append(i)
-    out = np.zeros((len(orders), r.shape[0]))
+    out = np.empty((len(orders), r.shape[0])) if out is None else out
+    out.fill(0.0)  # rows not yet reached are scaled with the rest
     b_next, b = np.zeros_like(r), np.ones_like(r)
     even_sum = np.zeros_like(r)
     for k in range(_MILLER_START, 0, -1):
@@ -349,10 +353,10 @@ def _miller_rows(orders, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hankel_rows(orders, r: np.ndarray) -> np.ndarray:
+def _hankel_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """J0 and J1 from the Hankel sums, each higher order by forward recurrence
     J_{k+1} = (2k/r) J_k - J_{k-1}, always started from J0 and J1."""
-    out = np.empty((len(orders), r.shape[0]))
+    out = np.empty((len(orders), r.shape[0])) if out is None else out
     jk, jnext = _asym_j0_j1(r)  # J_k and J_{k+1} from k = 0
     for k in range(max(orders) + 1):
         for i, order in enumerate(orders):

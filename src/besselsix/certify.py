@@ -221,10 +221,9 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     term, the radius and the 2 ulp charged for that rounding are taken as
     integer ratios, summed over their product denominator without
     normalizing, and cross-multiplied with the constant read as its
-    decimal.  The reported
-    deviation and allowance are the plain float values; an exact enclosure
-    past the float range reports an infinite deviation.  Like ``predict``,
-    it refuses n past ``N_MAX``.
+    decimal.  The reported deviation and allowance are the plain float
+    values; an exact enclosure past the float range reports an infinite
+    deviation.  Like ``predict``, it refuses n past ``N_MAX``.
     """
     constant = theorem_constants(m, n, variant)
     if constant is None:

@@ -18,12 +18,14 @@ the sine route (s_j the Hankel sign, alpha_i the coefficient tables).  The
 main term is the part with j + i <= max(m, 2) when m <= 4 and nothing when
 m >= 6; the first-kind error is the rest.  Each part of each route is
 stored once per (m, variant, kind, part) as one rational function of
-y = 2n + m with integer coefficients (``_series_form``), so a main term or
-first-kind error at any n costs a few integer products and one
-``Fraction``, and nothing is cached per n.  Everything here is either an
-exact rational in n or a closed-form bound; printed constants are checked
-against their recomputed counterparts on first use, and so are the lemmas
-that drop or bound terms: ``vanishes_freq2`` for every frequency-2 term the
+y = 2n + m with integer coefficients (``_series_form``), and so is the
+whole main term, once per (m, variant), from both routes' weights merged
+by k; the per-route parts serve the breakdown.  A main term or first-kind
+error at any n costs a few integer products and one ``Fraction``, and
+nothing is cached per n.  Everything here is either an exact rational in
+n or a closed-form bound; printed constants are checked against their
+recomputed counterparts on first use, and so are the lemmas that drop or
+bound terms: ``vanishes_freq2`` for every frequency-2 term the
 series drops, and the 4r chain (``descent_bound``, ``gaussian_binomial_bound``)
 under every second-kind error.
 """
@@ -221,33 +223,35 @@ def _freq2_dropped_vanish(m: int, variant: str, kind: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _series_weights(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int, Fraction], ...]:
-    """Pairs (k, w_k) with the part ("main" or "e1") of the kind's series,
-    as in the module docstring, equal to the sum of w_k * _n_ratio(m, n, k),
-    once ``_freq2_dropped_vanish`` holds.
+def _series_weights(m: int, variant: str, kinds: tuple[str, ...], part: str) -> tuple[tuple[int, Fraction], ...]:
+    """Pairs (k, w_k) with the part ("main" or "e1") of the series of the
+    routes in ``kinds``, as in the module docstring, summed over those
+    routes, equal to the sum of w_k * _n_ratio(m, n, k), once
+    ``_freq2_dropped_vanish`` holds.  Every k is odd on both routes.
 
     Term (j, i) has k = 1 + j + i and s_j = (-1)^ceil(j/2), the Hankel sign
     of ``expansions.base_expansion``.  Its n-free factor, Weber-Schafheitlin's
     constant included, is read off WS at n = k, which is rational: with m
     even and k odd every Gamma argument is an integer.
     """
-    _freq2_dropped_vanish(m, variant, kind)
-    parity = 0 if kind == "cos" else 1
     t = coefficient_tables(variant)
-    alphas = t.alphas_cos if kind == "cos" else t.alphas_sin
     weights: dict[int, Fraction] = {}
-    for i, alpha in zip(range(parity, 6, 2), alphas):
-        # below j = m - i, WS(n, n+m, 1+j+i) vanishes: 1/Gamma((j+i+2-m)/2)
-        # has a pole there
-        for j in range(max(parity, m - i), m + 4, 2):
-            if (part == "main") != (m <= 4 and j + i <= max(m, 2)):
-                continue
-            k = 1 + j + i
-            ws = weber_schafheitlin(k, k + m, k)
-            require(ws.sqrtpi_power == 0, f"WS({k}, {k + m}, {k}) of {m, variant} is not rational")
-            ws = ws.coeff / _n_ratio(m, k, k)
-            sign = (-1) ** (m // 2 + (j + 1) // 2)
-            weights[k] = weights.get(k, 0) + sign * _aj(j, m) * alpha * ws / (8 * 16**i)
+    for kind in kinds:
+        _freq2_dropped_vanish(m, variant, kind)
+        parity = 0 if kind == "cos" else 1
+        alphas = t.alphas_cos if kind == "cos" else t.alphas_sin
+        for i, alpha in zip(range(parity, 6, 2), alphas):
+            # below j = m - i, WS(n, n+m, 1+j+i) vanishes: 1/Gamma((j+i+2-m)/2)
+            # has a pole there
+            for j in range(max(parity, m - i), m + 4, 2):
+                if (part == "main") != (m <= 4 and j + i <= max(m, 2)):
+                    continue
+                k = 1 + j + i
+                ws = weber_schafheitlin(k, k + m, k)
+                require(ws.sqrtpi_power == 0, f"WS({k}, {k + m}, {k}) of {m, variant} is not rational")
+                ws = ws.coeff / _n_ratio(m, k, k)
+                sign = (-1) ** (m // 2 + (j + 1) // 2)
+                weights[k] = weights.get(k, 0) + sign * _aj(j, m) * alpha * ws / (8 * 16**i)
     return tuple(weights.items())
 
 
@@ -269,10 +273,10 @@ def _evaluate(form: tuple[tuple[int, ...], int, int], y: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _series_form(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int, ...], int, int]:
-    """(N, L, K): the part of the kind's series as one rational function of
-    y = 2n + m, N(y^2) / (L P_K(y)), with N's integer coefficients highest
-    first.  An empty series is ((), 1, 0).
+def _series_form(m: int, variant: str, kinds: tuple[str, ...], part: str) -> tuple[tuple[int, ...], int, int]:
+    """(N, L, K): the part of the series of the routes in ``kinds``, summed,
+    as one rational function of y = 2n + m, N(y^2) / (L P_K(y)), with N's
+    integer coefficients highest first.  An empty series is ((), 1, 0).
 
     For odd k, _n_ratio(m, n, k) = 2^k / P_k(y), where P_k(y) is the
     product of y + s over s = -(k-1), -(k-3), ..., k-1.  These nest:
@@ -283,7 +287,7 @@ def _series_form(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int,
     smallest factor y - K + 1 of P_K is positive (so it is for every larger
     n), and the form equals the sum of w_k _n_ratio(m, n, k).
     """
-    weights = _series_weights(m, variant, kind, part)
+    weights = _series_weights(m, variant, kinds, part)
     if not weights:
         return (), 1, 0
     K = max(k for k, _ in weights)
@@ -299,34 +303,41 @@ def _series_form(m: int, variant: str, kind: str, part: str) -> tuple[tuple[int,
     form = tuple(reversed(low_first)), lcm, K
     n = _MAIN_N_MIN if part == "main" else max(N0, m)  # the least n of main_term_parts and check_domain
     y = 2 * n + m
-    require(y - K + 1 > 0, f"P_{K} of {m, variant, kind, part} has a nonpositive factor at n={n}")
+    require(y - K + 1 > 0, f"P_{K} of {m, variant, kinds, part} has a nonpositive factor at n={n}")
     exact = sum(w * _n_ratio(m, n, k) for k, w in weights)
-    require(_evaluate(form, y) == exact, f"stored series of {m, variant, kind, part} fails at n={n}")
+    require(_evaluate(form, y) == exact, f"stored series of {m, variant, kinds, part} fails at n={n}")
     return form
 
 
-def _series(m: int, n: int, variant: str, kind: str, part: str) -> Fraction:
-    """The part ("main" or "e1") of the kind's series at n, the sum of
+def _series(m: int, n: int, variant: str, kinds: tuple[str, ...], part: str) -> Fraction:
+    """The part ("main" or "e1") of the routes' series at n, the sum of
     w_k _n_ratio(m, n, k), read from its stored rational function: a few
     integer products and one ``Fraction`` per call, for any n."""
-    return _evaluate(_series_form(m, variant, kind, part), 2 * n + m)
+    return _evaluate(_series_form(m, variant, kinds, part), 2 * n + m)
+
+
+def _check_main_args(m, n, variant: str) -> tuple[int, int]:
+    """(m, n) as ints, if main terms take them with ``variant``."""
+    m, n = as_even_order(m), as_order(n)
+    if n < _MAIN_N_MIN:
+        raise ValueError(f"main terms need n >= {_MAIN_N_MIN}")
+    check_variant(variant)
+    return m, n
 
 
 def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactScalar]:
     """(cosine-route, sine-route) main terms as exact rationals: the terms
     j + i <= max(m, 2) of the series for m <= 4; for m >= 6 orthogonality
     leaves none."""
-    m, n = as_even_order(m), as_order(n)
-    if n < _MAIN_N_MIN:
-        raise ValueError(f"main terms need n >= {_MAIN_N_MIN}")
-    check_variant(variant)
-    return tuple(ExactScalar(_series(m, n, variant, kind, "main")) for kind in ("cos", "sin"))
+    m, n = _check_main_args(m, n, variant)
+    return tuple(ExactScalar(_series(m, n, variant, (kind,), "main")) for kind in ("cos", "sin"))
 
 
 def main_term(m: int, n: int, variant: str) -> ExactScalar:
-    """The total (cosine plus sine route) main term."""
-    cos, sin = main_term_parts(m, n, variant)
-    return cos + sin
+    """The total (cosine plus sine route) main term, read from one stored
+    form of both routes' merged weights: no addition of the two parts."""
+    m, n = _check_main_args(m, n, variant)
+    return ExactScalar(_series(m, n, variant, ("cos", "sin"), "main"))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +351,7 @@ def e1_exact(m: int, n: int, variant: str, kind: str) -> Rational:
     m, n = check_domain(m, n)
     _check_kind(kind)
     check_variant(variant)
-    return _series(m, n, variant, kind, "e1")
+    return _series(m, n, variant, (kind,), "e1")
 
 
 # printed first-kind bounds: {(m-case, kind): (c_I0, c_I1, n0-exponent, n-exponent)}
@@ -369,13 +380,21 @@ def _e1_dominates(m: int, variant: str, kind: str) -> tuple[Fraction, int, int]:
     return c, p0, pn
 
 
+@lru_cache(maxsize=None)
+def _e1_scale(m: int, variant: str, kind: str) -> tuple[float, int]:
+    """(float(c) 20.0^-p0, pn) of ``_e1_dominates``: times float(n)^-pn,
+    left to right, the first is ``e1_bound``."""
+    c, p0, pn = _e1_dominates(m, variant, kind)
+    return float(c) * float(N0) ** -p0, pn
+
+
 def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Printed bound on the first-kind error, validated on first use
     against the exact formula at n = max(20, m) and n = max(10^6, m)."""
     check_domain(m, n)
     _check_kind(kind)
-    c, p0, pn = _e1_dominates(m, variant, kind)
-    return float(c) * float(N0) ** -p0 * float(n) ** -pn
+    scale, pn = _e1_scale(m, variant, kind)
+    return scale * float(n) ** -pn
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +496,21 @@ def _e2_dominates(m: int, variant: str) -> Fraction:
     return c
 
 
+@lru_cache(maxsize=None)
+def _e2_scale(m: int, variant: str) -> tuple[float, int]:
+    """(float(c) theta^20, tau) of ``_e2_dominates`` and ``_decay``: times
+    float(n)^-tau, left to right, the first is ``e2_bound``."""
+    tau, theta = _decay(m)
+    return float(_e2_dominates(m, variant)) * theta**N0, tau
+
+
 def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Second-kind error: prefactor times theta^20 n^-tau, (tau, theta)
     from ``_decay``."""
     check_domain(m, n)
     _check_kind(kind)
-    tau, theta = _decay(m)
-    return float(_e2_dominates(m, variant)) * theta**N0 * float(n) ** -tau
+    scale, tau = _e2_scale(m, variant)
+    return scale * float(n) ** -tau
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +644,20 @@ class CoreBoundBreakdown:
 
 
 def core_bound_breakdown(m: int, n: int, variant: str) -> CoreBoundBreakdown:
-    """Assemble the full decomposition of one core integral."""
-    check_domain(m, n)
-    cos, sin = main_term_parts(m, n, variant)
+    """Assemble the full decomposition of one core integral: the values of
+    ``main_term_parts``, ``e1_bound`` and ``e2_bound``, with the arguments
+    checked once."""
+    m, n = check_domain(m, n)
+    check_variant(variant)
+    cos, sin = (ExactScalar(_series(m, n, variant, (kind,), "main")) for kind in ("cos", "sin"))
+    (e1_cos, pn_cos), (e1_sin, pn_sin) = (_e1_scale(m, variant, kind) for kind in ("cos", "sin"))
+    e2, tau = _e2_scale(m, variant)
+    x = float(n)
     return CoreBoundBreakdown(
         main_cos=cos,
         main_sin=sin,
-        e1_cos=e1_bound(m, n, variant, "cos"),
-        e1_sin=e1_bound(m, n, variant, "sin"),
-        e2_cos=e2_bound(m, n, variant, "cos"),
-        e2_sin=e2_bound(m, n, variant, "sin"),
+        e1_cos=e1_cos * x**-pn_cos,
+        e1_sin=e1_sin * x**-pn_sin,
+        e2_cos=e2 * x**-tau,
+        e2_sin=e2 * x**-tau,
     )

@@ -227,11 +227,11 @@ class ExactScalar:
 
     def to_real(self) -> float:
         """The value as a float, correct to within 2 ulp."""
-        if self.sqrtpi_power == 0:
-            return float(self.coeff)
-        # One exact rational product with a 45-digit sqrt(pi), then a single
-        # correctly rounded conversion.
-        return float(self.coeff * _sqrtpi_power(self.sqrtpi_power))
+        # One exact product with a 45-digit sqrt(pi), left unreduced, then
+        # one int true division, which CPython rounds correctly, as
+        # float(Fraction) does: the same float without a gcd.
+        s = _sqrtpi_power(self.sqrtpi_power)
+        return self.coeff.numerator * s.numerator / (self.coeff.denominator * s.denominator)
 
     # -- serialization ---------------------------------------------------
 

@@ -61,7 +61,8 @@ weight 1.  All grid evaluation is deterministic: nodes are generated
 from integer indices, and per-node values depend only on the node and the
 order (never on the chunk or on the other orders evaluated with it).  Nodes
 are evaluated on one thread in fixed 16384-point chunks, which only bound
-the kernel's temporaries.  The module's only BLAS call is one small
+the kernel's temporaries; a chunk that one kernel route serves is written
+straight into its rows' block.  The module's only BLAS call is one small
 matrix-vector product per Gauss region, in its certificate; it leaves the
 BLAS thread count to the host process (the ``besselsix`` command asks for
 one thread before numpy loads, a library user's setting is never touched).
@@ -285,19 +286,6 @@ class TableEntry:
 
 def _parity(n: int) -> str:
     return "even" if n % 2 == 0 else "odd"
-
-
-# ---------------------------------------------------------------------------
-# The composite rule
-# ---------------------------------------------------------------------------
-
-
-def _eval_chunked(f, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[..., i]`` with f at ``nodes[i]``, one fixed ``_CHUNK``-point
-    chunk of nodes at a time; returns ``out``."""
-    for lo in range(0, nodes.shape[0], _CHUNK):
-        out[..., lo:lo + _CHUNK] = f(nodes[lo:lo + _CHUNK])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +543,14 @@ def _order_rows(orders, region, nodes, memo: dict) -> dict[int, np.ndarray]:
     """The rows of ``orders`` over the nodes of ``region``, read from and
     added to ``memo``.  ``nodes()`` returns those nodes; it is called only
     if an order is missing.  Missing orders are evaluated together in one
-    pass, into one frozen block whose rows are views."""
+    pass, into one frozen block whose rows are views, one fixed
+    ``_CHUNK``-point chunk of nodes at a time."""
     missing = sorted({k for k in orders if (k, region) not in memo})
     if missing:
         r = nodes()
         block = np.empty((len(missing), r.shape[0]))
-        _eval_chunked(lambda chunk: _bessel_rows(missing, chunk), r, block)
+        for lo in range(0, r.shape[0], _CHUNK):
+            _bessel_rows(missing, r[lo:lo + _CHUNK], block[:, lo:lo + _CHUNK])
         block.setflags(write=False)
         memo.update(((k, region), row) for k, row in zip(missing, block))
     return {k: memo[k, region] for k in orders}

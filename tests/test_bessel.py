@@ -173,8 +173,9 @@ def test_rows_match_single_order_bitwise_for_any_order_set():
 
 
 def test_single_route_vectors_match_mixed_vectors():
-    # a vector on one route skips the gather and scatter of a mixed one; each
-    # node's values must not depend on which of the two it went through
+    # a vector on one route skips the gather and scatter of a mixed one, and
+    # writes straight into a given ``out``; each node's values must not
+    # depend on which of these it went through
     rng = np.random.default_rng(5)
     routes = {
         "tiny": np.concatenate([[0.0, 5e-324, 1e-300, 2.0**-31], rng.uniform(0.0, 2.0**-30, 20)]),
@@ -188,8 +189,18 @@ def test_single_route_vectors_match_mixed_vectors():
     mixed_rows[:, order] = _bessel_rows(orders, mixed[order])
     start = 0
     for name, rs in routes.items():
-        assert np.array_equal(_bessel_rows(orders, rs), mixed_rows[:, start:start + rs.shape[0]]), name
+        expected = mixed_rows[:, start:start + rs.shape[0]]
+        assert np.array_equal(_bessel_rows(orders, rs), expected), name
+        # a column slice of a NaN-filled block, as the quadrature passes
+        block = np.full((len(orders), rs.shape[0] + 3), np.nan)
+        view = block[:, 1:1 + rs.shape[0]]
+        assert _bessel_rows(orders, rs, view) is view
+        assert np.array_equal(view, expected), name
+        assert np.isnan(block[:, 0]).all() and np.isnan(block[:, -2:]).all(), name
         start += rs.shape[0]
+    view = np.full((len(orders), mixed.shape[0] + 1), np.nan)[:, 1:]
+    assert _bessel_rows(orders, mixed[order], view) is view
+    assert np.array_equal(view, mixed_rows[:, order])
 
 
 def test_values_below_500_within_independent_enclosure():

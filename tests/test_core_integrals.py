@@ -388,7 +388,8 @@ def test_main_terms_and_e1_are_one_weber_schafheitlin_series(variant):
 
 
 def test_each_series_form_is_built_once(monkeypatch):
-    # one rational function per (m, variant, kind, part), whatever n asks
+    # one rational function per (m, variant, route, part), and one merged
+    # main form of both routes per (m, variant), whatever n asks
     builds = []
     real = core_integrals._series_weights
 
@@ -398,13 +399,36 @@ def test_each_series_form_is_built_once(monkeypatch):
 
     monkeypatch.setattr(core_integrals, "_series_weights", counting)
     core_integrals._series_form.cache_clear()
-    keys = {(m, v, kind, part) for m in (0, 2, 4, 6, 8) for v in ("I0", "I1") for kind in ("cos", "sin")
-            for part in ("main", "e1")}
-    for m, v, kind, _ in sorted(keys):
+    cells = [(m, v) for m in (0, 2, 4, 6, 8) for v in ("I0", "I1")]
+    keys = {(m, v, (kind,), part) for m, v in cells for kind in ("cos", "sin") for part in ("main", "e1")}
+    keys |= {(m, v, ("cos", "sin"), "main") for m, v in cells}
+    for m, v in cells:
         for n in (20, 21, 137, 10**6, N_MAX):
             main_term_parts(m, n, v)
-            e1_exact(m, n, v, kind)
+            main_term(m, n, v)
+            for kind in ("cos", "sin"):
+                e1_exact(m, n, v, kind)
     assert sorted(builds) == sorted(keys)
+
+
+def test_main_term_evaluates_one_form(monkeypatch):
+    # the total is one stored form, not the sum of the two routes' forms
+    main_term(2, 25, "I0")
+    calls = []
+    real = core_integrals._evaluate
+    monkeypatch.setattr(core_integrals, "_evaluate", lambda *a: calls.append(a) or real(*a))
+    main_term(2, 26, "I0")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", ["I0", "I1"])
+def test_main_term_is_the_sum_of_its_parts(variant):
+    # the merged form against cos + sin of the per-route forms, exactly
+    cells = [(m, n) for m in range(0, 42, 2) for n in sorted({max(20, m), max(20, m) + 1, 137, 10**6, N_MAX})]
+    cells += [(m, n) for m in (0, 2, 4) for n in range(2, 20)]
+    for m, n in cells:
+        cos, sin = main_term_parts(m, n, variant)
+        assert main_term(m, n, variant) == cos + sin, (m, n)
 
 
 @pytest.mark.parametrize(
@@ -642,13 +666,37 @@ def test_B_domain():
 
 
 def test_breakdown_collects_the_parts():
-    bd = core_bound_breakdown(2, 24, "I1")
-    c, s = main_term_parts(2, 24, "I1")
-    assert bd.main_cos == c and bd.main_sin == s
-    assert bd.e1_cos == e1_bound(2, 24, "I1", "cos")
-    assert bd.e1_sin == e1_bound(2, 24, "I1", "sin")
-    assert bd.e2_cos == e2_bound(2, 24, "I1", "cos")
-    assert bd.e2_sin == e2_bound(2, 24, "I1", "sin")
+    # the breakdown checks its arguments once and reads the cached float
+    # factors; every field must still equal the public functions' value
+    for m in (0, 2, 4, 6, 8, 40):
+        for n in sorted({max(20, m), max(24, m), 137, 10**6, N_MAX}):
+            for v in ("I0", "I1"):
+                bd = core_bound_breakdown(m, n, v)
+                c, s = main_term_parts(m, n, v)
+                assert bd.main_cos == c and bd.main_sin == s
+                for kind in ("cos", "sin"):
+                    assert getattr(bd, f"e1_{kind}").hex() == e1_bound(m, n, v, kind).hex(), (m, n, v)
+                    assert getattr(bd, f"e2_{kind}").hex() == e2_bound(m, n, v, kind).hex(), (m, n, v)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 21, "I0"), "m must be even and nonnegative, got 1"),
+        ((0, 19, "I0"), "the certified regime needs n >= 20"),
+        ((0, N_MAX + 1, "I0"), "the certified regime needs n <= 1e+38"),
+        ((22, 20, "I0"), "m must not exceed n, got m=22, n=20"),
+        ((0, 20, "I2"), "variant must be 'I0' or 'I1', got 'I2'"),
+        # the domain is checked before the variant
+        ((1, 21, "I2"), "m must be even and nonnegative, got 1"),
+        ((0, 19, "I2"), "the certified regime needs n >= 20"),
+    ],
+    ids=["odd-m", "n-below-20", "n-above-cap", "m-above-n", "variant", "odd-m-and-variant", "n-and-variant"],
+)
+def test_breakdown_refusals(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        core_bound_breakdown(*args)
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
 
 
 def test_breakdown_validation():

@@ -67,9 +67,16 @@ def test_scalar_to_real():
 
 
 def test_to_real_is_one_rounding_of_the_exact_product():
-    # the powers of sqrt(pi) are kept once per exponent; the float must stay
-    # the single rounding of coeff * sqrt(pi)^k
-    for coeff in (Fraction(1), Fraction(-7, 3), Fraction(22, 10**30), Fraction(10**40 + 1, 3**50)):
+    # the powers of sqrt(pi) are kept once per exponent and the product is
+    # left unreduced; the float must stay the single rounding of
+    # coeff * sqrt(pi)^k.  The normalized main terms at n = N_MAX carry
+    # coefficients of hundreds of bits.
+    coeffs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(22, 10**30), Fraction(10**40 + 1, 3**50)]
+    mains = [certify.NORMALIZATION * core_integrals.main_term(m, n, v) for m in (0, 2, 4)
+             for n in (10**6, exactnum.N_MAX) for v in ("I0", "I1")]
+    assert max(x.coeff.denominator.bit_length() for x in mains) > 600
+    coeffs += [x.coeff for x in mains] + [-x.coeff for x in mains]
+    for coeff in coeffs:
         for k in range(-6, 7):
             expected = float(coeff * exactnum._SQRTPI**k)
             assert ExactScalar(coeff, k).to_real().hex() == expected.hex(), (coeff, k)

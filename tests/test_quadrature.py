@@ -666,9 +666,9 @@ def _count_kernel_rows(monkeypatch) -> list:
     evaluates inside the quadrature module."""
     evaluated = []
 
-    def counting(orders, r):
+    def counting(orders, r, out=None):
         evaluated.extend((k, float(r[0]), r.shape[0]) for k in orders)
-        return _bessel_rows(orders, r)
+        return _bessel_rows(orders, r, out)
 
     monkeypatch.setattr(quadrature, "_bessel_rows", counting)
     return evaluated

@@ -21,7 +21,7 @@ from besselsix.certify import NORMALIZATION, theorem_constants
 from besselsix.core_integrals import CoreBoundBreakdown, main_term
 from besselsix.exactnum import Budget, CertifiedValue, ExactScalar, as_integer
 from besselsix.expansions import RemainderedExpansion, TrigPoly
-from besselsix.quadrature import _eval_chunked, _NC7Region
+from besselsix.quadrature import _NC7Region
 
 
 def contains(v: CertifiedValue, x) -> bool:
@@ -143,4 +143,4 @@ def nc7_composite(f, a: float, b: float, w: float) -> float:
     """
     region = _NC7Region(a, b, w)
     nodes = region.nodes()
-    return float(np.sum(region.weights() * _eval_chunked(f, nodes, np.empty(nodes.shape[0]))))
+    return float(np.sum(region.weights() * np.broadcast_to(f(nodes), nodes.shape)))
