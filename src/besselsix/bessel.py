@@ -1,18 +1,19 @@
 """Evaluation of Bessel functions J_n with certified error channels.
 
-Three cooperating evaluators live here:
+Two evaluators live here:
 
 ``bessel_j``
-    Fast float evaluation for orders 0..40 and arguments 0 <= r < 5.27e7
-    (``_MAX_R``; larger r is refused), accurate to 1e-13 absolute, in numpy
-    alone.  Below the fixed switch radius r = 50 it runs Miller's backward
-    recurrence from order 140, normalized by J_0 + 2 sum J_{2k} = 1 (Olver,
-    Math. Comp. 18 (1964));
+    The kernel: fast float evaluation for orders 0..40 and arguments
+    0 <= r < 5.27e7 (``_MAX_R``; larger r is refused), accurate to 1e-13
+    absolute, in numpy alone.  Below the fixed switch radius r = 50 it runs
+    Miller's backward recurrence from order 140, normalized by
+    J_0 + 2 sum J_{2k} = 1 (Olver, Math. Comp. 18 (1964));
     below r = 2^-30 the leading series term (r/2)^k / k! is already exact to
     float precision.  From r = 50 on, J0 and J1 come from the 12-term Hankel
-    asymptotic series with our own extended-precision phase reduction, where
-    the truncation remainder is below 2^-56 (below 2^-100 from r = 500), and
-    every higher order from the forward recurrence
+    asymptotic series, whose signed coefficients are fixed float tables, with
+    our own extended-precision phase reduction, where the truncation
+    remainder (``asymptotic_remainder``) is below 2^-56 (below 2^-100 from
+    r = 500), and every higher order from the forward recurrence
     J_{k+1} = (2k/r) J_k - J_{k-1}, which is stable for k <= 40 < r
     (Gautschi, SIAM Rev. 9 (1967)).  Against 40-digit reference values the
     measured error is below 4e-16 on both sides of the switch.  Scalars,
@@ -25,11 +26,6 @@ Three cooperating evaluators live here:
     summed in exact fixed-point integer arithmetic with a rigorous bound on
     every floor division and on the discarded tail.  Returns an enclosure.
 
-``asymptotic_eval``
-    The truncated asymptotic expansion together with its certified
-    remainder bound: sqrt(2/(pi r)) * |a_ell(n)| * r^(-ell) for truncation
-    after ell terms (valid once ell >= max(n - 1/2, 1)).
-
 The phase ``omega_n = r - n pi/2 - pi/4`` is reduced with a three-word
 representation of 2 pi so that the reduction error stays a few 1e-16 even at
 r = 63000, where a naive reduction would lose ~1e-11.
@@ -40,7 +36,6 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +45,6 @@ __all__ = [
     "CertifiedValue",
     "bessel_j",
     "bessel_series_oracle",
-    "asymptotic_eval",
     "asymptotic_remainder",
     "phase",
 ]
@@ -165,49 +159,12 @@ def _phase_array(n: int, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _acoeff_fracs(n: int, count: int) -> tuple[Fraction, ...]:
-    return tuple(a_coeff(j, n).coeff for j in range(count))
-
-
-@lru_cache(maxsize=None)
-def _acoeff_floats(n: int, count: int) -> tuple[float, ...]:
-    return tuple(float(c) for c in _acoeff_fracs(n, count))
-
-
 def _horner(coeffs, u):
     """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...; elementwise on arrays."""
     total = 0.0
     for c in reversed(coeffs):
         total = total * u + c
     return total
-
-
-def _alternating(coeffs):
-    return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
-
-
-def _asym_sums(n: int, r, ell: int):
-    """Evaluate the truncated cosine/sine sums P, Q of the expansion.
-
-    P collects terms a_0, a_2, ... and Q terms a_1, a_3, ... with alternating
-    signs, both restricted to indices < ell.  Works elementwise on arrays.
-    """
-    a = _acoeff_floats(n, ell)
-    u = 1.0 / (r * r)
-    return _horner(_alternating(a[0::2]), u), _horner(_alternating(a[1::2]), u) / r
-
-
-def _asym_j0_j1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints of the ``_ASYM_TERMS``-term asymptotic J0 and J1, from one
-    phase reduction: omega_1 = omega_0 - pi/2, so cos omega_1 = sin omega_0
-    and sin omega_1 = -cos omega_0."""
-    p0, q0 = _asym_sums(0, r, _ASYM_TERMS)
-    p1, q1 = _asym_sums(1, r, _ASYM_TERMS)
-    omega = _phase_array(0, r)
-    c, s = np.cos(omega), np.sin(omega)
-    amp = np.sqrt(2.0 / (np.pi * r))
-    return amp * (c * p0 - s * q0), amp * (s * p1 + c * q1)
 
 
 def asymptotic_remainder(n: int, r: float, ell: int) -> float:
@@ -217,7 +174,7 @@ def asymptotic_remainder(n: int, r: float, ell: int) -> float:
     * (2r)^(-ell), which simplifies to sqrt(2/(pi r)) * |a_ell(n)| * r^(-ell).
     Requires ell >= max(n - 1/2, 1).
     """
-    ell = as_integer(ell, "term counts")
+    n, ell = as_order(n), as_integer(ell, "term counts")
     if ell < 1 or ell < n:  # integer ell >= n - 1/2  <=>  ell >= n
         raise ValueError(f"remainder bound needs ell >= max(n - 1/2, 1); got ell={ell}, n={n}")
     if not (r > 0):
@@ -236,30 +193,35 @@ require(
 )
 
 
-def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
-    """Enclosure of J_n(r) from the ell-term asymptotic expansion.
+def _signed_coeffs(n: int, first: int) -> tuple[float, ...]:
+    """(-1)^i a_{2i+first}(n) as floats, for 2i + first < ``_ASYM_TERMS``."""
+    terms = range(first, _ASYM_TERMS, 2)
+    return tuple(float((-1) ** i * a_coeff(j, n).coeff) for i, j in enumerate(terms))
 
-    The radius is the certified truncation remainder plus an explicit
-    allowance for the floating-point evaluation of the truncated sums (a few
-    ulp per term, plus the documented phase-reduction error).
-    """
-    ell = as_integer(ell, "term counts")  # the sums below need an int
-    remainder = asymptotic_remainder(n, r, ell)  # checks the domain
-    p, q = _asym_sums(n, r, ell)
-    a = _acoeff_floats(n, ell)
+
+# The cosine and sine sums (P, Q) of the J0 and J1 expansions: P collects the
+# terms a_0, a_2, ... and Q the terms a_1, a_3, ..., with alternating signs.
+_HANKEL_PQ = {n: (_signed_coeffs(n, 0), _signed_coeffs(n, 1)) for n in (0, 1)}
+
+
+def _asym_sums(n: int, r):
+    """The truncated sums P and Q/r of J_n's expansion for n in {0, 1};
+    elementwise on arrays."""
+    p, q = _HANKEL_PQ[n]
     u = 1.0 / (r * r)
-    abs_scale = _horner([abs(c) for c in a[0::2]], u) + _horner([abs(c) for c in a[1::2]], u) / r
-    omega = phase(n, r)
-    amp = math.sqrt(2.0 / (math.pi * r))
-    mid = amp * (math.cos(omega) * p - math.sin(omega) * q)
-    # float slack: Horner roundings (~2 ulp per term) on sums bounded by
-    # abs_scale (the same sums over |a_k|), the phase error
-    # 4e-16*(1+log2(1+r)) acting through the derivative of cos/sin, and the
-    # final multiplications.
-    phase_err = 4e-16 * (1.0 + math.log2(1.0 + r))
-    slack = amp * (abs_scale * (2.0 * ell + 6.0) * 2.0 ** -52 + phase_err * (abs(p) + abs(q)))
-    rad = remainder * (1.0 + 1e-12) + slack
-    return CertifiedValue(mid, rad)
+    return _horner(p, u), _horner(q, u) / r
+
+
+def _asym_j0_j1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of the ``_ASYM_TERMS``-term asymptotic J0 and J1, from one
+    phase reduction: omega_1 = omega_0 - pi/2, so cos omega_1 = sin omega_0
+    and sin omega_1 = -cos omega_0."""
+    p0, q0 = _asym_sums(0, r)
+    p1, q1 = _asym_sums(1, r)
+    omega = _phase_array(0, r)
+    c, s = np.cos(omega), np.sin(omega)
+    amp = np.sqrt(2.0 / (np.pi * r))
+    return amp * (c * p0 - s * q0), amp * (s * p1 + c * q1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +232,7 @@ def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
 def bessel_j(n: int, r: float) -> float:
     """J_n(r) for 0 <= n <= 40 and 0 <= r < _MAX_R (about 5.27e7), to 1e-13
     absolute."""
-    return float(_bessel_j_array(n, _check_r(float(r))))
-
-
-def _bessel_j_array(n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized ``bessel_j`` over nonnegative floats of any shape."""
-    r = np.asarray(r, dtype=np.float64)
-    return _bessel_rows((n,), r.ravel())[0].reshape(r.shape)
+    return float(_bessel_rows((n,), _check_r([float(r)]))[0, 0])
 
 
 def _bessel_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

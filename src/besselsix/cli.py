@@ -27,7 +27,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .certify import THEOREM_MAP, check_theorem, predict
-from .closed_form import kapteyn, weber_schafheitlin
+from .closed_form import weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
 from .exactnum import Budget, CertificationError, CertifiedValue, _table_rows, as_even_order, check_m_le_n
 from .expansions import (
@@ -307,10 +307,7 @@ def _cmd_eval_bessel(ns: argparse.Namespace) -> int:
 
 
 def _cmd_closed_form(ns: argparse.Namespace) -> int:
-    if ns.k == 1:
-        value = kapteyn(ns.n, ns.m)
-    else:
-        value = weber_schafheitlin(ns.n, ns.m, ns.k)
+    value = weber_schafheitlin(ns.n, ns.m, ns.k)
     print(f"integral of J_{ns.n} J_{ns.m} r^-{ns.k}: {value} = {value.to_real():.17g}")
     return EXIT_OK
 

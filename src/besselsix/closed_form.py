@@ -1,7 +1,8 @@
 """Exact closed forms and bounds for integrals of two Bessel functions.
 
-The building blocks: the Kapteyn value of int J_n J_m / r, the
-Weber-Schafheitlin Gamma-quotient for int J_n J_m r^(-k), the exact-zero
+The building blocks: the Weber-Schafheitlin Gamma-quotient for
+int J_n J_m r^(-k) (its k = 1 case is Kapteyn's value of int J_n J_m / r,
+(2/pi) sin((m-n)pi/2) / (m^2 - n^2), or 1/(2n) at n = m), the exact-zero
 test for frequency-2 trigonometric weights, and the descent-method bound
 dominating the frequency-4 integrals; ``core_integrals`` checks the last two
 on the path of every n >= 20 bound.  Everything is exact rational (or
@@ -16,25 +17,10 @@ from fractions import Fraction
 from .exactnum import ExactScalar, Rational, as_order, gamma_ratio, require
 
 __all__ = [
-    "kapteyn",
     "weber_schafheitlin",
     "vanishes_freq2",
     "descent_bound",
 ]
-
-def kapteyn(n: int, m: int) -> ExactScalar:
-    """int_0^inf J_n J_m / r dr = (2/pi) sin((m-n)pi/2) / (m^2 - n^2),
-    read as 1/(2n) in the confluent case n = m."""
-    n, m = as_order(n), as_order(m)
-    if n == m:
-        if n == 0:
-            raise ValueError("the integral diverges for n = m = 0")
-        return ExactScalar(Fraction(1, 2 * n))
-    d = (m - n) % 4
-    if d % 2 == 0:  # even nonzero difference: the sine vanishes
-        return ExactScalar(Fraction(0))
-    sign = 1 if d == 1 else -1
-    return ExactScalar(Fraction(2 * sign, m * m - n * n), -2)
 
 
 def weber_schafheitlin(n: int, m: int, k: int) -> ExactScalar:

@@ -144,8 +144,9 @@ def _table_rows(n_range) -> tuple[int, ...]:
     return rows
 
 
-# sqrt(pi) to 45 digits; used only to convert ExactScalar to a float, so the
-# approximation error (~1e-45 relative) is far below half an ulp of the result.
+# sqrt(pi) truncated to 69 significant digits; used only to convert
+# ExactScalar to a float, so the approximation error (below 1e-68) is far
+# below half an ulp of the result.
 _SQRTPI = Fraction(
     "1.77245385090551602729816748334114518279754945612238712821380778985291"
 )
@@ -227,7 +228,7 @@ class ExactScalar:
 
     def to_real(self) -> float:
         """The value as a float, correct to within 2 ulp."""
-        # One exact product with a 45-digit sqrt(pi), left unreduced, then
+        # One exact product with a 69-digit sqrt(pi), left unreduced, then
         # one int true division, which CPython rounds correctly, as
         # float(Fraction) does: the same float without a gcd.
         s = _sqrtpi_power(self.sqrtpi_power)
@@ -249,7 +250,7 @@ class ExactScalar:
     @classmethod
     def parse(cls, text: str) -> "ExactScalar":
         m = cls._PARSE_RE.match(text.strip())
-        if m is None:
+        if m is None or int(m.group("den")) == 0:
             raise ValueError(f"not a serialized ExactScalar: {text!r}")
         coeff = Fraction(int(m.group("num")), int(m.group("den")))
         power = int(m.group("pow") or 0)

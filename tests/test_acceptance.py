@@ -16,7 +16,6 @@ from scipy.special import jv
 import hiprec
 from besselsix import certify, cli, quadrature
 from besselsix.closed_form import (
-    kapteyn,
     vanishes_freq2,
     weber_schafheitlin,
 )
@@ -217,7 +216,7 @@ def test_criterion_3_closed_form_vs_quadrature():
     # averages to 1/(pi r^2), hence the 1/(pi CROSS_R) completion
     for n in (1, 3, 10):
         body = nc7_composite(_pair_integrand(n, n, 1), 0.0, CROSS_R, CROSS_W)
-        assert kapteyn(n, n).to_real() == pytest.approx(1.0 / (2 * n), abs=0)
+        assert weber_schafheitlin(n, n, 1).to_real() == pytest.approx(1.0 / (2 * n), abs=0)
         assert abs(body + 1.0 / (math.pi * CROSS_R) - 1.0 / (2 * n)) <= 1e-6, n
 
     # Weber-Schafheitlin on ten keys; same tail completion with the

@@ -11,21 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hiprec
-from testkit import contains, encloses
+from testkit import asymptotic_eval, contains, encloses, hankel_sums
 from besselsix import bessel
 from besselsix.certify import check_theorem
 from besselsix.quadrature import integrand
 from besselsix.bessel import (
     MAX_ORDER,
     CertifiedValue,
-    asymptotic_eval,
     asymptotic_remainder,
     bessel_j,
     bessel_series_oracle,
     phase,
-    _bessel_j_array,
     _bessel_rows,
 )
+from besselsix.exactnum import a_coeff
 
 # ---------------------------------------------------------------------------
 # CertifiedValue plumbing
@@ -113,7 +112,7 @@ def test_vectorized_matches_scalar_bitwise():
         [0.0, 1e-300, 2.0**-30, 49.999, 50.0, 499.999, 500.0, 500.001],
     ])
     for n in (0, 1, 13, 40):
-        vec = _bessel_j_array(n, rs)
+        vec = _bessel_rows((n,), rs)[0]
         sc = np.array([bessel_j(n, float(r)) for r in rs])
         assert np.array_equal(vec, sc)
 
@@ -135,6 +134,13 @@ def test_recurrence_within_independent_hankel_enclosure():
             assert abs(bessel_j(n, float(r)) - ref.mid) <= ref.rad + 1e-15, (n, r)
 
 
+def test_hankel_tables_are_the_signed_coefficients():
+    # the kernel's J0/J1 tables: P[i] = (-1)^i a_2i(n), Q[i] = (-1)^i a_2i+1(n)
+    for n in (0, 1):
+        signed = [(-1) ** (j // 2) * float(a_coeff(j, n).coeff) for j in range(bessel._ASYM_TERMS)]
+        assert bessel._HANKEL_PQ[n] == (tuple(signed[0::2]), tuple(signed[1::2])), n
+
+
 def test_j0_j1_share_one_phase_reduction(monkeypatch):
     # reference: each order with its own reduced phase omega_n
     rng = np.random.default_rng(17)
@@ -142,7 +148,7 @@ def test_j0_j1_share_one_phase_reduction(monkeypatch):
     amp = np.sqrt(2.0 / (np.pi * rs))
     ref = []
     for n in (0, 1):
-        p, q = bessel._asym_sums(n, rs, bessel._ASYM_TERMS)
+        p, q = hankel_sums(n, rs, bessel._ASYM_TERMS)
         omega = bessel._phase_array(n, rs)
         ref.append(amp * (np.cos(omega) * p - np.sin(omega) * q))
     calls = []
@@ -162,7 +168,7 @@ def test_j0_j1_share_one_phase_reduction(monkeypatch):
 def test_rows_match_single_order_bitwise_for_any_order_set():
     rng = np.random.default_rng(11)
     rs = np.concatenate([[0.0, 1e-300, 49.999, 50.0, 499.999, 500.0], rng.uniform(0.0, 500.0, 200), rng.uniform(500.0, 63000.0, 200)])
-    single = {k: _bessel_j_array(k, rs) for k in range(MAX_ORDER + 1)}
+    single = {k: _bessel_rows((k,), rs)[0] for k in range(MAX_ORDER + 1)}
     order_sets = [(40,), (40, 0), (7, 1, 7), tuple(range(MAX_ORDER + 1))[::-1]]
     order_sets += [tuple(rng.choice(MAX_ORDER + 1, size=5, replace=False)) for _ in range(6)]
     for orders in order_sets:

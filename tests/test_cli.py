@@ -410,7 +410,7 @@ def test_expansion_text_lists_every_term_and_the_remainders(capsys):
 
 
 def test_closed_form_kapteyn_text(capsys):
-    # k = 1 takes the Kapteyn branch: integral J_1 J_2 / r = 2/(3 pi)
+    # k = 1 is Kapteyn's integral, through weber_schafheitlin: J_1 J_2 / r = 2/(3 pi)
     assert cli.main(["closed-form", "--n", "1", "--m", "2", "--k", "1"]) == 0
     out = capsys.readouterr().out
     assert out == f"integral of J_1 J_2 r^-1: 2/3*sqrtpi^-2 = {2 / (3 * math.pi):.17g}\n"

@@ -1,5 +1,7 @@
 """Tests for the exact two-Bessel closed forms."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 
 from besselsix.closed_form import (
     descent_bound,
-    kapteyn,
     vanishes_freq2,
     weber_schafheitlin,
 )
+from besselsix.exactnum import ExactScalar
 
 
 # ---------------------------------------------------------------------------
@@ -30,38 +32,38 @@ def test_key_invariants():
 
 
 # ---------------------------------------------------------------------------
-# kapteyn
+# Kapteyn's integral of J_n J_m / r, the k = 1 case of weber_schafheitlin
 # ---------------------------------------------------------------------------
 
 
 def test_kapteyn_confluent():
-    v = kapteyn(3, 3)
+    v = weber_schafheitlin(3, 3, 1)
     assert v.coeff == Fraction(1, 6) and v.sqrtpi_power == 0
 
 
 def test_kapteyn_even_difference_vanishes():
-    assert kapteyn(1, 3).is_zero()
-    assert kapteyn(6, 2).is_zero()
+    assert weber_schafheitlin(1, 3, 1).is_zero()
+    assert weber_schafheitlin(6, 2, 1).is_zero()
 
 
 def test_kapteyn_odd_difference():
-    v = kapteyn(0, 1)
+    v = weber_schafheitlin(0, 1, 1)
     assert v.coeff == 2 and v.sqrtpi_power == -2
-    v = kapteyn(2, 5)
+    v = weber_schafheitlin(2, 5, 1)
     # sin(3 pi/2) = -1, m^2 - n^2 = 21
     assert v.coeff == Fraction(-2, 21) and v.sqrtpi_power == -2
 
 
 def test_kapteyn_divergent_case():
     with pytest.raises(ValueError):
-        kapteyn(0, 0)
+        weber_schafheitlin(0, 0, 1)
 
 
 @given(n=st.integers(0, 30), m=st.integers(0, 30))
 def test_kapteyn_symmetric(n, m):
     if n == 0 and m == 0:
         return
-    assert kapteyn(n, m) == kapteyn(m, n)
+    assert weber_schafheitlin(n, m, 1) == weber_schafheitlin(m, n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +100,17 @@ def test_ws_k_range():
         weber_schafheitlin(2, 3, 0)
 
 
-@given(n=st.integers(1, 40))
-def test_ws_at_k1_matches_kapteyn(n):
-    assert weber_schafheitlin(n, n, 1) == kapteyn(n, n)
+def test_ws_at_k1_matches_kapteyn():
+    # Kapteyn's (2/pi) sin((m-n)pi/2) / (m^2 - n^2), read as 1/(2n) at n = m,
+    # on every order pair up to 40; n = m = 0 diverges and is refused
+    with pytest.raises(ValueError):
+        weber_schafheitlin(0, 0, 1)
+    for n, m in itertools.product(range(41), repeat=2):
+        sine = round(math.sin((m - n) * math.pi / 2))  # exactly -1, 0 or 1
+        if n != m:
+            assert weber_schafheitlin(n, m, 1) == ExactScalar(Fraction(2 * sine, m * m - n * n), -2), (n, m)
+        elif n:
+            assert weber_schafheitlin(n, n, 1) == ExactScalar(Fraction(1, 2 * n)), n
 
 
 @given(data=st.data())

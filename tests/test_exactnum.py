@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from besselsix import certify, cli, closed_form, core_integrals, exactnum, expansions, quadrature
 from besselsix.bessel import (
     _bessel_rows,
-    asymptotic_eval,
     asymptotic_remainder,
     bessel_j,
     bessel_series_oracle,
@@ -28,7 +27,7 @@ from besselsix.exactnum import (
     gamma_ratio,
     gaussian_binomial_bound,
 )
-from testkit import eval_expansion, stirling_gamma_bounds
+from testkit import asymptotic_eval, eval_expansion, stirling_gamma_bounds
 
 # ---------------------------------------------------------------------------
 # ExactScalar algebra
@@ -95,6 +94,13 @@ def test_serialize_parse_roundtrip(num, den, power):
 def test_serialize_format():
     assert ExactScalar(Fraction(-3, 8), -2).serialize() == "-3/8*sqrtpi^-2"
     assert ExactScalar(Fraction(5, 1), 0).serialize() == "5/1"
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/00*sqrtpi^2", "3/8*sqrtpi", "3"])
+def test_parse_refuses_malformed_text(text):
+    # a zero denominator used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="^not a serialized ExactScalar: "):
+        ExactScalar.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +338,11 @@ def test_as_order_keeps_integral_values():
         lambda: phase(2.5, 100.0),
         lambda: asymptotic_eval(2.5, 100.0, 12),
         lambda: asymptotic_remainder(2.5, 100.0, 12),
+        lambda: asymptotic_remainder(2.5, 100.0, 2),
+        lambda: asymptotic_remainder(None, 100.0, 12),
+        lambda: asymptotic_remainder("3", 100.0, 12),
         lambda: a_coeff(1, 2.3),
         lambda: closed_form.weber_schafheitlin(2.5, 3, 2),
-        lambda: closed_form.kapteyn(2.5, 3),
         lambda: closed_form.descent_bound(2.5, 3, 1),
         lambda: closed_form.vanishes_freq2(2.5, 4.5, 2, "cos"),
         lambda: closed_form.vanishes_freq2(2, 4, 1.5, "sin"),
@@ -343,14 +351,15 @@ def test_as_order_keeps_integral_values():
          "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
          "theorem_constants", "estimate_A", "prop_4r_bound", "series_oracle",
          "series_oracle_negative", "phase", "asymptotic_eval", "asymptotic_remainder",
-         "a_coeff", "weber_schafheitlin", "kapteyn", "descent_bound", "core_integral_key",
+         "asymptotic_remainder_small_ell", "asymptotic_remainder_none", "asymptotic_remainder_str",
+         "a_coeff", "weber_schafheitlin", "descent_bound", "core_integral_key",
          "core_integral_key_power"],
 )
 def test_non_integral_orders_are_refused(call):
     # each entry point used to truncate 7.5 to 7 (the series oracle returned
     # J_2(1) for order 2.5), pass it on, give a wrong value (a_coeff(1, 2.3)
     # was 15/8, asymptotic_eval missed J_2.5(100)), or raise TypeError or
-    # CertificationError
+    # CertificationError; asymptotic_remainder(None or "3", ...) raised TypeError
     with pytest.raises(ValueError, match="orders must be integers"):
         call()
 
@@ -361,7 +370,6 @@ def test_non_integral_orders_are_refused(call):
         lambda: a_coeff(1, -1),
         lambda: bessel_series_oracle(-1, 1.0, 60),
         lambda: closed_form.vanishes_freq2(-1, 2, 1, "sin"),
-        lambda: closed_form.kapteyn(-1, 2),
         lambda: closed_form.weber_schafheitlin(-1, 3, 1),
         lambda: closed_form.descent_bound(-1, 3, 1),
         lambda: quadrature.integrand("I0", 0, -1),
@@ -370,7 +378,7 @@ def test_non_integral_orders_are_refused(call):
         lambda: bessel_j(-1, 1.0),
         lambda: phase(-1, 1.0),
     ],
-    ids=["a_coeff", "series_oracle", "core_integral_key", "kapteyn", "weber_schafheitlin",
+    ids=["a_coeff", "series_oracle", "core_integral_key", "weber_schafheitlin",
          "descent_bound", "integrand", "tail_error_budget", "theorem_constants", "bessel_j",
          "phase"],
 )

@@ -1,7 +1,8 @@
 """Helpers that only the test suite calls, built on the package.
 
 Each one checks a lemma or a rule from outside the package's own paths: the
-Stirling enclosure of Gamma, float evaluation of a remaindered expansion,
+Stirling enclosure of Gamma, the generic Hankel expansion of J_n with its
+certified remainder, float evaluation of a remaindered expansion,
 the paper's composite Newton-Cotes rule on a plain callable, exact interval
 queries on a ``CertifiedValue``, the readers of the CLI's schema-1 JSON, and
 the ``Fraction`` rule that ``check_theorem``'s integer verdict replaced.
@@ -16,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from besselsix.bessel import phase
+from besselsix.bessel import _horner, asymptotic_remainder, phase
 from besselsix.certify import NORMALIZATION, theorem_constants
 from besselsix.core_integrals import CoreBoundBreakdown, main_term
-from besselsix.exactnum import Budget, CertifiedValue, ExactScalar, as_integer
+from besselsix.exactnum import Budget, CertifiedValue, ExactScalar, a_coeff, as_integer
 from besselsix.expansions import RemainderedExpansion, TrigPoly
 from besselsix.quadrature import _NC7Region
 
@@ -100,6 +101,41 @@ def stirling_gamma_bounds(x: float) -> tuple[float, float]:
         lo = math.nextafter(lo, -math.inf)
         hi = math.nextafter(hi, math.inf)
     return lo, hi
+
+
+def _hankel_coeffs(n: int, ell: int) -> list[list[float]]:
+    """The signed coefficients (-1)^i a_2i(n) and (-1)^i a_2i+1(n) of the
+    cosine and sine sums P and Q, for indices below ell."""
+    return [[(-1) ** (j // 2) * float(a_coeff(j, n).coeff) for j in range(first, ell, 2)] for first in (0, 1)]
+
+
+def hankel_sums(n: int, r, ell: int):
+    """The sums P and Q/r of J_n's ell-term expansion; elementwise on arrays."""
+    p, q = _hankel_coeffs(n, ell)
+    u = 1.0 / (r * r)
+    return _horner(p, u), _horner(q, u) / r
+
+
+def asymptotic_eval(n: int, r: float, ell: int) -> CertifiedValue:
+    """Enclosure of J_n(r) from the ell-term asymptotic expansion: the
+    certified truncation remainder plus an estimated float allowance, which
+    is why it serves the tests only."""
+    ell = as_integer(ell, "term counts")  # the sums below need an int
+    remainder = asymptotic_remainder(n, r, ell)  # checks the domain
+    p, q = hankel_sums(n, r, ell)
+    cp, cq = _hankel_coeffs(n, ell)
+    u = 1.0 / (r * r)
+    abs_scale = _horner([abs(c) for c in cp], u) + _horner([abs(c) for c in cq], u) / r
+    omega = phase(n, r)
+    amp = math.sqrt(2.0 / (math.pi * r))
+    mid = amp * (math.cos(omega) * p - math.sin(omega) * q)
+    # float slack: Horner roundings (~2 ulp per term) on sums bounded by
+    # abs_scale (the same sums over |a_k|), the phase error
+    # 4e-16*(1+log2(1+r)) acting through the derivative of cos/sin, and the
+    # final multiplications.
+    phase_err = 4e-16 * (1.0 + math.log2(1.0 + r))
+    slack = amp * (abs_scale * (2.0 * ell + 6.0) * 2.0 ** -52 + phase_err * (abs(p) + abs(q)))
+    return CertifiedValue(mid, remainder * (1.0 + 1e-12) + slack)
 
 
 def evaluate(p: TrigPoly, c: float, s: float, t: float) -> float:
