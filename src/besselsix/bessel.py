@@ -34,6 +34,7 @@ r = 63000, where a naive reduction would lose ~1e-11.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from fractions import Fraction
 
@@ -124,7 +125,10 @@ for _i in range(-24, 25):
 
 
 def _check_r(r) -> np.ndarray:
-    """``r`` as a float array, if every element lies in [0, _MAX_R)."""
+    """``r`` as a float array, if it holds real numbers (no strings, bools
+    or objects) and every element lies in [0, _MAX_R)."""
+    if np.asarray(r).dtype.kind not in "iuf":
+        raise ValueError(f"r must be a real number or an array of real numbers, got {r!r}")
     r = np.asarray(r, dtype=np.float64)
     ok = (r >= 0) & (r < _MAX_R)
     if not np.all(ok):
@@ -172,13 +176,13 @@ def asymptotic_remainder(n: int, r: float, ell: int) -> float:
 
     Equals sqrt(2/(pi r)) * Gamma(n+ell+1/2) / (|Gamma(n-ell+1/2)| ell!)
     * (2r)^(-ell), which simplifies to sqrt(2/(pi r)) * |a_ell(n)| * r^(-ell).
-    Requires ell >= max(n - 1/2, 1).
+    Requires ell >= max(n - 1/2, 1) and a real, finite r > 0.
     """
     n, ell = as_order(n), as_integer(ell, "term counts")
     if ell < 1 or ell < n:  # integer ell >= n - 1/2  <=>  ell >= n
         raise ValueError(f"remainder bound needs ell >= max(n - 1/2, 1); got ell={ell}, n={n}")
-    if not (r > 0):
-        raise ValueError("asymptotic remainder requires r > 0")
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not (math.isfinite(r) and r > 0):
+        raise ValueError(f"asymptotic remainder requires a real, finite r > 0, got {r!r}")
     a_ell = abs(float(a_coeff(ell, n).coeff))
     return math.sqrt(2.0 / (math.pi * r)) * a_ell * r ** float(-ell)
 
@@ -232,7 +236,7 @@ def _asym_j0_j1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bessel_j(n: int, r: float) -> float:
     """J_n(r) for 0 <= n <= 40 and 0 <= r < _MAX_R (about 5.27e7), to 1e-13
     absolute."""
-    return float(_bessel_rows((n,), _check_r([float(r)]))[0, 0])
+    return float(_bessel_rows((n,), _check_r(r).reshape(1))[0, 0])
 
 
 def _bessel_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

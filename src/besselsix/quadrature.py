@@ -46,26 +46,29 @@ Every ``integral`` budget must meet the paper's radius 0.9e-8, which the
 table adds to every cell; ``build_table`` first checks, once per scheme,
 that each cell's quadrature plus printed tail value meets it too.
 
-The grid sums of ``integral`` and ``build_table`` read per-order value rows
-over each region, evaluated by the multi-order kernel ``_bessel_rows`` (all
-missing orders of a request in one pass; ``build_table`` makes one request
-per region for its whole band, so the Hankel sums and the forward
-recurrence run once per region) and memoized for the scheme in use; asking
-for another scheme frees the last one's rows.  Beside them the
-scheme keeps one weighted row per family and region: the full rule weight
-times r times the family's three fixed factors (J_0^3, or J_1^2 J_0) at every
-node, so a cell's rule value is the single pairwise ``np.sum`` of
-J_{n+m} J_n J_m times that row, and a warm cell builds no nodes, weights or
-fixed products.  ``integrand`` forms its values by the same product, with
-weight 1.  All grid evaluation is deterministic: nodes are generated
-from integer indices, and per-node values depend only on the node and the
-order (never on the chunk or on the other orders evaluated with it).  Nodes
-are evaluated on one thread in fixed 16384-point chunks, which only bound
-the kernel's temporaries; a chunk that one kernel route serves is written
-straight into its rows' block.  The module's only BLAS call is one small
-matrix-vector product per Gauss region, in its certificate; it leaves the
-BLAS thread count to the host process (the ``besselsix`` command asks for
-one thread before numpy loads, a library user's setting is never touched).
+The grid sums read per-order value rows over each region, evaluated by the
+multi-order kernel ``_bessel_rows``, and one weighted row per family: the
+rule weight times r times the family's three fixed factors (J_0^3, or
+J_1^2 J_0) at every node, so a cell's rule terms are J_{n+m} J_n J_m times
+that row.  ``_region_sums`` forms and sums them for every source of rows
+alike.  ``integral`` reads whole-region rows and weighted rows memoized for
+the scheme in use (asking for another scheme frees the last one's), so a
+warm cell builds no nodes, weights or fixed products and its value is one
+pairwise ``np.sum``.  ``build_table`` keeps no row: each region streams
+through the kernel one fixed ``_CHUNK``-point chunk at a time, the band's
+union of orders in one call per chunk (J0, J1 and the forward recurrence
+once) into one reused block, and each cell adds its chunk's ``np.sum`` to
+partials that ``math.fsum`` combines.  The paper's full table thus runs in
+tens of MB where its rows alone would take 0.73 GB.  ``integrand`` forms
+its values by the same product, with weight 1.  All grid evaluation is
+deterministic: nodes are generated from integer indices, and per-node
+values depend only on the node and the order (never on the chunk or on the
+other orders evaluated with it); a chunk that one kernel route serves is
+written straight into its rows' block.  Nodes are evaluated on one thread.
+The module's only BLAS call is one small matrix-vector product per Gauss
+region, in its certificate; it leaves the BLAS thread count to the host
+process (the ``besselsix`` command asks for one thread before numpy loads,
+a library user's setting is never touched).
 """
 
 from __future__ import annotations
@@ -531,11 +534,11 @@ class _SchemeRows(dict):
 
 @lru_cache(maxsize=1)
 def _scheme_rows(scheme: QuadratureScheme) -> _SchemeRows:
-    """The value rows and weighted rows evaluated so far under ``scheme``.
-    One scheme at a time: asking for another frees both.  All 38 table
-    orders over both default Gauss regions take 42.5 MB and the two weighted
-    rows 2.2 MB; over the paper's NC7 grids they take 0.73 GB and 38 MB,
-    which buys evaluating each row once."""
+    """The value rows and weighted rows ``integral`` has evaluated so far
+    under ``scheme``; ``build_table`` adds none.  One scheme at a time:
+    asking for another frees both.  A cell reads at most five rows per
+    region: 1.1 MB per row over both default Gauss regions and 19 MB over
+    the paper's NC7 grids, with one weighted row of each size per family."""
     return _SchemeRows()
 
 
@@ -579,21 +582,38 @@ def _weighted_row(variant: str, region, rows: dict, nodes, weighted: dict) -> np
 
 def _grid_composite(m: int, n: int, rows: dict, fixed: np.ndarray) -> np.ndarray:
     """J_{n+m} J_n J_m times a ``_fixed_row``, multiplied left to right in
-    one new buffer: a cell's rule terms over one region, or its integrand
-    values.  A rule term carries eight rounded multiplications (five into
-    the weighted row, three here), which the budget's ``rounding``
-    allowance covers."""
+    one new buffer: a cell's rule terms over a region or a chunk of one, or
+    its integrand values.  A rule term carries eight rounded
+    multiplications (five into the weighted row, three here), which the
+    budget's ``rounding`` allowance covers."""
     values = np.multiply(rows[n + m], rows[n])
     values *= rows[m]
     values *= fixed
     return values
 
 
-def _region_sums(cells, region, memo: _SchemeRows) -> list[float]:
-    """The rule values of the (variant, m, n) ``cells`` over one region.
-    The union of their orders, fixed orders included, is read in one row
-    lookup; the region's nodes are built at most once, and only if a row or
-    a weighted row is missing."""
+def _region_sums(cells, pieces) -> list[float]:
+    """The rule values of the (variant, m, n) ``cells`` over one region, from
+    ``pieces`` that cover its nodes: (value rows, weighted row per family)
+    pairs over the same stretch of nodes.  A cell's value is the ``fsum`` of
+    its pairwise ``np.sum`` per piece, so one whole-region piece gives that
+    sum exactly."""
+    partials = [[] for _ in cells]
+    for rows, weighted in pieces:
+        for part, (variant, m, n) in zip(partials, cells):
+            part.append(float(np.sum(_grid_composite(m, n, rows, weighted[variant]))))
+    return [math.fsum(part) for part in partials]
+
+
+def _band_orders(cells) -> list[int]:
+    """The union of the cells' orders, fixed orders included, ascending."""
+    return sorted(set().union(*(_cell_orders(*cell) for cell in cells)))
+
+
+def _cached_piece(cells, region, memo: _SchemeRows):
+    """The cells' rows and weighted rows over the whole region, read from and
+    added to ``memo`` in one row lookup; the region's nodes are built at most
+    once, and only if a row or a weighted row is missing."""
     built = []
 
     def nodes() -> np.ndarray:
@@ -601,17 +621,29 @@ def _region_sums(cells, region, memo: _SchemeRows) -> list[float]:
             built.append(region.nodes())
         return built[0]
 
-    rows = _order_rows(set().union(*(_cell_orders(*cell) for cell in cells)), region, nodes, memo)
-    return [
-        float(np.sum(_grid_composite(m, n, rows, _weighted_row(variant, region, rows, nodes, memo.weighted))))
-        for variant, m, n in cells
-    ]
+    rows = _order_rows(_band_orders(cells), region, nodes, memo)
+    return rows, {variant: _weighted_row(variant, region, rows, nodes, memo.weighted) for variant, _, _ in cells}
+
+
+def _streamed_pieces(cells, region):
+    """The cells' rows and weighted rows one ``_CHUNK``-point chunk of the
+    region at a time, kept nowhere: the band's union of orders is evaluated
+    in one kernel call per chunk, into one reused block, so the next chunk
+    overwrites the rows of the last."""
+    r, w = region.nodes(), region.weights()
+    orders = _band_orders(cells)
+    variants = {variant for variant, _, _ in cells}
+    block = np.empty((len(orders), min(_CHUNK, r.shape[0])))
+    for lo in range(0, r.shape[0], _CHUNK):
+        nodes = r[lo:lo + _CHUNK]
+        rows = dict(zip(orders, _bessel_rows(orders, nodes, block[:, :nodes.shape[0]])))
+        yield rows, {variant: _fixed_row(variant, rows, w[lo:lo + _CHUNK], nodes) for variant in variants}
 
 
 def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme) -> float:
     """The rules over [0, S] and [S, R], summed."""
-    memo = _scheme_rows(scheme)
-    low, high = (_region_sums([(variant, m, n)], region, memo)[0] for region in _regions(scheme))
+    cell, memo = [(variant, m, n)], _scheme_rows(scheme)
+    low, high = (_region_sums(cell, [_cached_piece(cell, region, memo)])[0] for region in _regions(scheme))
     return low + high
 
 
@@ -811,12 +843,11 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     """
     rows = _table_rows(_TABLE_ROWS if n_range is None else n_range)
     _table_radius_ok(scheme)
-    memo = _scheme_rows(scheme)
-    # region-major: the band reads the union of its cells' orders once per
-    # region, so the kernel runs one pass per region (J0, J1 and the forward
-    # recurrence once) and a row evaluated for one cell serves all the others
+    # region-major: each chunk of a region evaluates the union of the band's
+    # orders in one kernel call (J0, J1 and the forward recurrence once) and
+    # serves every cell, then is dropped, so no row is evaluated twice or kept
     cells = [(variant, m, n) for n in rows for m in range(0, n + 1, 2) for variant in ("I0", "I1")]
-    low, high = (_region_sums(cells, region, memo) for region in _regions(scheme))
+    low, high = (_region_sums(cells, _streamed_pieces(cells, region)) for region in _regions(scheme))
     bounds = []
     for (variant, m, n), lo, hi in zip(cells, low, high):
         main = (NORMALIZATION * main_term(m, n, variant)).to_real()

@@ -82,6 +82,23 @@ def test_domain_errors():
                 call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bessel_j(0, "3"), "r must be a real number"),
+        (lambda: phase(0, "3"), "r must be a real number"),
+        (lambda: asymptotic_remainder(0, "3", 12), "requires a real, finite r > 0"),
+        (lambda: asymptotic_remainder(0, math.inf, 12), "requires a real, finite r > 0"),
+    ],
+    ids=["bessel_j_str", "phase_str", "asymptotic_remainder_str", "asymptotic_remainder_inf"],
+)
+def test_non_numeric_or_infinite_r_is_refused(call, message):
+    # bessel_j and phase used to parse "3" as 3.0 (J0(3), and a phase of
+    # 2.2146); the remainder raised TypeError on "3" and returned 0.0 at inf
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_small_argument_bound():
     """|J_n(r)| <= r^n / (2^n n!) for small r."""
     for r in (0.1, 0.5, 1.0):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -16,7 +17,7 @@ from besselsix import quadrature
 from besselsix.bessel import CertifiedValue, _bessel_rows
 from besselsix.certify import NORMALIZATION
 from besselsix.core_integrals import main_term
-from besselsix.exactnum import Budget, CertificationError
+from besselsix.exactnum import _TABLE_ROWS, Budget, CertificationError
 from besselsix.expansions import TrigPoly, _carrier, _fourier
 from besselsix.quadrature import (
     DEFAULT_SCHEME,
@@ -24,14 +25,17 @@ from besselsix.quadrature import (
     QuadratureScheme,
     TableEntry,
     _NC7_WEIGHTS,
+    _ROUNDING_ALLOWANCE,
     _GaussRegion,
     _NC7Region,
+    _cached_piece,
     _envelope_factor,
     _gauss_rule,
     _order_rows,
     _panel_count,
     _region_sums,
     _regions,
+    _streamed_pieces,
     _tail_error_pieces,
     build_table,
     deriv8_bound,
@@ -398,8 +402,8 @@ def test_default_budget_meets_the_radius_target():
 @pytest.mark.parametrize("cell", [("I0", 0, 7), ("I1", 4, 11), ("I0", 18, 19)])
 def test_gauss_and_nc7_region_sums_agree(cell):
     for gauss, nc7 in zip(_regions(DEFAULT_SCHEME), _regions(PAPER_SCHEME)):
-        g = _region_sums([cell], gauss, quadrature._SchemeRows())[0]
-        p = _region_sums([cell], nc7, quadrature._SchemeRows())[0]
+        g = _region_sums([cell], _streamed_pieces([cell], gauss))[0]
+        p = _region_sums([cell], _streamed_pieces([cell], nc7))[0]
         assert abs(g - p) <= 1e-15, (cell, gauss.a, g - p)
 
 
@@ -661,62 +665,63 @@ def test_order_rows_cached_and_frozen():
     assert not rows[5].base.flags.writeable
 
 
-def _count_kernel_rows(monkeypatch) -> list:
-    """Record (order, first node, node count) for every row the kernel
-    evaluates inside the quadrature module."""
-    evaluated = []
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record (orders, first node, node count) for every call of the kernel
+    inside the quadrature module."""
+    calls = []
 
     def counting(orders, r, out=None):
-        evaluated.extend((k, float(r[0]), r.shape[0]) for k in orders)
+        calls.append((tuple(orders), float(r[0]), r.shape[0]))
         return _bessel_rows(orders, r, out)
 
     monkeypatch.setattr(quadrature, "_bessel_rows", counting)
-    return evaluated
+    return calls
+
+
+def _rows_of(calls) -> list:
+    """(order, first node, node count) for every row the ``calls`` evaluated."""
+    return [(k, first, count) for orders, first, count in calls for k in orders]
 
 
 def test_table_band_evaluates_each_row_once(monkeypatch):
-    # rows 7..9 read 16 distinct orders in each of the two regions: 32 rows,
-    # each evaluated over its whole region once (the [S, R] grid spans eight
-    # chunks, so count nodes rather than kernel calls)
+    # rows 7..9 read 16 distinct orders in each of the two regions: every
+    # (order, node) is evaluated exactly once, one chunk at a time (the
+    # [S, R] grid spans eight chunks, so count nodes rather than calls)
     quadrature._scheme_rows.cache_clear()
-    evaluated = _count_kernel_rows(monkeypatch)
-    passes = []
-
-    def counting_passes(orders, region, nodes, memo, _real=quadrature._order_rows):
-        before = len(memo)
-        rows = _real(orders, region, nodes, memo)
-        if len(memo) > before:
-            passes.append(region)
-        return rows
-
-    monkeypatch.setattr(quadrature, "_order_rows", counting_passes)
+    calls = _count_kernel_calls(monkeypatch)
     build_table([7, 8, 9])
+    evaluated = _rows_of(calls)
     assert len(set(evaluated)) == len(evaluated)
     low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
     assert sum(count for _, _, count in evaluated) == 16 * (low + high)
-    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 32
-    # the band's rows come from one evaluating pass per region, so the Hankel
-    # sums and the forward recurrence run once per region, not once per row
-    assert passes == list(_regions(DEFAULT_SCHEME))
+    # each kernel call covers the band's union of orders, so the Hankel sums
+    # and the forward recurrence run once per chunk, not once per row
+    band = {k for n in (7, 8, 9) for m in range(0, n + 1, 2) for k in (n + m, n, m, 0, 1)}
+    assert len(band) == 16
+    assert all(orders == tuple(sorted(band)) for orders, _, _ in calls)
+    assert sum(count for _, _, count in calls) == low + high
+    # and the table keeps none of them
+    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 0
 
 
 def test_full_default_table_evaluates_each_row_once(monkeypatch):
-    # rows 2..19 read 38 distinct orders in each region: 76 rows, all of
-    # of which the scheme's memo holds, so no row is evaluated twice.  The
-    # [S, R] grid spans eight chunks, so count nodes rather than kernel calls.
+    # rows 2..19 read 38 distinct orders in each region: 76 rows, each
+    # evaluated once, chunk by chunk, in calls that each cover all 38 orders.
+    # The [S, R] grid spans eight chunks, so count nodes rather than calls.
     quadrature._scheme_rows.cache_clear()
-    evaluated = _count_kernel_rows(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     build_table()
+    evaluated = _rows_of(calls)
     assert len(set(evaluated)) == len(evaluated)
     low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
-    assert {k for k, _, _ in evaluated} == set(range(38))
+    assert all(orders == tuple(range(38)) for orders, _, _ in calls)
     assert sum(count for _, _, count in evaluated) == 38 * (low + high)
-    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 76
+    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 0
 
 
 def test_repeated_integral_evaluates_no_row(monkeypatch):
     quadrature._scheme_rows.cache_clear()
-    evaluated = _count_kernel_rows(monkeypatch)
+    evaluated = _count_kernel_calls(monkeypatch)
     built = []
     for cls in (_GaussRegion, _NC7Region):
         def counting(region, _real=cls.nodes):
@@ -735,9 +740,16 @@ def test_repeated_integral_evaluates_no_row(monkeypatch):
     assert built == []
 
 
-def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
+def _fill_cache_through_integral(scheme=DEFAULT_SCHEME) -> None:
+    """Cache the rows and both families' weighted rows of the n = 2, m = 0
+    cells under ``scheme``, starting from an empty cache."""
     quadrature._scheme_rows.cache_clear()
-    build_table([2])
+    for variant in ("I0", "I1"):
+        integral(variant, 0, 2, scheme=scheme)
+
+
+def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
+    _fill_cache_through_integral()
     store = quadrature._scheme_rows(DEFAULT_SCHEME)
     assert {(variant, region) for variant, region in store.weighted} == {
         (variant, region) for variant in ("I0", "I1") for region in _regions(DEFAULT_SCHEME)
@@ -751,23 +763,71 @@ def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
     # a cell's rule value is the sum of its three pair rows times that row
     low = _regions(DEFAULT_SCHEME)[0]
     pair = store[2, low] * store[2, low] * store[0, low]
-    assert _region_sums([("I1", 0, 2)], low, store)[0] == float(np.sum(pair * store.weighted["I1", low]))
+    cell = [("I1", 0, 2)]
+    assert _region_sums(cell, [_cached_piece(cell, low, store)])[0] == float(np.sum(pair * store.weighted["I1", low]))
 
 
 def test_second_scheme_frees_the_first_schemes_rows():
-    quadrature._scheme_rows.cache_clear()
-    build_table([2])
+    _fill_cache_through_integral()
     store = quadrature._scheme_rows(DEFAULT_SCHEME)
     blocks = {id(row.base): weakref.ref(row.base) for row in store.values()}
-    assert len(blocks) == 2  # one block per region
+    assert len(blocks) == 4  # one block per integral call and region
     weighted = [weakref.ref(row) for row in store.weighted.values()]
     assert len(weighted) == 4  # one per family and region
     del store
-    build_table([2], scheme=PAPER_SCHEME)
+    integral("I0", 0, 2, scheme=PAPER_SCHEME)
     assert all(ref() is None for ref in blocks.values())
     assert all(ref() is None for ref in weighted)
     assert {region for _, region in quadrature._scheme_rows(PAPER_SCHEME)} == set(_regions(PAPER_SCHEME))
-    quadrature._scheme_rows.cache_clear()  # the paper's rows take 57 MB
+    quadrature._scheme_rows.cache_clear()  # the paper's rows and weighted rows take 57 MB
+
+
+def _traced_peak(fn) -> int:
+    """The peak of traced memory, in bytes, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_band_keeps_no_rows_and_stays_small():
+    build_table([7, 8, 9])  # first-use certificates and main-term forms
+    quadrature._scheme_rows.cache_clear()
+    # the parent design kept the band's 32 rows: 22.2 MB at the peak
+    assert _traced_peak(lambda: build_table([7, 8, 9])) < 10e6
+    store = quadrature._scheme_rows(DEFAULT_SCHEME)
+    assert len(store) == 0 and store.weighted == {}
+
+
+def test_paper_table_row_stays_small():
+    quadrature._table_radius_ok(PAPER_SCHEME)
+    quadrature._scheme_rows.cache_clear()
+    # the parent design kept nine rows over 2.4 million nodes: 229 MB
+    assert _traced_peak(lambda: build_table([7], PAPER_SCHEME)) < 40e6
+
+
+def test_streamed_sums_match_whole_region_sums():
+    # the table sums each region chunk by chunk; integral sums it whole.  Per
+    # node the terms agree, so only the grouping of the additions differs
+    cells = [(variant, m, n) for n in _TABLE_ROWS for m in range(0, n + 1, 2) for variant in ("I0", "I1")]
+    memo = quadrature._SchemeRows()
+    for region in _regions(DEFAULT_SCHEME):
+        streamed = _region_sums(cells, _streamed_pieces(cells, region))
+        whole = _region_sums(cells, [_cached_piece(cells, region, memo)])
+        assert max(abs(a - b) for a, b in zip(streamed, whole)) <= 1e-18
+
+
+def test_streamed_paper_sum_is_close_to_the_exact_sum():
+    # as test_rounding_allowance_is_generous does for the plain sum: the
+    # streamed sum of a paper [0, S] cell sits far inside the allowance
+    cell = [("I0", 0, 7)]
+    region = _regions(PAPER_SCHEME)[0]
+    streamed = _region_sums(cell, _streamed_pieces(cell, region))[0]
+    rows = _order_rows((0, 7), region, region.nodes, {})
+    terms = quadrature._grid_composite(0, 7, rows, quadrature._fixed_row("I0", rows, region.weights(), region.nodes()))
+    assert abs(streamed - math.fsum(terms.tolist())) <= _ROUNDING_ALLOWANCE / 100.0
 
 
 # ---------------------------------------------------------------------------
