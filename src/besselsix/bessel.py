@@ -142,7 +142,10 @@ def phase(n: int, r: float) -> float:
     Argument reduction happens against a three-word 2*pi, so the absolute
     error stays below ~4e-16 * (1 + log2(1 + r)) for all 0 <= r < _MAX_R.
     """
-    return float(_phase_array(as_order(n), _check_r(r)))
+    n, r = as_order(n), _check_r(r)
+    if r.size != 1:
+        raise ValueError(f"r must be a single real number, got an array of shape {r.shape}")
+    return float(_phase_array(n, r.reshape(1))[0])
 
 
 def _phase_array(n: int, r: np.ndarray) -> np.ndarray:
@@ -236,7 +239,10 @@ def _asym_j0_j1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bessel_j(n: int, r: float) -> float:
     """J_n(r) for 0 <= n <= 40 and 0 <= r < _MAX_R (about 5.27e7), to 1e-13
     absolute."""
-    return float(_bessel_rows((n,), _check_r(r).reshape(1))[0, 0])
+    r = _check_r(r)
+    if r.size != 1:
+        raise ValueError(f"r must be a single real number, got an array of shape {r.shape}")
+    return float(_bessel_rows((n,), r.reshape(1))[0, 0])
 
 
 def _bessel_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,9 +12,15 @@ Exit codes: 0 success, 1 usage error, 2 failed check, 3 domain error
 numpy and the modules built on it (``bessel``, ``quadrature``) are imported
 inside the commands that evaluate Bessel functions, so the analytic commands
 and a refused command line start without them.  Before that, ``main`` asks
-OpenBLAS for one thread (``_one_blas_thread``): the package's only BLAS call
-is one small matrix-vector product per grid region, and the worker thread
-that ``import numpy`` would otherwise start only burns CPU.
+OpenBLAS for one thread (``_one_blas_thread``): the package's only BLAS
+calls are small matrix-vector products in the Gauss certificates, and the
+worker thread that ``import numpy`` would otherwise start only burns CPU.
+``integrate`` and ``check-theorem`` stream their cell and keep no rows.
+
+Text output is rounded outward from the exact decimal of each value: an
+upper bound up, a lower bound down, and an enclosure's radius up after it
+absorbs the printed midpoint's distance from the exact center, so every
+printed enclosure contains the certified one.  JSON prints the floats.
 """
 
 from __future__ import annotations
@@ -24,12 +30,22 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .certify import THEOREM_MAP, check_theorem, predict
 from .closed_form import weber_schafheitlin
 from .core_integrals import CoreBoundBreakdown, core_bound_breakdown
-from .exactnum import Budget, CertificationError, CertifiedValue, _table_rows, as_even_order, check_m_le_n
+from .exactnum import (
+    _SQRTPI,
+    Budget,
+    CertificationError,
+    CertifiedValue,
+    ExactScalar,
+    _table_rows,
+    as_even_order,
+    check_m_le_n,
+)
 from .expansions import (
     _PRODUCT_TAG,
     RemainderedExpansion,
@@ -263,15 +279,55 @@ def _render_poly(p: TrigPoly) -> str:
     return " + ".join(parts)
 
 
+def _rounded(q: Fraction, exponent: int, up: bool) -> Fraction:
+    """q rounded up (or down) to a whole multiple of 10^exponent, exactly."""
+    unit = Fraction(10) ** exponent
+    return (math.ceil(q / unit) if up else math.floor(q / unit)) * unit
+
+
 def _ceil2(x: float) -> float:
-    """Round up to two decimals, the table's upper-bound convention."""
-    return math.ceil(x * 100.0 - 1e-9) / 100.0
+    """The exact decimal of x rounded up to two decimals, the table's
+    upper-bound convention."""
+    return float(_rounded(Fraction(x), -2, True))
+
+
+def _bound_text(x, digits: int, up: bool = True) -> str:
+    """A float or ``Fraction`` as ``g`` text at ``digits`` significant
+    digits, its exact decimal rounded up, so the printed number is an upper
+    bound, or down for a lower bound."""
+    q = Fraction(x)
+    if q == 0:
+        return format(0.0, f".{digits}g")
+    # 10^exponent <= |q| < 10^(exponent + 1), from the digit counts
+    exponent = len(str(abs(q.numerator))) - len(str(q.denominator))
+    if Fraction(10) ** exponent > abs(q):
+        exponent -= 1
+    # the rounded value has at most ``digits`` significant digits, which
+    # ``g`` reads back exactly from the nearest float
+    return format(float(_rounded(q, exponent - digits + 1, up)), f".{digits}g")
+
+
+def _enclosure_text(center, rad, digits: int) -> str:
+    """``center +/- rad`` as text whose interval contains [c - rad, c + rad]
+    for the exact center c: c's float at 17 digits, and ``rad`` plus the
+    printed midpoint's distance from c, rounded up at ``digits``.  The
+    center is a float or a ``Fraction``, or an ``ExactScalar``, whose
+    sqrt(pi) lies between ``_SQRTPI`` (a 69-digit truncation) and
+    ``_SQRTPI + 10^-68``, so its value lies between the two ends."""
+    if isinstance(center, ExactScalar):
+        mid = center.to_real()
+        ends = [center.coeff * s**center.sqrtpi_power for s in (_SQRTPI, _SQRTPI + Fraction(1, 10**68))]
+    else:
+        mid, ends = float(center), [Fraction(center)]
+    shown = format(mid, ".17g")
+    miss = max(abs(Fraction(shown) - c) for c in ends)
+    return f"{shown} +/- {_bound_text(Fraction(rad) + miss, digits)}"
 
 
 def _print_budget(budget: Budget) -> None:
     width = max(len(name) for name, _ in budget) + 2
     for name, value in budget:
-        print(f"  {name:<{width}} {value:.6g}")
+        print(f"  {name:<{width}} {_bound_text(value, 6)}")
 
 
 def _emit(lines: list[str], path: str) -> None:
@@ -302,7 +358,7 @@ def _cmd_eval_bessel(ns: argparse.Namespace) -> int:
     enclosure = bessel_series_oracle(ns.n, ns.r, _ORACLE_BITS) if ns.oracle else None
     print(f"J_{ns.n}({ns.r:g}) = {value:.17g}")
     if enclosure is not None:
-        print(f"series enclosure: {float(enclosure.mid):.17g} +/- {float(enclosure.rad):.3g}")
+        print(f"series enclosure: {_enclosure_text(enclosure.mid, enclosure.rad, 3)}")
     return EXIT_OK
 
 
@@ -334,16 +390,14 @@ def _cmd_core_bounds(ns: argparse.Namespace) -> int:
     print(f"core bound {ns.variant}(m={ns.m}, n={ns.n}):")
     print(f"  main cos part  = {b.main_cos.coeff}")
     print(f"  main sin part  = {b.main_sin.coeff}")
-    print(f"  first-kind errors:  cos <= {b.e1_cos:.6g}, sin <= {b.e1_sin:.6g}")
-    print(f"  second-kind errors: cos <= {b.e2_cos:.6g}, sin <= {b.e2_sin:.6g}")
+    print(f"  first-kind errors:  cos <= {_bound_text(b.e1_cos, 6)}, sin <= {_bound_text(b.e1_sin, 6)}")
+    print(f"  second-kind errors: cos <= {_bound_text(b.e2_cos, 6)}, sin <= {_bound_text(b.e2_sin, 6)}")
     return EXIT_OK
 
 
 def _cmd_predict(ns: argparse.Namespace) -> int:
     p = predict(ns.m, ns.n, ns.variant)
-    print(
-        f"{p.variant}(m={p.m}, n={p.n}) = {p.main.to_real():.17g} +/- {p.radius:.6g}"
-    )
+    print(f"{p.variant}(m={p.m}, n={p.n}) = {_enclosure_text(p.main, p.radius, 6)}")
     if ns.budget:
         _print_budget(p.budget)
     return EXIT_OK
@@ -367,15 +421,20 @@ def _cmd_theorem_map(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_integrate(ns: argparse.Namespace) -> int:
-    from .quadrature import _integral_and_budget
+def _one_shot(ns: argparse.Namespace, scheme: QuadratureScheme) -> tuple[CertifiedValue, Budget]:
+    """The command's cell and its budget under ``scheme``, its rules
+    streamed: a one-shot process keeps no rows."""
+    from .quadrature import _integral_and_budget, _streamed_sums
 
-    scheme = _scheme_from(ns)
-    value, budget = _integral_and_budget(ns.variant, ns.m, ns.n, scheme)
+    return _integral_and_budget(ns.variant, ns.m, ns.n, scheme, _streamed_sums)
+
+
+def _cmd_integrate(ns: argparse.Namespace) -> int:
+    value, budget = _one_shot(ns, _scheme_from(ns))
     if ns.json:
         print(_json_dumps(integrate_payload(ns, value, budget)))
         return EXIT_OK
-    print(f"{ns.variant}(m={ns.m}, n={ns.n}) = {float(value.mid):.17g} +/- {float(value.rad):.3g}")
+    print(f"{ns.variant}(m={ns.m}, n={ns.n}) = {_enclosure_text(value.mid, value.rad, 3)}")
     _print_budget(budget)
     return EXIT_OK
 
@@ -393,14 +452,14 @@ def _cmd_table(ns: argparse.Namespace) -> int:
 
 
 def _cmd_check_theorem(ns: argparse.Namespace) -> int:
-    from .quadrature import integral
+    from .quadrature import DEFAULT_SCHEME
 
-    value = integral(ns.variant, ns.m, ns.n)
+    value = _one_shot(ns, DEFAULT_SCHEME)[0]
     outcome = check_theorem(ns.m, ns.n, ns.variant, value)
     status = "PASS" if outcome.passed else "FAIL"
     print(
-        f"{ns.variant}(m={ns.m}, n={ns.n}): deviation {outcome.deviation:.6g} "
-        f"vs allowance {outcome.allowance:.6g} -> {status}"
+        f"{ns.variant}(m={ns.m}, n={ns.n}): deviation {_bound_text(outcome.deviation, 6)} "
+        f"vs allowance {_bound_text(outcome.allowance, 6, up=False)} -> {status}"
     )
     return EXIT_OK if outcome.passed else EXIT_CHECK_FAILED
 

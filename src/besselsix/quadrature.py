@@ -8,7 +8,9 @@ The integrals
 are evaluated for small orders by splitting at the paper's two radii
 S = 3600 and R = 63000, with one of two rules on the grid regions.  Each
 region is built once, as a member of ``QuadratureScheme``, and carries its
-rule's nodes, weights and certified error (``error()``):
+rule's node count (``size()``), the nodes and weights of any index range
+(``chunk(lo, hi)``, generated from the integer indices) and its certified
+error (``error()``):
 
 * ``[0, S]`` and ``[S, R]``, by default: width-30 Gauss-Legendre panels, 76
   points each below S and 66 above it, with nodes ``a + h(2p+1) + h x_i``
@@ -22,7 +24,8 @@ rule's nodes, weights and certified error (``error()``):
   Chebyshev coefficients a_k bounded on the real panel and on a Bernstein
   ellipse: there |J_k(z)| <= e^|Im z| below S and a Hankel envelope (DLMF
   10.17.14) above it.  The rounding of the node positions is charged
-  through a derivative bound.
+  through a derivative bound.  The per-panel bounds are formed in fixed
+  blocks of panels and summed once.
 
 * ``[0, S]`` and ``[S, R]``, under ``PAPER_SCHEME``: the paper's composite
   7-point closed Newton-Cotes rule (weights (41, 216, 27, 272, 27, 216,
@@ -50,25 +53,29 @@ The grid sums read per-order value rows over each region, evaluated by the
 multi-order kernel ``_bessel_rows``, and one weighted row per family: the
 rule weight times r times the family's three fixed factors (J_0^3, or
 J_1^2 J_0) at every node, so a cell's rule terms are J_{n+m} J_n J_m times
-that row.  ``_region_sums`` forms and sums them for every source of rows
-alike.  ``integral`` reads whole-region rows and weighted rows memoized for
-the scheme in use (asking for another scheme frees the last one's), so a
-warm cell builds no nodes, weights or fixed products and its value is one
-pairwise ``np.sum``.  ``build_table`` keeps no row: each region streams
-through the kernel one fixed ``_CHUNK``-point chunk at a time, the band's
-union of orders in one call per chunk (J0, J1 and the forward recurrence
-once) into one reused block, and each cell adds its chunk's ``np.sum`` to
-partials that ``math.fsum`` combines.  The paper's full table thus runs in
-tens of MB where its rows alone would take 0.73 GB.  ``integrand`` forms
-its values by the same product, with weight 1.  All grid evaluation is
-deterministic: nodes are generated from integer indices, and per-node
-values depend only on the node and the order (never on the chunk or on the
-other orders evaluated with it); a chunk that one kernel route serves is
-written straight into its rows' block.  Nodes are evaluated on one thread.
-The module's only BLAS call is one small matrix-vector product per Gauss
-region, in its certificate; it leaves the BLAS thread count to the host
-process (the ``besselsix`` command asks for one thread before numpy loads,
-a library user's setting is never touched).
+that row.  ``_region_sums`` forms and sums them one fixed ``_CHUNK``-point
+chunk at a time, for every source of rows alike: each cell adds its
+chunk's pairwise ``np.sum`` to partials that ``math.fsum`` combines, so a
+cell has the same bits in ``integral``, ``build_table`` and the command
+line.  ``integral`` reads rows and weighted rows memoized for the scheme in
+use (asking for another scheme frees the last one's), so a warm cell
+generates no nodes, weights or fixed products.  ``build_table`` and the
+one-shot ``integrate`` and ``check-theorem`` commands keep no row
+(``_streamed_sums``): each region streams through the kernel one chunk at
+a time, the band's union of orders in one call per chunk (J0, J1 and the
+forward recurrence once) into one reused block.  The paper's full table
+thus runs in tens of MB where its rows alone would take 0.73 GB, and no
+array grows with a region's node count.  ``integrand`` forms its values by
+the same product, with weight 1.  All grid evaluation is deterministic:
+nodes are generated from integer indices, and per-node values depend only
+on the node and the order (never on the chunk or on the other orders
+evaluated with it); a chunk that one kernel route serves is written
+straight into its rows' block.  Nodes are evaluated on one thread.  The
+module's only BLAS calls are small matrix-vector products in each Gauss
+region's certificate, one per block of ``_ERROR_BLOCK`` panels; they leave
+the BLAS thread count to the host process (the ``besselsix`` command asks
+for one thread before numpy loads, a library user's setting is never
+touched).
 """
 
 from __future__ import annotations
@@ -124,6 +131,10 @@ _NC7_WEIGHTS = tuple(Fraction(c, 140) for c in (41, 216, 27, 272, 27, 216, 41))
 # The half-width h of every Gauss-Legendre panel.
 _GAUSS_HALF = 15.0
 
+# Panels per block of a Gauss region's certificate: its coefficient matrix
+# is one block by 2n moments.
+_ERROR_BLOCK = 128
+
 # The largest n + m any certified cell reaches: the order range of the tail
 # constants, which every ``integral`` budget charges.
 _MAX_CELL_ORDER = 37
@@ -162,20 +173,27 @@ class _NC7Region:
     def __post_init__(self) -> None:
         _panel_count(self.a, self.b, self.w)
 
-    def nodes(self) -> np.ndarray:
-        return self.a + self.w * np.arange(6 * _panel_count(self.a, self.b, self.w) + 1)
+    def size(self) -> int:
+        """The number of nodes: six per panel and one more."""
+        return 6 * _panel_count(self.a, self.b, self.w) + 1
 
-    def weights(self) -> np.ndarray:
-        """The rule's weight at each of ``nodes()``: w times 41, 216, 27,
-        272, 27, 216, 41 over 140 per panel, with 82 where two panels share
-        a node; each weight the float nearest its exact value."""
+    def chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes a + w i and the rule's weights for the indices i in
+        [lo, min(hi, size)): w times 41, 216, 27, 272, 27, 216, 41 over 140
+        per panel, with 82 where two panels share a node, so node i weighs
+        the (i mod 6)-th of w (82, 216, 27, 272, 27, 216)/140 but for the
+        two ends; each weight the float nearest its exact value."""
+        size = self.size()
+        hi = min(hi, size)
         w = Fraction(self.w)
-        out = np.empty(6 * _panel_count(self.a, self.b, self.w) + 1)
-        for j in range(1, 6):
-            out[j::6] = float(w * _NC7_WEIGHTS[j])
-        out[::6] = float(w * (_NC7_WEIGHTS[0] + _NC7_WEIGHTS[6]))
-        out[0], out[-1] = float(w * _NC7_WEIGHTS[0]), float(w * _NC7_WEIGHTS[6])
-        return out
+        ends = w * _NC7_WEIGHTS[0]
+        pattern = np.array([float(2 * ends), *(float(w * c) for c in _NC7_WEIGHTS[1:6])])
+        weights = np.tile(pattern, (hi - lo) // 6 + 2)[lo % 6:lo % 6 + hi - lo]
+        if lo == 0:
+            weights[0] = float(ends)
+        if lo < hi == size:
+            weights[-1] = float(ends)
+        return self.a + self.w * np.arange(lo, hi), weights
 
     def error(self) -> float:
         """Certified bound on |integral - rule| over the region, for every
@@ -195,26 +213,35 @@ class _GaussRegion:
     rho: float
 
     def __post_init__(self) -> None:
-        self.centers()
+        self.panels()
 
-    def centers(self) -> np.ndarray:
-        """The exact panel centers a + h(2p + 1): integer p, integer a."""
+    def panels(self) -> int:
         # a width-30 panel is six node spacings of 5
-        panels = _panel_count(self.a, self.b, 2.0 * _GAUSS_HALF / 6.0)
-        return self.a + _GAUSS_HALF * (2.0 * np.arange(panels) + 1.0)
+        return _panel_count(self.a, self.b, 2.0 * _GAUSS_HALF / 6.0)
 
-    def nodes(self) -> np.ndarray:
-        offsets = _GAUSS_HALF * _gauss_rule(self.points).nodes
-        return (self.centers()[:, None] + offsets).ravel()
+    def centers(self, p: np.ndarray) -> np.ndarray:
+        """The exact centers a + h(2p + 1) of the panels of integer index p,
+        integer a."""
+        return self.a + _GAUSS_HALF * (2.0 * p + 1.0)
 
-    def weights(self) -> np.ndarray:
-        """The rule's weight at each of ``nodes()``: h times the stored rule's."""
-        return np.tile(_GAUSS_HALF * _gauss_rule(self.points).weights, self.centers().shape[0])
+    def size(self) -> int:
+        """The number of nodes: ``points`` per panel."""
+        return self.panels() * self.points
+
+    def chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes c + h x_j and the weights h w_j of the indices i in
+        [lo, min(hi, size)), with (p, j) = divmod(i, points), c the center
+        of panel p and (x_j, w_j) the stored rule."""
+        rule = _gauss_rule(self.points)
+        i = np.arange(lo, min(hi, self.size()))
+        p = i // self.points
+        j = i - p * self.points
+        return self.centers(p) + (_GAUSS_HALF * rule.nodes)[j], (_GAUSS_HALF * rule.weights)[j]
 
     @cache
     def error(self) -> float:
         """Certified bound on |integral - rule| over the region, for every
-        cell; computed once per region.
+        cell; computed once per region, ``_ERROR_BLOCK`` panels at a time.
 
         Per panel of center c, the Chebyshev coefficients of f(c + h t) obey
         |a_k| <= min(2 s, 2 M rho^-k), with s a bound on |f| over the real
@@ -225,26 +252,30 @@ class _GaussRegion:
         and sum |w| + |I(T_k)| for the rest, a geometric tail.  Each stored
         node c + h x_i is off its exact position by at most 2^-53 (h +
         |node|), which |f'(x)| <= (1 + 6x) min(1, _LANDAU6/x^2) (from
-        |J_k'| <= max |J_{k+-1}|) charges.
+        |J_k'| <= max |J_{k+-1}|) charges.  Each panel's float depends on
+        its center alone, so the blocks change no bit of the sum.
         """
         rule = _gauss_rule(self.points)
         n, rho, h = self.points, self.rho, _GAUSS_HALF
-        c = self.centers()
         semi, height = h * (rho + 1.0 / rho) / 2.0, h * (rho - 1.0 / rho) / 2.0
-        zmax = c + semi + height
-        if self.a > 0:
-            xmin = c - semi
-            require(xmin[0] > 0, "the Hankel envelope needs every ellipse inside Re z > 0")
-            bound = zmax * (2.0 / (math.pi * xmin)) ** 3 * math.cosh(height) ** 6 * _envelope_factor(xmin, height)
-        else:
-            bound = zmax * math.exp(6.0 * height)
-        k = np.arange(2 * n)
-        coeffs = np.minimum(2.0 * _real_sup(c - h, c + h)[:, None], 2.0 * bound[:, None] * rho ** -k)
-        tail = 2.0 * bound * (rule.abs_weights + 2.0 / (4 * n * n - 1)) * rho ** (-2 * n) / (1.0 - 1.0 / rho)
-        x1 = np.maximum(c - h - 1.0, math.sqrt(_LANDAU6))
-        slope = (1.0 + 6.0 * x1) * np.minimum(1.0, _LANDAU6 / x1**2)
-        nodes = rule.abs_weights * 2.0**-52 * (c + 2.0 * h) * slope
-        return _PAD * h * float(np.sum(coeffs @ rule.moment_errors + tail + nodes))
+        decay = rho ** -np.arange(2 * n)
+        panels = np.empty(self.panels())
+        for lo in range(0, panels.shape[0], _ERROR_BLOCK):
+            c = self.centers(np.arange(lo, min(lo + _ERROR_BLOCK, panels.shape[0])))
+            zmax = c + semi + height
+            if self.a > 0:
+                xmin = c - semi
+                require(xmin[0] > 0, "the Hankel envelope needs every ellipse inside Re z > 0")
+                bound = zmax * (2.0 / (math.pi * xmin)) ** 3 * math.cosh(height) ** 6 * _envelope_factor(xmin, height)
+            else:
+                bound = zmax * math.exp(6.0 * height)
+            coeffs = np.minimum(2.0 * _real_sup(c - h, c + h)[:, None], 2.0 * bound[:, None] * decay)
+            tail = 2.0 * bound * (rule.abs_weights + 2.0 / (4 * n * n - 1)) * rho ** (-2 * n) / (1.0 - 1.0 / rho)
+            x1 = np.maximum(c - h - 1.0, math.sqrt(_LANDAU6))
+            slope = (1.0 + 6.0 * x1) * np.minimum(1.0, _LANDAU6 / x1**2)
+            nodes = rule.abs_weights * 2.0**-52 * (c + 2.0 * h) * slope
+            panels[lo:lo + c.shape[0]] = coeffs @ rule.moment_errors + tail + nodes
+        return _PAD * h * float(np.sum(panels))
 
 
 class QuadratureScheme(Enum):
@@ -535,25 +566,24 @@ class _SchemeRows(dict):
 @lru_cache(maxsize=1)
 def _scheme_rows(scheme: QuadratureScheme) -> _SchemeRows:
     """The value rows and weighted rows ``integral`` has evaluated so far
-    under ``scheme``; ``build_table`` adds none.  One scheme at a time:
-    asking for another frees both.  A cell reads at most five rows per
-    region: 1.1 MB per row over both default Gauss regions and 19 MB over
-    the paper's NC7 grids, with one weighted row of each size per family."""
+    under ``scheme``; ``build_table`` and the one-shot commands add none.
+    One scheme at a time: asking for another frees both.  A cell reads at
+    most five rows per region: 1.1 MB per row over both default Gauss
+    regions and 19 MB over the paper's NC7 grids, with one weighted row of
+    each size per family."""
     return _SchemeRows()
 
 
-def _order_rows(orders, region, nodes, memo: dict) -> dict[int, np.ndarray]:
+def _order_rows(orders, region, memo: dict) -> dict[int, np.ndarray]:
     """The rows of ``orders`` over the nodes of ``region``, read from and
-    added to ``memo``.  ``nodes()`` returns those nodes; it is called only
-    if an order is missing.  Missing orders are evaluated together in one
-    pass, into one frozen block whose rows are views, one fixed
-    ``_CHUNK``-point chunk of nodes at a time."""
+    added to ``memo``.  Missing orders are evaluated together in one pass,
+    into one frozen block whose rows are views, one fixed ``_CHUNK``-point
+    chunk of nodes at a time; no node is generated if none is missing."""
     missing = sorted({k for k in orders if (k, region) not in memo})
     if missing:
-        r = nodes()
-        block = np.empty((len(missing), r.shape[0]))
-        for lo in range(0, r.shape[0], _CHUNK):
-            _bessel_rows(missing, r[lo:lo + _CHUNK], block[:, lo:lo + _CHUNK])
+        block = np.empty((len(missing), region.size()))
+        for lo in range(0, block.shape[1], _CHUNK):
+            _bessel_rows(missing, region.chunk(lo, lo + _CHUNK)[0], block[:, lo:lo + _CHUNK])
         block.setflags(write=False)
         memo.update(((k, region), row) for k, row in zip(missing, block))
     return {k: memo[k, region] for k in orders}
@@ -569,12 +599,16 @@ def _fixed_row(variant: str, rows: dict, weights, nodes: np.ndarray) -> np.ndarr
     return row
 
 
-def _weighted_row(variant: str, region, rows: dict, nodes, weighted: dict) -> np.ndarray:
-    """The ``_fixed_row`` of ``region``'s rule weights and nodes, frozen and
-    kept in ``weighted``."""
+def _weighted_row(variant: str, region, rows: dict, weighted: dict) -> np.ndarray:
+    """The ``_fixed_row`` of ``region``'s rule weights and nodes, built one
+    ``_CHUNK``-point chunk at a time, frozen and kept in ``weighted``."""
     key = (variant, region)
     if key not in weighted:
-        row = _fixed_row(variant, rows, region.weights(), nodes())
+        row = np.empty(region.size())
+        for lo in range(0, row.shape[0], _CHUNK):
+            nodes, weights = region.chunk(lo, lo + _CHUNK)
+            fixed = {k: rows[k][lo:lo + _CHUNK] for k in _FIXED_ORDERS[variant]}
+            row[lo:lo + _CHUNK] = _fixed_row(variant, fixed, weights, nodes)
         row.setflags(write=False)
         weighted[key] = row
     return weighted[key]
@@ -582,10 +616,10 @@ def _weighted_row(variant: str, region, rows: dict, nodes, weighted: dict) -> np
 
 def _grid_composite(m: int, n: int, rows: dict, fixed: np.ndarray) -> np.ndarray:
     """J_{n+m} J_n J_m times a ``_fixed_row``, multiplied left to right in
-    one new buffer: a cell's rule terms over a region or a chunk of one, or
-    its integrand values.  A rule term carries eight rounded
-    multiplications (five into the weighted row, three here), which the
-    budget's ``rounding`` allowance covers."""
+    one new buffer: a cell's rule terms over a chunk of a region, or its
+    integrand values.  A rule term carries eight rounded multiplications
+    (five into the weighted row, three here), which the budget's
+    ``rounding`` allowance covers."""
     values = np.multiply(rows[n + m], rows[n])
     values *= rows[m]
     values *= fixed
@@ -594,10 +628,11 @@ def _grid_composite(m: int, n: int, rows: dict, fixed: np.ndarray) -> np.ndarray
 
 def _region_sums(cells, pieces) -> list[float]:
     """The rule values of the (variant, m, n) ``cells`` over one region, from
-    ``pieces`` that cover its nodes: (value rows, weighted row per family)
-    pairs over the same stretch of nodes.  A cell's value is the ``fsum`` of
-    its pairwise ``np.sum`` per piece, so one whole-region piece gives that
-    sum exactly."""
+    ``pieces`` that cover its nodes one ``_CHUNK``-point chunk at a time:
+    (value rows, weighted row per family) pairs over the same chunk.  A
+    cell's value is the ``fsum`` of its pairwise ``np.sum`` per chunk, the
+    one summation rule of every grid sum, so it depends only on the terms,
+    never on whether the rows were kept or streamed."""
     partials = [[] for _ in cells]
     for rows, weighted in pieces:
         for part, (variant, m, n) in zip(partials, cells):
@@ -610,41 +645,46 @@ def _band_orders(cells) -> list[int]:
     return sorted(set().union(*(_cell_orders(*cell) for cell in cells)))
 
 
-def _cached_piece(cells, region, memo: _SchemeRows):
-    """The cells' rows and weighted rows over the whole region, read from and
-    added to ``memo`` in one row lookup; the region's nodes are built at most
-    once, and only if a row or a weighted row is missing."""
-    built = []
-
-    def nodes() -> np.ndarray:
-        if not built:
-            built.append(region.nodes())
-        return built[0]
-
-    rows = _order_rows(_band_orders(cells), region, nodes, memo)
-    return rows, {variant: _weighted_row(variant, region, rows, nodes, memo.weighted) for variant, _, _ in cells}
+def _cached_pieces(cells, region, memo: _SchemeRows):
+    """The cells' rows and weighted rows, read from and added to ``memo`` in
+    one row lookup, then yielded as views of one ``_CHUNK``-point chunk at a
+    time."""
+    rows = _order_rows(_band_orders(cells), region, memo)
+    weighted = {variant: _weighted_row(variant, region, rows, memo.weighted) for variant, _, _ in cells}
+    for lo in range(0, region.size(), _CHUNK):
+        piece = slice(lo, lo + _CHUNK)
+        yield {k: row[piece] for k, row in rows.items()}, {v: row[piece] for v, row in weighted.items()}
 
 
 def _streamed_pieces(cells, region):
     """The cells' rows and weighted rows one ``_CHUNK``-point chunk of the
-    region at a time, kept nowhere: the band's union of orders is evaluated
-    in one kernel call per chunk, into one reused block, so the next chunk
-    overwrites the rows of the last."""
-    r, w = region.nodes(), region.weights()
+    region at a time, kept nowhere: each chunk's nodes and weights are
+    generated from their indices, and the band's union of orders is
+    evaluated in one kernel call per chunk, into one reused block, so the
+    next chunk overwrites the rows of the last."""
     orders = _band_orders(cells)
     variants = {variant for variant, _, _ in cells}
-    block = np.empty((len(orders), min(_CHUNK, r.shape[0])))
-    for lo in range(0, r.shape[0], _CHUNK):
-        nodes = r[lo:lo + _CHUNK]
+    size = region.size()
+    block = np.empty((len(orders), min(_CHUNK, size)))
+    for lo in range(0, size, _CHUNK):
+        nodes, weights = region.chunk(lo, lo + _CHUNK)
         rows = dict(zip(orders, _bessel_rows(orders, nodes, block[:, :nodes.shape[0]])))
-        yield rows, {variant: _fixed_row(variant, rows, w[lo:lo + _CHUNK], nodes) for variant in variants}
+        yield rows, {variant: _fixed_row(variant, rows, weights, nodes) for variant in variants}
 
 
-def _composite_sum(variant: str, m: int, n: int, scheme: QuadratureScheme) -> float:
-    """The rules over [0, S] and [S, R], summed."""
-    cell, memo = [(variant, m, n)], _scheme_rows(scheme)
-    low, high = (_region_sums(cell, [_cached_piece(cell, region, memo)])[0] for region in _regions(scheme))
-    return low + high
+def _cached_sums(cells, scheme: QuadratureScheme) -> list[float]:
+    """The cells' rules over [0, S] plus [S, R], from the rows ``integral``
+    keeps for ``scheme``."""
+    memo = _scheme_rows(scheme)
+    low, high = (_region_sums(cells, _cached_pieces(cells, region, memo)) for region in _regions(scheme))
+    return [lo + hi for lo, hi in zip(low, high)]
+
+
+def _streamed_sums(cells, scheme: QuadratureScheme) -> list[float]:
+    """The cells' rules over [0, S] plus [S, R], streamed and kept nowhere:
+    the table's path, and a one-shot command's."""
+    low, high = (_region_sums(cells, _streamed_pieces(cells, region)) for region in _regions(scheme))
+    return [lo + hi for lo, hi in zip(low, high)]
 
 
 # ---------------------------------------------------------------------------
@@ -803,17 +843,20 @@ def integral(variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SC
 
     The midpoint is the two composite rules plus the tail's main profile;
     the radius is the full error budget.  Under the default scheme the
-    radius stays below 0.9e-8.
+    radius stays below 0.9e-8.  The rows are kept for the next call under
+    the same scheme.
     """
     return _integral_and_budget(variant, m, n, scheme)[0]
 
 
 def _integral_and_budget(
-    variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME
+    variant: str, m: int, n: int, scheme: QuadratureScheme = DEFAULT_SCHEME, sums=_cached_sums
 ) -> tuple[CertifiedValue, Budget]:
-    """``integral`` together with the budget behind its radius."""
+    """``integral`` together with the budget behind its radius, its rules
+    summed by ``sums``: ``_cached_sums``, or ``_streamed_sums`` for a
+    one-shot evaluation, with the same bits."""
     m, n, tail, budget = _itemized_budget(variant, m, n, scheme)
-    mid = _composite_sum(variant, m, n, scheme) + tail.mid
+    mid = sums([(variant, m, n)], scheme)[0] + tail.mid
     return CertifiedValue(mid, budget.total), budget
 
 
@@ -847,10 +890,9 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     # orders in one kernel call (J0, J1 and the forward recurrence once) and
     # serves every cell, then is dropped, so no row is evaluated twice or kept
     cells = [(variant, m, n) for n in rows for m in range(0, n + 1, 2) for variant in ("I0", "I1")]
-    low, high = (_region_sums(cells, _streamed_pieces(cells, region)) for region in _regions(scheme))
     bounds = []
-    for (variant, m, n), lo, hi in zip(cells, low, high):
+    for (variant, m, n), quad in zip(cells, _streamed_sums(cells, scheme)):
         main = (NORMALIZATION * main_term(m, n, variant)).to_real()
         tail_const = _TAIL_MAIN_PRINTED[variant, _parity(n)]
-        bounds.append((abs(main - tail_const - (lo + hi)) + _RADIUS_TARGET) * (100.0 * float(n) ** 4))
+        bounds.append((abs(main - tail_const - quad) + _RADIUS_TARGET) * (100.0 * float(n) ** 4))
     return [TableEntry(n, m, top, bottom) for (_, m, n), top, bottom in zip(cells[::2], bounds[::2], bounds[1::2])]

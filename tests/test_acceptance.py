@@ -412,7 +412,7 @@ def test_criterion_9_quadrature_law(capsys, monkeypatch):
 
     # the chunk size of the node vector never changes a byte of table output
     # (both default Gauss regions exceed 4096 nodes, so the small chunk splits them)
-    assert all(r.nodes().shape[0] > 4096 for r in quadrature._regions(quadrature.DEFAULT_SCHEME))
+    assert all(r.size() > 4096 for r in quadrature._regions(quadrature.DEFAULT_SCHEME))
     argv = ["table", "--rows", "2..4"]
     quadrature._scheme_rows.cache_clear()
     assert cli.main(argv) == 0

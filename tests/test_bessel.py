@@ -89,12 +89,17 @@ def test_domain_errors():
         (lambda: phase(0, "3"), "r must be a real number"),
         (lambda: asymptotic_remainder(0, "3", 12), "requires a real, finite r > 0"),
         (lambda: asymptotic_remainder(0, math.inf, 12), "requires a real, finite r > 0"),
+        (lambda: bessel_j(0, np.array([1.0, 2.0])), r"r must be a single real number, got an array of shape \(2,\)"),
+        (lambda: phase(0, np.array([1.0, 2.0])), r"r must be a single real number, got an array of shape \(2,\)"),
     ],
-    ids=["bessel_j_str", "phase_str", "asymptotic_remainder_str", "asymptotic_remainder_inf"],
+    ids=["bessel_j_str", "phase_str", "asymptotic_remainder_str", "asymptotic_remainder_inf", "bessel_j_array",
+         "phase_array"],
 )
 def test_non_numeric_or_infinite_r_is_refused(call, message):
     # bessel_j and phase used to parse "3" as 3.0 (J0(3), and a phase of
-    # 2.2146); the remainder raised TypeError on "3" and returned 0.0 at inf
+    # 2.2146); the remainder raised TypeError on "3" and returned 0.0 at inf;
+    # both refused an array of two nodes with numpy's reshape or conversion
+    # error
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -1,21 +1,26 @@
 """Command-line interface: parsing, exit codes, formats, round-trips."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from besselsix import certify, cli, quadrature
-from besselsix.bessel import CertifiedValue
+import hiprec
+from besselsix.bessel import CertifiedValue, bessel_series_oracle
 from besselsix.certify import THEOREM_MAP
 from besselsix.core_integrals import core_bound_breakdown
-from besselsix.exactnum import N_MAX
+from besselsix.exactnum import N_MAX, ExactScalar
 from besselsix.expansions import base_expansion, product_expansion
 from testkit import breakdown_from_payload, expansion_from_payload, integrate_from_payload
 
@@ -173,7 +178,7 @@ def test_check_theorem_pass_exit_zero(capsys):
 
 def test_check_theorem_failure_exit_two(monkeypatch, capsys):
     # No real cell fails, so splice in an enclosure that deviates wildly.
-    monkeypatch.setattr(quadrature, "integral", lambda *a, **k: CertifiedValue(1.0, 0.0))
+    monkeypatch.setattr(quadrature, "_integral_and_budget", lambda *a, **k: (CertifiedValue(1.0, 0.0), None))
     code = cli.main(["check-theorem", "--variant", "0", "--m", "2", "--n", "2"])
     out = capsys.readouterr().out
     assert code == 2
@@ -477,7 +482,21 @@ def test_integrate_computes_budget_and_tail_once(monkeypatch, capsys):
         value, budget = integrate_from_payload(json.loads(capsys.readouterr().out))
         assert value.rad == budget.total
         assert calls == {"tail_main": 1, "error": 2, "tail_error_budget": 1}
-    quadrature._scheme_rows.cache_clear()  # the paper's rows for the cell take 38 MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--variant", "0", "--m", "0", "--n", "7"],
+    ["integrate", "--variant", "1", "--m", "2", "--n", "9", "--paper", "--json"],
+    ["check-theorem", "--variant", "0", "--m", "2", "--n", "2"],
+], ids=["integrate", "integrate-paper", "check-theorem"])
+def test_one_shot_commands_keep_no_rows(argv, capsys):
+    # a one-shot command streams its cell: nothing reads kept rows again
+    quadrature._scheme_rows.cache_clear()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    for scheme in (quadrature.DEFAULT_SCHEME, quadrature.PAPER_SCHEME):
+        store = quadrature._scheme_rows(scheme)
+        assert len(store) == 0 and store.weighted == {}
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +533,16 @@ def test_workers_flag_is_gone(capsys):
 
 
 def test_ceil2_is_an_upper_bound():
-    for x in (0.117295, 0.0267, 0.8489, 1e-12):
-        assert cli._ceil2(x) >= x - 1e-9
+    # the printed two decimals are the least ones at or above the float's
+    # exact value; 1e-11 above a cent used to print that cent
+    above = math.nextafter(0.13, 1.0)
+    for x in (0.117295, 0.0267, 0.8489, 1e-12, 0.12, 0.13, above, 0.13 + 1e-11, 7.0):
+        printed = Fraction(f"{cli._ceil2(x):.2f}")
+        assert printed - Fraction(1, 100) < Fraction(x) <= printed
     assert cli._ceil2(0.1173) == 0.12
-    assert cli._ceil2(0.12) == 0.12  # exact two-decimal values stay put
+    assert cli._ceil2(0.12) == 0.12  # the float 0.12 lies below 0.12
+    assert cli._ceil2(0.13) == 0.14  # the float 0.13 lies above 0.13
+    assert cli._ceil2(above) == 0.14
 
 
 def test_figure1_csv(capsys):
@@ -540,3 +565,93 @@ def test_figure1_matches_integrand(capsys):
     r = np.array([float(line.split(",")[0]) for line in lines])
     got = np.array([float(line.split(",")[1]) for line in lines])
     assert np.array_equal(got, f(r))
+
+
+# ---------------------------------------------------------------------------
+# printed bounds: every text enclosure and bound holds for the exact decimal
+# ---------------------------------------------------------------------------
+
+# sqrt(pi) from the independent 125-digit pi of ``hiprec``
+_SQRTPI_ENDS = hiprec.sqrt_encl(hiprec.iv_widen(hiprec.iv(hiprec.PI_F), hiprec.PI_ERR))
+
+
+def _exact_ends(center) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= center <= hi, for a float, a Fraction or an ExactScalar."""
+    if isinstance(center, ExactScalar):
+        ends = sorted(center.coeff * s**center.sqrtpi_power for s in _SQRTPI_ENDS)
+        return ends[0], ends[-1]
+    return Fraction(center), Fraction(center)
+
+
+def _misses(text: str, center, rad) -> bool:
+    """Whether the printed ``mid +/- rad`` text fails to contain the whole
+    certified enclosure [center - rad, center + rad]."""
+    mid, printed = (Fraction(part) for part in text.split(" +/- "))
+    lo, hi = _exact_ends(center)
+    return not (mid - printed <= lo - Fraction(rad) and hi + Fraction(rad) <= mid + printed)
+
+
+def _output(command, **fields) -> list[str]:
+    """The lines a subcommand prints for the parsed ``fields``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        command(argparse.Namespace(**fields))
+    return out.getvalue().splitlines()
+
+
+def _budget_lines_hold(lines: list[str], budget) -> bool:
+    """Whether each printed ``name value`` line reads its item, at or above its float."""
+    return [line.split()[0] for line in lines] == [name for name, _ in budget] and all(
+        Fraction(line.split()[1]) >= Fraction(value) for line, (_, value) in zip(lines, budget)
+    )
+
+
+PREDICT_CELLS = [(v, m, n) for v in ("I0", "I1") for m in (0, 2, 4, 6, 8) for n in range(20, 400)]
+TABLE_CELLS = [(v, m, n) for v in ("I0", "I1") for n in range(2, 20) for m in range(0, n + 1, 2)]
+ORACLE_POINTS = [(5, 10.0), (3, 125.0), (0, 1.0), (40, 200.0), (1, 0.5), (2, 0.0)]
+
+
+def test_printed_enclosures_contain_the_certified_ones():
+    # at 17 + 6 digits, rounding to nearest printed 1,848 of these 3,800
+    # predict radii below the certified one
+    assert len(PREDICT_CELLS) == 3800 and len(TABLE_CELLS) == 216
+    misses = []
+    for variant, m, n in PREDICT_CELLS:
+        p = certify.predict(m, n, variant)
+        line = _output(cli._cmd_predict, variant=variant, m=m, n=n, budget=False)[0]
+        if _misses(line.split(" = ")[1], p.main, p.radius):
+            misses.append(line)
+    assert misses == [], f"{len(misses)} predict lines miss, first {misses[0]}"
+    for variant, m, n in TABLE_CELLS:
+        value = quadrature.integral(variant, m, n)
+        line = _output(cli._cmd_integrate, variant=variant, m=m, n=n, paper=False, json=False)[0]
+        assert not _misses(line.split(" = ")[1], value.mid, value.rad), line
+    quadrature._scheme_rows.cache_clear()  # the table's 38 orders take 45 MB
+    for n, r in ORACLE_POINTS:
+        enclosure = bessel_series_oracle(n, r, cli._ORACLE_BITS)
+        line = _output(cli._cmd_eval_bessel, n=n, r=r, oracle=True)[1]
+        assert not _misses(line.split(": ")[1], enclosure.mid, enclosure.rad), line
+
+
+def test_printed_bounds_are_at_or_above_their_floats():
+    for variant, m, n in PREDICT_CELLS[::5]:
+        p = certify.predict(m, n, variant)
+        assert _budget_lines_hold(_output(cli._cmd_predict, variant=variant, m=m, n=n, budget=True)[1:], p.budget)
+        b = core_bound_breakdown(m, n, variant)
+        lines = _output(cli._cmd_core_bounds, variant=variant, m=m, n=n, breakdown=False)[3:]
+        printed = [Fraction(part.split("<= ")[1].rstrip(",")) for line in lines for part in line.split(", ")]
+        assert all(bound >= Fraction(x) for bound, x in zip(printed, (b.e1_cos, b.e1_sin, b.e2_cos, b.e2_sin)))
+        assert len(printed) == 4
+    for variant, m, n in TABLE_CELLS[::9]:
+        _, budget = quadrature._integral_and_budget(variant, m, n)
+        lines = _output(cli._cmd_integrate, variant=variant, m=m, n=n, paper=False, json=False)[1:]
+        assert _budget_lines_hold(lines, budget)
+
+
+@pytest.mark.parametrize("variant, m, n", [("I0", 2, 2), ("I0", 0, 7), ("I1", 4, 9), ("I1", 0, 19)])
+def test_check_theorem_prints_an_upper_deviation_and_a_lower_allowance(variant, m, n):
+    outcome = certify.check_theorem(m, n, variant, quadrature.integral(variant, m, n))
+    line = _output(cli._cmd_check_theorem, variant=variant, m=m, n=n)[0]
+    deviation, allowance = (Fraction(line.split(word)[1].split()[0]) for word in ("deviation ", "allowance "))
+    assert deviation >= Fraction(outcome.deviation) and allowance <= Fraction(outcome.allowance)
+    assert line.endswith("PASS")

@@ -28,7 +28,7 @@ from besselsix.quadrature import (
     _ROUNDING_ALLOWANCE,
     _GaussRegion,
     _NC7Region,
-    _cached_piece,
+    _cached_pieces,
     _envelope_factor,
     _gauss_rule,
     _order_rows,
@@ -49,6 +49,11 @@ from testkit import nc7_composite
 
 # 200 coarse NC7 panels at the origin: 1201 nodes, one chunk.
 SMALL = _NC7Region(0.0, 36.0, 0.03)
+
+
+def _whole(region) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the whole region, as one chunk."""
+    return region.chunk(0, region.size())
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +125,12 @@ def test_panel_count_values():
 
 def test_weight_vector_layout():
     # node spacing 140 makes every weight w c / 140 the integer c
-    wv = _NC7Region(0.0, 12 * 140.0, 140.0).weights()
+    wv = _whole(_NC7Region(0.0, 12 * 140.0, 140.0))[1]
     expected = [41, 216, 27, 272, 27, 216, 82, 216, 27, 272, 27, 216, 41]
     assert wv.tolist() == expected
-    assert _NC7Region(0.0, 6 * 140.0, 140.0).weights().tolist() == [41, 216, 27, 272, 27, 216, 41]
+    assert _whole(_NC7Region(0.0, 6 * 140.0, 140.0))[1].tolist() == [41, 216, 27, 272, 27, 216, 41]
     # per panel the weights sum to 6 * 140
-    assert float(np.sum(_NC7Region(0.0, 30 * 140.0, 140.0).weights())) == 5 * 840.0
+    assert float(np.sum(_whole(_NC7Region(0.0, 30 * 140.0, 140.0))[1])) == 5 * 840.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +273,92 @@ def test_gauss_nodes_tile_the_regions():
     low, high = _regions(DEFAULT_SCHEME)
     assert (low.points, high.points) == (76, 66)
     for region in (low, high):
-        nodes = region.nodes()
+        nodes = _whole(region)[0]
         panels = round((region.b - region.a) / 30.0)
-        assert nodes.shape == (panels * region.points,)
+        assert region.panels() == panels
+        assert nodes.shape == (region.size(),) == (panels * region.points,)
         assert region.a < nodes[0] and nodes[-1] < region.b
         assert np.all(np.diff(nodes) > 0)
-        centers = region.centers()
+        centers = region.centers(np.arange(panels))
         assert np.array_equal(centers, region.a + 15.0 * (2.0 * np.arange(panels) + 1.0))
     # 139,800 nodes per cell, against 2.39M for the paper's NC7 grids
-    assert sum(r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME)) == 139800
-    assert sum(r.nodes().shape[0] for r in _regions(PAPER_SCHEME)) == 2388002
+    assert sum(r.size() for r in _regions(DEFAULT_SCHEME)) == 139800
+    assert sum(r.size() for r in _regions(PAPER_SCHEME)) == 2388002
 
 
 def test_gauss_weighted_sum_is_the_panel_rule():
     # exact for polynomials through degree 2n - 1 on every panel
     low = _regions(DEFAULT_SCHEME)[0]
-    nodes = low.nodes()
+    nodes, weights = _whole(low)
     t = (nodes - 1800.0) / 1800.0
-    weights = low.weights()
     assert weights.shape == nodes.shape
     # 1800 * integral_{-1}^{1} (t^9 + 3 t^2) dt
     assert float(np.sum(weights * (t**9 + 3.0 * t**2))) == pytest.approx(3600.0, rel=1e-13)
     assert float(np.sum(weights * np.ones(nodes.shape[0]))) == pytest.approx(3600.0, rel=1e-14)
+
+
+def _reference_arrays(region) -> tuple[np.ndarray, np.ndarray]:
+    """The region's nodes and weights built whole, panel by panel."""
+    if isinstance(region, _GaussRegion):
+        rule = _gauss_rule(region.points)
+        centers = region.a + 15.0 * (2.0 * np.arange(region.panels()) + 1.0)
+        nodes = (centers[:, None] + 15.0 * rule.nodes).ravel()
+        return nodes, np.tile(15.0 * rule.weights, centers.shape[0])
+    count = 6 * _panel_count(region.a, region.b, region.w) + 1
+    w = Fraction(region.w)
+    weights = np.empty(count)
+    for j in range(1, 6):
+        weights[j::6] = float(w * _NC7_WEIGHTS[j])
+    weights[::6] = float(w * (_NC7_WEIGHTS[0] + _NC7_WEIGHTS[6]))
+    weights[0], weights[-1] = float(w * _NC7_WEIGHTS[0]), float(w * _NC7_WEIGHTS[6])
+    return region.a + region.w * np.arange(count), weights
+
+
+@pytest.mark.parametrize("chunk", [4096, 16384, 65536, 1001, 5017])
+def test_chunks_concatenate_to_the_whole_region(chunk):
+    # any chunk size, a multiple of neither panel size (76 or 66 Gauss
+    # points, 6 NC7 spacings) nor the other chunk sizes, and both NC7 end
+    # weights in the first and the last chunk
+    for region in (*_regions(DEFAULT_SCHEME), *_regions(PAPER_SCHEME)):
+        pieces = [region.chunk(lo, lo + chunk) for lo in range(0, region.size(), chunk)]
+        assert all(nodes.shape == weights.shape == (min(chunk, region.size() - k * chunk),)
+                   for k, (nodes, weights) in enumerate(pieces))
+        nodes, weights = (np.concatenate(part) for part in zip(*pieces))
+        reference = _reference_arrays(region)
+        assert np.array_equal(nodes, reference[0]) and np.array_equal(weights, reference[1])
+        if isinstance(region, _NC7Region):
+            assert weights[0] == weights[-1] == float(Fraction(region.w) * _NC7_WEIGHTS[0])
+            assert weights[6] == float(2 * Fraction(region.w) * _NC7_WEIGHTS[0])
+
+
+def _unblocked_error(region) -> float:
+    """``_GaussRegion.error()`` computed over every panel at once."""
+    rule = _gauss_rule(region.points)
+    n, rho, h = region.points, region.rho, 15.0
+    c = region.a + h * (2.0 * np.arange(region.panels()) + 1.0)
+    semi, height = h * (rho + 1.0 / rho) / 2.0, h * (rho - 1.0 / rho) / 2.0
+    zmax = c + semi + height
+    if region.a > 0:
+        xmin = c - semi
+        bound = zmax * (2.0 / (math.pi * xmin)) ** 3 * math.cosh(height) ** 6 * _envelope_factor(xmin, height)
+    else:
+        bound = zmax * math.exp(6.0 * height)
+    k = np.arange(2 * n)
+    coeffs = np.minimum(2.0 * quadrature._real_sup(c - h, c + h)[:, None], 2.0 * bound[:, None] * rho ** -k)
+    tail = 2.0 * bound * (rule.abs_weights + 2.0 / (4 * n * n - 1)) * rho ** (-2 * n) / (1.0 - 1.0 / rho)
+    x1 = np.maximum(c - h - 1.0, math.sqrt(quadrature._LANDAU6))
+    slope = (1.0 + 6.0 * x1) * np.minimum(1.0, quadrature._LANDAU6 / x1**2)
+    nodes = rule.abs_weights * 2.0**-52 * (c + 2.0 * h) * slope
+    return quadrature._PAD * h * float(np.sum(coeffs @ rule.moment_errors + tail + nodes))
+
+
+@pytest.mark.parametrize("block", [quadrature._ERROR_BLOCK, 7, 1000])
+def test_blocked_gauss_error_is_the_unblocked_one(monkeypatch, block):
+    # each panel's float depends on its center alone, so any blocking of
+    # [0, S]'s 120 panels and [S, R]'s 1980 gives the same bits
+    monkeypatch.setattr(quadrature, "_ERROR_BLOCK", block)
+    for region in _regions(DEFAULT_SCHEME):
+        assert _GaussRegion.error.__wrapped__(region) == _unblocked_error(region) == region.error()
 
 
 def test_gauss_rule_certificate():
@@ -619,12 +688,11 @@ def test_rounding_allowance_is_generous():
     # 0.05e-8 allowance
     count = 6 * 200000 + 1
     region = _NC7Region(0.0, 3600.0, 0.003)
-    nodes = region.nodes()
+    nodes, wv = _whole(region)
     assert np.array_equal(nodes, 0.003 * np.arange(count))
-    rows = _order_rows((0, 2), region, region.nodes, {})
+    rows = _order_rows((0, 2), region, {})
     row0, row2 = rows[0], rows[2]
     values = row2 * row2 * row0 * row0 * row0 * nodes
-    wv = region.weights()
     plain = float(np.sum(wv * values))
     compensated = math.fsum((wv * values).tolist())
     assert abs(plain - compensated) <= 0.05e-8 / 100.0
@@ -640,27 +708,29 @@ def test_order_rows_chunk_independent(monkeypatch):
     # not depend on it, across the small-r/Hankel switch and many chunks
     orders = (0, 1, 7, 30, 37)
     regions = _regions(DEFAULT_SCHEME)
-    assert all(region.nodes().shape[0] > 4096 for region in regions)
+    assert all(region.size() > 4096 for region in regions)
     blocks = []
     for chunk in (4096, 16384, 65536):
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        blocks.append([np.stack(list(_order_rows(orders, region, region.nodes, {}).values())) for region in regions])
+        blocks.append([np.stack(list(_order_rows(orders, region, {}).values())) for region in regions])
     for other in blocks[1:]:
         for a, b in zip(blocks[0], other):
             assert np.array_equal(a, b)
 
 
-def test_order_rows_cached_and_frozen():
+def test_order_rows_cached_and_frozen(monkeypatch):
     memo = {}
-    a = _order_rows((0,), SMALL, SMALL.nodes, memo)[0]
-    b = _order_rows((0,), SMALL, SMALL.nodes, memo)[0]
-    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, 0.03), SMALL.nodes, memo)[0]
+    a = _order_rows((0,), SMALL, memo)[0]
+    b = _order_rows((0,), SMALL, memo)[0]
+    c = _order_rows((3, 0), _NC7Region(0.0, 36.0, 0.03), memo)[0]
     assert a is b is c
     assert not a.flags.writeable
-    # nodes are built only when an order is missing (None is not callable)
-    assert _order_rows((0, 3), SMALL, None, memo)[0] is a
+    # nodes are generated only when an order is missing
+    with monkeypatch.context() as patch:
+        patch.setattr(_NC7Region, "chunk", None)  # not callable
+        assert _order_rows((0, 3), SMALL, memo)[0] is a
     # the orders missing from one request share one frozen block
-    rows = _order_rows((1, 5, 6), SMALL, SMALL.nodes, memo)
+    rows = _order_rows((1, 5, 6), SMALL, memo)
     assert rows[1].base is rows[5].base is rows[6].base is not a.base
     assert not rows[5].base.flags.writeable
 
@@ -692,7 +762,7 @@ def test_table_band_evaluates_each_row_once(monkeypatch):
     build_table([7, 8, 9])
     evaluated = _rows_of(calls)
     assert len(set(evaluated)) == len(evaluated)
-    low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
+    low, high = (r.size() for r in _regions(DEFAULT_SCHEME))
     assert sum(count for _, _, count in evaluated) == 16 * (low + high)
     # each kernel call covers the band's union of orders, so the Hankel sums
     # and the forward recurrence run once per chunk, not once per row
@@ -713,7 +783,7 @@ def test_full_default_table_evaluates_each_row_once(monkeypatch):
     build_table()
     evaluated = _rows_of(calls)
     assert len(set(evaluated)) == len(evaluated)
-    low, high = (r.nodes().shape[0] for r in _regions(DEFAULT_SCHEME))
+    low, high = (r.size() for r in _regions(DEFAULT_SCHEME))
     assert all(orders == tuple(range(38)) for orders, _, _ in calls)
     assert sum(count for _, _, count in evaluated) == 38 * (low + high)
     assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 0
@@ -724,15 +794,19 @@ def test_repeated_integral_evaluates_no_row(monkeypatch):
     evaluated = _count_kernel_calls(monkeypatch)
     built = []
     for cls in (_GaussRegion, _NC7Region):
-        def counting(region, _real=cls.nodes):
-            built.append(region)
-            return _real(region)
+        def counting(region, lo, hi, _real=cls.chunk):
+            nodes, weights = _real(region, lo, hi)
+            built.append((region, nodes.shape[0]))
+            return nodes, weights
 
-        monkeypatch.setattr(cls, "nodes", counting)
+        monkeypatch.setattr(cls, "chunk", counting)
     first = integral("I1", 2, 9)
     assert evaluated
-    # one node build per region feeds both its rows and its weighted row
-    assert sorted(region.a for region in built) == [0.0, 3600.0]
+    # nodes are generated one chunk at a time, each region's twice: once for
+    # its rows and once for its weighted row
+    assert all(count <= quadrature._CHUNK for _, count in built)
+    for region in _regions(DEFAULT_SCHEME):
+        assert sum(count for owner, count in built if owner == region) == 2 * region.size()
     evaluated.clear()
     built.clear()
     assert integral("I1", 2, 9) == first
@@ -755,7 +829,8 @@ def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
         (variant, region) for variant in ("I0", "I1") for region in _regions(DEFAULT_SCHEME)
     }
     for (variant, region), row in store.weighted.items():
-        expected = region.weights() * region.nodes()
+        nodes, weights = _whole(region)
+        expected = weights * nodes
         for k in {"I0": (0, 0, 0), "I1": (1, 1, 0)}[variant]:
             expected = expected * store[k, region]
         assert np.array_equal(row, expected)
@@ -764,7 +839,8 @@ def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
     low = _regions(DEFAULT_SCHEME)[0]
     pair = store[2, low] * store[2, low] * store[0, low]
     cell = [("I1", 0, 2)]
-    assert _region_sums(cell, [_cached_piece(cell, low, store)])[0] == float(np.sum(pair * store.weighted["I1", low]))
+    assert low.size() <= quadrature._CHUNK  # one piece
+    assert _region_sums(cell, _cached_pieces(cell, low, store))[0] == float(np.sum(pair * store.weighted["I1", low]))
 
 
 def test_second_scheme_frees_the_first_schemes_rows():
@@ -801,6 +877,17 @@ def test_table_band_keeps_no_rows_and_stays_small():
     assert len(store) == 0 and store.weighted == {}
 
 
+def test_streamed_paper_cell_stays_small():
+    # a one-shot paper cell streams its 2.4 million nodes: the cached path
+    # keeps five rows and a weighted row over them, 115 MB
+    cell = [("I1", 2, 9)]
+    quadrature._streamed_sums(cell, PAPER_SCHEME)  # first-use certificates
+    quadrature._scheme_rows.cache_clear()
+    assert _traced_peak(lambda: quadrature._streamed_sums(cell, PAPER_SCHEME)) < 20e6
+    store = quadrature._scheme_rows(PAPER_SCHEME)
+    assert len(store) == 0 and store.weighted == {}
+
+
 def test_paper_table_row_stays_small():
     quadrature._table_radius_ok(PAPER_SCHEME)
     quadrature._scheme_rows.cache_clear()
@@ -809,14 +896,15 @@ def test_paper_table_row_stays_small():
 
 
 def test_streamed_sums_match_whole_region_sums():
-    # the table sums each region chunk by chunk; integral sums it whole.  Per
-    # node the terms agree, so only the grouping of the additions differs
+    # the table streams each region chunk by chunk; integral reads the rows
+    # it keeps.  Per node the terms agree, and both sum the same chunks by
+    # the one rule, so every cell agrees to the bit
     cells = [(variant, m, n) for n in _TABLE_ROWS for m in range(0, n + 1, 2) for variant in ("I0", "I1")]
     memo = quadrature._SchemeRows()
     for region in _regions(DEFAULT_SCHEME):
         streamed = _region_sums(cells, _streamed_pieces(cells, region))
-        whole = _region_sums(cells, [_cached_piece(cells, region, memo)])
-        assert max(abs(a - b) for a, b in zip(streamed, whole)) <= 1e-18
+        whole = _region_sums(cells, _cached_pieces(cells, region, memo))
+        assert streamed == whole
 
 
 def test_streamed_paper_sum_is_close_to_the_exact_sum():
@@ -825,8 +913,9 @@ def test_streamed_paper_sum_is_close_to_the_exact_sum():
     cell = [("I0", 0, 7)]
     region = _regions(PAPER_SCHEME)[0]
     streamed = _region_sums(cell, _streamed_pieces(cell, region))[0]
-    rows = _order_rows((0, 7), region, region.nodes, {})
-    terms = quadrature._grid_composite(0, 7, rows, quadrature._fixed_row("I0", rows, region.weights(), region.nodes()))
+    rows = _order_rows((0, 7), region, {})
+    nodes, weights = _whole(region)
+    terms = quadrature._grid_composite(0, 7, rows, quadrature._fixed_row("I0", rows, weights, nodes))
     assert abs(streamed - math.fsum(terms.tolist())) <= _ROUNDING_ALLOWANCE / 100.0
 
 

@@ -178,5 +178,5 @@ def nc7_composite(f, a: float, b: float, w: float) -> float:
     ``(b - a) * w^8 * (6^3/5) * sup|f^(8)| / 8!``.
     """
     region = _NC7Region(a, b, w)
-    nodes = region.nodes()
-    return float(np.sum(region.weights() * np.broadcast_to(f(nodes), nodes.shape)))
+    nodes, weights = region.chunk(0, region.size())
+    return float(np.sum(weights * np.broadcast_to(f(nodes), nodes.shape)))
