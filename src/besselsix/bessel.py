@@ -19,7 +19,9 @@ Two evaluators live here:
     measured error is below 4e-16 on both sides of the switch.  Scalars,
     arrays and multi-order grids share one kernel, ``_bessel_rows``, so a
     scalar call returns exactly the element an array or multi-order call
-    would.
+    would.  Each route computes in place, in a few work arrays as long as
+    the node vector, so the quadrature's 4096-node granules allocate no
+    large temporaries.
 
 ``bessel_series_oracle``
     A slow, independent validation oracle: the alternating power series
@@ -149,29 +151,37 @@ def phase(n: int, r: float) -> float:
 
 
 def _phase_array(n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized ``phase`` for floats in [0, _MAX_R); rounds half to even."""
-    k = np.rint(r * _INV_TWO_PI)
-    e = ((r - k * _TP_HI1) - k * _TP_HI2) - k * _TP_LO
+    """Vectorized ``phase`` for floats in [0, _MAX_R); rounds half to even.
+    Computed in place, in two work arrays and one index array."""
+    k = np.multiply(r, _INV_TWO_PI)
+    np.rint(k, out=k)
+    omega = np.multiply(k, _TP_HI1)
+    np.subtract(r, omega, out=omega)
+    work = np.multiply(k, _TP_HI2)
+    omega -= work
+    np.multiply(k, _TP_LO, out=work)
+    omega -= work
+    # omega is now the remainder e = r - 2 pi k, and k becomes the index
+    # q + 8 w of e's multiple of pi/4, w = rint((e - q pi/4) / 2pi)
     q = (2 * n + 1) % 16
-    w = np.rint((e - q * (_PI / 4.0)) * _INV_TWO_PI)
-    idx = (q + 8 * w).astype(np.intp) + _QTAB_OFFSET
-    omega = (e - np.take(_QTAB_HI, idx)) - np.take(_QTAB_LO, idx)
-    omega = np.where(omega > _PI, omega - _TWO_PI, omega)
-    omega = np.where(omega <= -_PI, omega + _TWO_PI, omega)
+    np.subtract(omega, q * (_PI / 4.0), out=k)
+    k *= _INV_TWO_PI
+    np.rint(k, out=k)
+    k *= 8.0
+    k += q + _QTAB_OFFSET
+    idx = k.astype(np.intp)
+    np.take(_QTAB_HI, idx, out=work)
+    omega -= work
+    np.take(_QTAB_LO, idx, out=work)
+    omega -= work
+    np.subtract(omega, _TWO_PI, out=omega, where=omega > _PI)
+    np.add(omega, _TWO_PI, out=omega, where=omega <= -_PI)
     return omega
 
 
 # ---------------------------------------------------------------------------
 # Hankel asymptotic evaluation
 # ---------------------------------------------------------------------------
-
-
-def _horner(coeffs, u):
-    """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...; elementwise on arrays."""
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * u + c
-    return total
 
 
 def asymptotic_remainder(n: int, r: float, ell: int) -> float:
@@ -211,24 +221,44 @@ def _signed_coeffs(n: int, first: int) -> tuple[float, ...]:
 _HANKEL_PQ = {n: (_signed_coeffs(n, 0), _signed_coeffs(n, 1)) for n in (0, 1)}
 
 
-def _asym_sums(n: int, r):
-    """The truncated sums P and Q/r of J_n's expansion for n in {0, 1};
-    elementwise on arrays."""
-    p, q = _HANKEL_PQ[n]
-    u = 1.0 / (r * r)
-    return _horner(p, u), _horner(q, u) / r
+def _asym_sums(n: int, r: np.ndarray) -> np.ndarray:
+    """The truncated sums P and Q/r of J_n's expansion for n in {0, 1} over
+    the node vector r, as the two rows of one new array, each by Horner's
+    rule in place."""
+    u = np.multiply(r, r)
+    np.divide(1.0, u, out=u)
+    sums = np.empty((2, r.shape[0]))
+    for total, coeffs in zip(sums, _HANKEL_PQ[n]):
+        total.fill(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            total *= u
+            total += c
+    sums[1] /= r
+    return sums
 
 
 def _asym_j0_j1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints of the ``_ASYM_TERMS``-term asymptotic J0 and J1, from one
     phase reduction: omega_1 = omega_0 - pi/2, so cos omega_1 = sin omega_0
-    and sin omega_1 = -cos omega_0."""
+    and sin omega_1 = -cos omega_0.  Formed in place in the sums' rows."""
     p0, q0 = _asym_sums(0, r)
     p1, q1 = _asym_sums(1, r)
-    omega = _phase_array(0, r)
-    c, s = np.cos(omega), np.sin(omega)
-    amp = np.sqrt(2.0 / (np.pi * r))
-    return amp * (c * p0 - s * q0), amp * (s * p1 + c * q1)
+    s = _phase_array(0, r)
+    c = np.cos(s)
+    np.sin(s, out=s)
+    amp = np.multiply(r, np.pi)
+    np.divide(2.0, amp, out=amp)
+    np.sqrt(amp, out=amp)
+    # J0 = amp (c P0 - s Q0/r) and J1 = amp (s P1 + c Q1/r)
+    p0 *= c
+    q0 *= s
+    p0 -= q0
+    p0 *= amp
+    p1 *= s
+    q1 *= c
+    p1 += q1
+    p1 *= amp
+    return p0, p1
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +312,16 @@ def _series_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.nda
     ``_TINY_R``, where the next term is (r/2)^2/(k+1) times smaller.  Each
     route writes into ``out`` if given, as ``_bessel_rows`` does."""
     k = np.array(orders, dtype=np.intp)[:, None]
-    return np.divide((0.5 * r) ** k, _FACTORIALS[k], out=out)
+    out = np.power(np.multiply(0.5, r), k, out=out)
+    return np.divide(out, _FACTORIALS[k], out=out)
+
+
+def _slots(orders) -> dict[int, list[int]]:
+    """The rows of ``out`` that each order in ``orders`` fills."""
+    slots: dict[int, list[int]] = {}
+    for i, k in enumerate(orders):
+        slots.setdefault(k, []).append(i)
+    return slots
 
 
 def _miller_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -293,42 +332,49 @@ def _miller_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.nda
     by the exact 2^-600.  One step multiplies |b| by at most 2N/r < 2^39
     above ``_TINY_R``, so nothing overflows.
     """
-    slots = {}
-    for i, k in enumerate(orders):
-        slots.setdefault(k, []).append(i)
+    slots = _slots(orders)
     out = np.empty((len(orders), r.shape[0])) if out is None else out
     out.fill(0.0)  # rows not yet reached are scaled with the rest
-    b_next, b = np.zeros_like(r), np.ones_like(r)
-    even_sum = np.zeros_like(r)
+    b_next, b, even_sum, work = np.zeros_like(r), np.ones_like(r), np.zeros_like(r), np.empty_like(r)
     for k in range(_MILLER_START, 0, -1):
         if k % 2 == 0:
             even_sum += b
         for i in slots.get(k, ()):
             out[i] = b
-        b, b_next = (2.0 * k / r) * b - b_next, b
-        big = np.abs(b) > 2.0**600
-        if np.any(big):
-            scale = np.where(big, 2.0**-600, 1.0)
+        np.divide(2.0 * k, r, out=work)
+        work *= b
+        work -= b_next
+        b_next, b, work = b, work, b_next
+        if np.abs(b, out=work).max() > 2.0**600:
+            scale = np.where(work > 2.0**600, 2.0**-600, 1.0)
             b *= scale
             b_next *= scale
             even_sum *= scale
             out *= scale
     for i in slots.get(0, ()):
         out[i] = b
-    out /= b + 2.0 * even_sum
+    even_sum *= 2.0
+    even_sum += b
+    out /= even_sum
     return out
 
 
 def _hankel_rows(orders, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """J0 and J1 from the Hankel sums, each higher order by forward recurrence
     J_{k+1} = (2k/r) J_k - J_{k-1}, always started from J0 and J1."""
+    slots = _slots(orders)
     out = np.empty((len(orders), r.shape[0])) if out is None else out
     jk, jnext = _asym_j0_j1(r)  # J_k and J_{k+1} from k = 0
-    for k in range(max(orders) + 1):
-        for i, order in enumerate(orders):
-            if order == k:
-                out[i] = jk
-        jk, jnext = jnext, (2.0 * (k + 1) / r) * jnext - jk
+    work = np.empty_like(r)
+    top = max(orders)
+    for k in range(top + 1):
+        for i in slots.get(k, ()):
+            out[i] = jk
+        if k < top:
+            np.divide(2.0 * (k + 1), r, out=work)
+            work *= jnext
+            work -= jk
+            jk, jnext, work = jnext, work, jk
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -188,15 +188,31 @@ def theorem_constants(m: int, n: int, variant: str) -> float | None:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """Outcome of testing a measured enclosure against the theorem bound."""
+    """Outcome of testing a measured enclosure against the theorem bound.
+
+    ``deviation`` and ``allowance`` are plain floats.  ``exact_deviation``
+    and ``exact_allowance`` are the two exact rationals the verdict
+    compares: a bound on |measured - main| plus the radius, and c n^-4."""
 
     passed: bool
     deviation: float
     allowance: float
+    # (numerator, denominator) of the exact deviation bound and allowance,
+    # made ``Fraction``s only when read
+    _deviation_ratio: tuple[int, int] = field(repr=False)
+    _allowance_ratio: tuple[int, int] = field(repr=False)
 
     @property
     def slack(self) -> float:
         return self.allowance - self.deviation
+
+    @property
+    def exact_deviation(self) -> Fraction:
+        return Fraction(*self._deviation_ratio)
+
+    @property
+    def exact_allowance(self) -> Fraction:
+        return Fraction(*self._allowance_ratio)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -222,8 +238,8 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     integer ratios, summed over their product denominator without
     normalizing, and cross-multiplied with the constant read as its
     decimal.  The reported deviation and allowance are the plain float
-    values; an exact enclosure past the float range reports an infinite
-    deviation.  Like ``predict``, it refuses n past ``N_MAX``.
+    values, and the compared ones are exact rationals besides; an exact
+    enclosure past the float range reports an infinite float deviation.  Like ``predict``, it refuses n past ``N_MAX``.
     """
     constant = theorem_constants(m, n, variant)
     if constant is None:
@@ -242,5 +258,6 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     c, d = _decimal(constant)
     # |p/q - a/b| + r/s + u/v over the denominator q b s v
     num = (abs(p * b - a * q) * s + r * q * b) * v + u * q * b * s
-    passed = num * d * n**4 <= c * q * b * s * v
-    return TheoremCheck(passed, deviation, allowance)
+    den = q * b * s * v
+    passed = num * d * n**4 <= c * den
+    return TheoremCheck(passed, deviation, allowance, (num, den), (c, d * n**4))

@@ -458,8 +458,8 @@ def _cmd_check_theorem(ns: argparse.Namespace) -> int:
     outcome = check_theorem(ns.m, ns.n, ns.variant, value)
     status = "PASS" if outcome.passed else "FAIL"
     print(
-        f"{ns.variant}(m={ns.m}, n={ns.n}): deviation {_bound_text(outcome.deviation, 6)} "
-        f"vs allowance {_bound_text(outcome.allowance, 6, up=False)} -> {status}"
+        f"{ns.variant}(m={ns.m}, n={ns.n}): deviation {_bound_text(outcome.exact_deviation, 6)} "
+        f"vs allowance {_bound_text(outcome.exact_allowance, 6, up=False)} -> {status}"
     )
     return EXIT_OK if outcome.passed else EXIT_CHECK_FAILED
 

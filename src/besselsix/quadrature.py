@@ -53,29 +53,31 @@ The grid sums read per-order value rows over each region, evaluated by the
 multi-order kernel ``_bessel_rows``, and one weighted row per family: the
 rule weight times r times the family's three fixed factors (J_0^3, or
 J_1^2 J_0) at every node, so a cell's rule terms are J_{n+m} J_n J_m times
-that row.  ``_region_sums`` forms and sums them one fixed ``_CHUNK``-point
-chunk at a time, for every source of rows alike: each cell adds its
-chunk's pairwise ``np.sum`` to partials that ``math.fsum`` combines, so a
-cell has the same bits in ``integral``, ``build_table`` and the command
-line.  ``integral`` reads rows and weighted rows memoized for the scheme in
-use (asking for another scheme frees the last one's), so a warm cell
-generates no nodes, weights or fixed products.  ``build_table`` and the
-one-shot ``integrate`` and ``check-theorem`` commands keep no row
-(``_streamed_sums``): each region streams through the kernel one chunk at
-a time, the band's union of orders in one call per chunk (J0, J1 and the
-forward recurrence once) into one reused block.  The paper's full table
-thus runs in tens of MB where its rows alone would take 0.73 GB, and no
-array grows with a region's node count.  ``integrand`` forms its values by
-the same product, with weight 1.  All grid evaluation is deterministic:
-nodes are generated from integer indices, and per-node values depend only
-on the node and the order (never on the chunk or on the other orders
-evaluated with it); a chunk that one kernel route serves is written
-straight into its rows' block.  Nodes are evaluated on one thread.  The
-module's only BLAS calls are small matrix-vector products in each Gauss
-region's certificate, one per block of ``_ERROR_BLOCK`` panels; they leave
-the BLAS thread count to the host process (the ``besselsix`` command asks
-for one thread before numpy loads, a library user's setting is never
-touched).
+that row.  Every grid is cut into fixed ``_CHUNK``-node granules (4096
+nodes, 32 KiB a row), and ``_region_sums`` forms the terms and sums them
+pairwise one granule at a time, for every source of rows alike: each cell
+adds its granules' sums to partials that ``math.fsum`` combines, so a cell
+has the same bits in ``integral``, ``build_table`` and the command line.
+The cells of one (m, n) share the product (J_{n+m} J_n) J_m.  ``integral``
+reads rows and weighted rows memoized for the scheme in use (asking for
+another scheme frees the last one's), in spans of ``_SPAN`` granules, so a
+warm cell generates no nodes, weights or fixed products.  ``build_table``
+and the one-shot ``integrate`` and ``check-theorem`` commands keep no row
+(``_streamed_sums``): each region streams through the kernel one granule
+at a time, the band's union of orders in one call per granule (J0, J1 and
+the forward recurrence once) into one reused block, and the kernel works
+in place in a few granule-length arrays.  The paper's full table thus runs
+in a few MB where its rows alone would take 0.73 GB, and no array grows
+with a region's node count.  ``integrand`` forms its values by the same
+product, with weight 1.  All grid evaluation is deterministic: nodes are
+generated from integer indices, and per-node values depend only on the
+node and the order (never on the granule or on the other orders evaluated
+with it); a granule that one kernel route serves is written straight into
+its rows' block.  Nodes are evaluated on one thread.  The module's only
+BLAS calls are small matrix-vector products in each Gauss region's
+certificate, one per block of ``_ERROR_BLOCK`` panels; they leave the BLAS
+thread count to the host process (the ``besselsix`` command asks for one
+thread before numpy loads, a library user's setting is never touched).
 """
 
 from __future__ import annotations
@@ -119,7 +121,14 @@ __all__ = [
     "build_table",
 ]
 
-_CHUNK = 16384
+# The granule of every grid: nodes are evaluated, and each cell's terms
+# summed pairwise, one _CHUNK-node granule at a time.  At 32 KiB a row the
+# kernel's work arrays stay below glibc's 128 KiB mmap threshold, so they
+# are reused heap blocks, not fresh pages.  ``integral`` reads its kept rows
+# in spans of _SPAN granules, 256 KiB a row, which keeps a warm cell's
+# calls few and its products in cache.
+_CHUNK = 4096
+_SPAN = 8
 
 # The paper's split radii: the grid regions [0, S] and [S, R], the tail past R.
 _S = 3600.0
@@ -544,7 +553,7 @@ def integrand(variant: str, m: int, n: int):
         r = _check_r(r)
         nodes = r.ravel()
         rows = dict(zip(orders, _bessel_rows(orders, nodes)))
-        return _grid_composite(m, n, rows, _fixed_row(variant, rows, 1.0, nodes)).reshape(r.shape)[()]
+        return _grid_composite(m, n, rows, [_fixed_row(variant, rows, 1.0, nodes)])[0].reshape(r.shape)[()]
 
     return f
 
@@ -577,8 +586,8 @@ def _scheme_rows(scheme: QuadratureScheme) -> _SchemeRows:
 def _order_rows(orders, region, memo: dict) -> dict[int, np.ndarray]:
     """The rows of ``orders`` over the nodes of ``region``, read from and
     added to ``memo``.  Missing orders are evaluated together in one pass,
-    into one frozen block whose rows are views, one fixed ``_CHUNK``-point
-    chunk of nodes at a time; no node is generated if none is missing."""
+    into one frozen block whose rows are views, one ``_CHUNK``-node granule
+    at a time; no node is generated if none is missing."""
     missing = sorted({k for k in orders if (k, region) not in memo})
     if missing:
         block = np.empty((len(missing), region.size()))
@@ -589,11 +598,12 @@ def _order_rows(orders, region, memo: dict) -> dict[int, np.ndarray]:
     return {k: memo[k, region] for k in orders}
 
 
-def _fixed_row(variant: str, rows: dict, weights, nodes: np.ndarray) -> np.ndarray:
-    """w_i r_i J_0^3 (or w_i r_i J_1^2 J_0 for I1) at every node r_i, in one
-    new buffer: the weights times the nodes, then times each fixed row in
-    order.  The grid sums pass the rule weights, ``integrand`` the weight 1."""
-    row = np.multiply(weights, nodes)
+def _fixed_row(variant: str, rows: dict, weights, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """w_i r_i J_0^3 (or w_i r_i J_1^2 J_0 for I1) at every node r_i, in
+    ``out`` or one new buffer: the weights times the nodes, then times each
+    fixed row in order.  The grid sums pass the rule weights, ``integrand``
+    the weight 1."""
+    row = np.multiply(weights, nodes, out=out)
     for k in _FIXED_ORDERS[variant]:
         row *= rows[k]
     return row
@@ -601,42 +611,76 @@ def _fixed_row(variant: str, rows: dict, weights, nodes: np.ndarray) -> np.ndarr
 
 def _weighted_row(variant: str, region, rows: dict, weighted: dict) -> np.ndarray:
     """The ``_fixed_row`` of ``region``'s rule weights and nodes, built one
-    ``_CHUNK``-point chunk at a time, frozen and kept in ``weighted``."""
+    ``_CHUNK``-node granule at a time, frozen and kept in ``weighted``."""
     key = (variant, region)
     if key not in weighted:
         row = np.empty(region.size())
         for lo in range(0, row.shape[0], _CHUNK):
             nodes, weights = region.chunk(lo, lo + _CHUNK)
             fixed = {k: rows[k][lo:lo + _CHUNK] for k in _FIXED_ORDERS[variant]}
-            row[lo:lo + _CHUNK] = _fixed_row(variant, fixed, weights, nodes)
+            _fixed_row(variant, fixed, weights, nodes, row[lo:lo + _CHUNK])
         row.setflags(write=False)
         weighted[key] = row
     return weighted[key]
 
 
-def _grid_composite(m: int, n: int, rows: dict, fixed: np.ndarray) -> np.ndarray:
-    """J_{n+m} J_n J_m times a ``_fixed_row``, multiplied left to right in
-    one new buffer: a cell's rule terms over a chunk of a region, or its
-    integrand values.  A rule term carries eight rounded multiplications
-    (five into the weighted row, three here), which the budget's
-    ``rounding`` allowance covers."""
-    values = np.multiply(rows[n + m], rows[n])
-    values *= rows[m]
-    values *= fixed
-    return values
+def _grid_composite(m: int, n: int, rows: dict, fixed, out: np.ndarray | None = None) -> np.ndarray:
+    """J_{n+m} J_n J_m times each of the ``fixed`` rows (``_fixed_row``s over
+    the same nodes), one row of ``out`` (or of a new array) each: a cell's
+    rule terms over a piece of a region, one row per family, or its
+    integrand values.  The product (J_{n+m} J_n) J_m is formed once, in the
+    last row, and multiplied left to right into each, so both families
+    share it with one multiply order.  A rule term carries eight rounded
+    multiplications (five into the weighted row, three here), which the
+    budget's ``rounding`` allowance covers."""
+    out = np.empty((len(fixed), rows[n].shape[0])) if out is None else out
+    pair = out[-1]
+    np.multiply(rows[n + m], rows[n], out=pair)
+    pair *= rows[m]
+    for values, row in zip(out[:-1], fixed):
+        np.multiply(pair, row, out=values)
+    pair *= fixed[-1]
+    return out
+
+
+def _granule_sums(terms: np.ndarray) -> np.ndarray:
+    """The pairwise sum of each row of ``terms`` over each ``_CHUNK``-node
+    granule, the last one possibly shorter, as one row of granule sums per
+    row.  A granule's sum is the 1-d ``np.sum`` of its terms, however many
+    granules the piece spans: numpy sums the contiguous last axis pairwise,
+    row by row."""
+    size = terms.shape[1]
+    if size <= _CHUNK:
+        return np.add.reduce(terms, axis=1, keepdims=True)
+    full = size - size % _CHUNK
+    sums = np.add.reduce(terms[:, :full].reshape(terms.shape[0], -1, _CHUNK), axis=2)
+    if full == size:
+        return sums
+    return np.concatenate([sums, np.add.reduce(terms[:, full:], axis=1, keepdims=True)], axis=1)
 
 
 def _region_sums(cells, pieces) -> list[float]:
     """The rule values of the (variant, m, n) ``cells`` over one region, from
-    ``pieces`` that cover its nodes one ``_CHUNK``-point chunk at a time:
-    (value rows, weighted row per family) pairs over the same chunk.  A
-    cell's value is the ``fsum`` of its pairwise ``np.sum`` per chunk, the
-    one summation rule of every grid sum, so it depends only on the terms,
-    never on whether the rows were kept or streamed."""
+    ``pieces`` that cover its nodes in order, each starting on a ``_CHUNK``
+    granule: (value rows, weighted row per family) pairs over the same
+    nodes.  A cell's value is the ``fsum`` of its terms' pairwise sums per
+    granule (``_granule_sums``), the one summation rule of every grid sum,
+    so it depends only on the terms, never on whether the rows were kept or
+    streamed.  The cells of one (m, n) share their ``_grid_composite``."""
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for i, (_, m, n) in enumerate(cells):
+        pairs.setdefault((m, n), []).append(i)
     partials = [[] for _ in cells]
+    buffer = np.empty((0, 0))
     for rows, weighted in pieces:
-        for part, (variant, m, n) in zip(partials, cells):
-            part.append(float(np.sum(_grid_composite(m, n, rows, weighted[variant]))))
+        size = next(iter(weighted.values())).shape[0]
+        if buffer.shape[1] < size:
+            buffer = np.empty((max(map(len, pairs.values())), size))
+        for (m, n), members in pairs.items():
+            fixed = [weighted[cells[i][0]] for i in members]
+            terms = _grid_composite(m, n, rows, fixed, buffer[:len(members), :size])
+            for i, sums in zip(members, _granule_sums(terms).tolist()):
+                partials[i] += sums
     return [math.fsum(part) for part in partials]
 
 
@@ -647,29 +691,31 @@ def _band_orders(cells) -> list[int]:
 
 def _cached_pieces(cells, region, memo: _SchemeRows):
     """The cells' rows and weighted rows, read from and added to ``memo`` in
-    one row lookup, then yielded as views of one ``_CHUNK``-point chunk at a
-    time."""
+    one row lookup, then yielded as views of one span of ``_SPAN`` granules
+    at a time."""
     rows = _order_rows(_band_orders(cells), region, memo)
     weighted = {variant: _weighted_row(variant, region, rows, memo.weighted) for variant, _, _ in cells}
-    for lo in range(0, region.size(), _CHUNK):
-        piece = slice(lo, lo + _CHUNK)
+    for lo in range(0, region.size(), _SPAN * _CHUNK):
+        piece = slice(lo, lo + _SPAN * _CHUNK)
         yield {k: row[piece] for k, row in rows.items()}, {v: row[piece] for v, row in weighted.items()}
 
 
 def _streamed_pieces(cells, region):
-    """The cells' rows and weighted rows one ``_CHUNK``-point chunk of the
-    region at a time, kept nowhere: each chunk's nodes and weights are
+    """The cells' rows and weighted rows one ``_CHUNK``-node granule of the
+    region at a time, kept nowhere: each granule's nodes and weights are
     generated from their indices, and the band's union of orders is
-    evaluated in one kernel call per chunk, into one reused block, so the
-    next chunk overwrites the rows of the last."""
+    evaluated in one kernel call per granule, into one reused block, as are
+    the weighted rows, so the next granule overwrites the rows of the last."""
     orders = _band_orders(cells)
     variants = {variant for variant, _, _ in cells}
     size = region.size()
     block = np.empty((len(orders), min(_CHUNK, size)))
+    fixed = np.empty((len(variants), block.shape[1]))
     for lo in range(0, size, _CHUNK):
         nodes, weights = region.chunk(lo, lo + _CHUNK)
-        rows = dict(zip(orders, _bessel_rows(orders, nodes, block[:, :nodes.shape[0]])))
-        yield rows, {variant: _fixed_row(variant, rows, weights, nodes) for variant in variants}
+        count = nodes.shape[0]
+        rows = dict(zip(orders, _bessel_rows(orders, nodes, block[:, :count])))
+        yield rows, {v: _fixed_row(v, rows, weights, nodes, row[:count]) for v, row in zip(variants, fixed)}
 
 
 def _cached_sums(cells, scheme: QuadratureScheme) -> list[float]:
@@ -886,7 +932,7 @@ def build_table(n_range=None, scheme: QuadratureScheme = DEFAULT_SCHEME) -> list
     """
     rows = _table_rows(_TABLE_ROWS if n_range is None else n_range)
     _table_radius_ok(scheme)
-    # region-major: each chunk of a region evaluates the union of the band's
+    # region-major: each granule of a region evaluates the union of the band's
     # orders in one kernel call (J0, J1 and the forward recurrence once) and
     # serves every cell, then is dropped, so no row is evaluated twice or kept
     cells = [(variant, m, n) for n in rows for m in range(0, n + 1, 2) for variant in ("I0", "I1")]

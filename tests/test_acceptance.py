@@ -410,15 +410,17 @@ def test_criterion_9_quadrature_law(capsys, monkeypatch):
     err_half = abs(nc7_composite(f, 0.0, 1.2, 0.1) - exact)
     assert err_w / err_half == pytest.approx(256.0, rel=0.01)
 
-    # the chunk size of the node vector never changes a byte of table output
-    # (both default Gauss regions exceed 4096 nodes, so the small chunk splits them)
+    # the granule size of the node vector never changes a byte of table
+    # output (the default 4096-node granule splits both default Gauss
+    # regions, and a 16384-node one the larger)
+    assert quadrature._CHUNK == 4096
     assert all(r.size() > 4096 for r in quadrature._regions(quadrature.DEFAULT_SCHEME))
     argv = ["table", "--rows", "2..4"]
     quadrature._scheme_rows.cache_clear()
     assert cli.main(argv) == 0
     default = capsys.readouterr().out
     quadrature._scheme_rows.cache_clear()
-    monkeypatch.setattr(quadrature, "_CHUNK", 4096)
+    monkeypatch.setattr(quadrature, "_CHUNK", 16384)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == default
     assert default.startswith("n,m,top,bottom\n")

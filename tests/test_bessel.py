@@ -200,6 +200,29 @@ def test_rows_match_single_order_bitwise_for_any_order_set():
             assert np.array_equal(row, single[k]), (orders, k)
 
 
+def test_rows_do_not_depend_on_the_block_of_nodes():
+    # the grids evaluate 4096-node granules into views of one reused block;
+    # blocks of 1, 4095, 4096 and 16384 nodes, each mixing nodes on both
+    # sides of _TINY_R and of r = 50, give every node the same rows
+    rng = np.random.default_rng(34)
+    tiny, switch = bessel._TINY_R, bessel._SWITCH_R
+    edges = [0.0, tiny, math.nextafter(tiny, 0.0), switch, math.nextafter(switch, 0.0)]
+    rs = rng.permutation(np.concatenate([
+        edges, rng.uniform(0.0, 2.0 * tiny, 4096), rng.uniform(0.0, switch, 4096),
+        rng.uniform(switch - 0.1, switch + 0.1, 4096), rng.uniform(switch, 63000.0, 4096 - len(edges)),
+    ]))
+    assert rs.shape == (16384,)
+    orders = (0, 1, 2, 7, 9, 11, 37, MAX_ORDER)
+    whole = _bessel_rows(orders, rs)
+    for size in (4095, 4096):
+        block = np.empty((len(orders), size + 3))
+        for lo in range(0, rs.shape[0], size):
+            part = rs[lo:lo + size]
+            assert np.array_equal(_bessel_rows(orders, part, block[:, :part.shape[0]]), whole[:, lo:lo + size])
+    for i in [*np.flatnonzero(np.isin(rs, edges)), *rng.choice(rs.shape[0], 200, replace=False)]:
+        assert np.array_equal(_bessel_rows(orders, rs[i:i + 1])[:, 0], whole[:, i])
+
+
 def test_single_route_vectors_match_mixed_vectors():
     # a vector on one route skips the gather and scatter of a mixed one, and
     # writes straight into a given ``out``; each node's values must not

@@ -19,10 +19,10 @@ from besselsix import certify, cli, quadrature
 import hiprec
 from besselsix.bessel import CertifiedValue, bessel_series_oracle
 from besselsix.certify import THEOREM_MAP
-from besselsix.core_integrals import core_bound_breakdown
+from besselsix.core_integrals import core_bound_breakdown, main_term
 from besselsix.exactnum import N_MAX, ExactScalar
 from besselsix.expansions import base_expansion, product_expansion
-from testkit import breakdown_from_payload, expansion_from_payload, integrate_from_payload
+from testkit import breakdown_from_payload, expansion_from_payload, integrate_from_payload, theorem_verdict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BUDGET_ITEMS = ["quad_low", "quad_high", "tail_main_eval", "tail_error_terms", "rounding"]
@@ -646,6 +646,28 @@ def test_printed_bounds_are_at_or_above_their_floats():
         _, budget = quadrature._integral_and_budget(variant, m, n)
         lines = _output(cli._cmd_integrate, variant=variant, m=m, n=n, paper=False, json=False)[1:]
         assert _budget_lines_hold(lines, budget)
+
+
+def test_check_theorem_prints_bounds_of_its_exact_deviation_and_allowance():
+    # the printed deviation is at least the exact rational the verdict
+    # compares (|mid - main| + rad plus 2 ulp for the float main term), the
+    # printed allowance at most c n^-4, and the verdict is the Fraction rule's
+    cells = TABLE_CELLS[::9] + [("I0", 0, 37), ("I1", 2, 30)]
+    assert len(cells) >= 20
+    verdicts = []
+    for variant, m, n in cells:
+        value = quadrature._integral_and_budget(variant, m, n, quadrature.DEFAULT_SCHEME, quadrature._streamed_sums)[0]
+        outcome = certify.check_theorem(m, n, variant, value)
+        main = (certify.NORMALIZATION * main_term(m, n, variant)).to_real()
+        exact = abs(Fraction(value.mid) - Fraction(main)) + Fraction(value.rad) + Fraction(2 * math.ulp(main))
+        assert outcome.exact_deviation == exact
+        assert outcome.exact_allowance == Fraction(str(certify.theorem_constants(m, n, variant))) / n**4
+        line = _output(cli._cmd_check_theorem, variant=variant, m=m, n=n)[0]
+        deviation, allowance = (Fraction(line.split(word)[1].split()[0]) for word in ("deviation ", "allowance "))
+        assert deviation >= outcome.exact_deviation and allowance <= outcome.exact_allowance, (variant, m, n)
+        verdicts.append(theorem_verdict(m, n, variant, value))
+        assert outcome.passed == verdicts[-1] and line.endswith("PASS" if verdicts[-1] else "FAIL")
+    assert set(verdicts) == {True, False}
 
 
 @pytest.mark.parametrize("variant, m, n", [("I0", 2, 2), ("I0", 0, 7), ("I1", 4, 9), ("I1", 0, 19)])

@@ -835,12 +835,16 @@ def test_weighted_rows_are_weights_times_nodes_times_fixed_rows():
             expected = expected * store[k, region]
         assert np.array_equal(row, expected)
         assert not row.flags.writeable
-    # a cell's rule value is the sum of its three pair rows times that row
+    # a cell's rule value is the fsum, over the region's _CHUNK-node
+    # granules, of each granule's pairwise sum of its three pair rows times
+    # that row
     low = _regions(DEFAULT_SCHEME)[0]
-    pair = store[2, low] * store[2, low] * store[0, low]
+    terms = store[2, low] * store[2, low] * store[0, low] * store.weighted["I1", low]
     cell = [("I1", 0, 2)]
-    assert low.size() <= quadrature._CHUNK  # one piece
-    assert _region_sums(cell, _cached_pieces(cell, low, store))[0] == float(np.sum(pair * store.weighted["I1", low]))
+    granule = quadrature._CHUNK
+    assert granule < low.size() <= quadrature._SPAN * granule  # one piece of several granules
+    expected = math.fsum(float(np.sum(terms[lo:lo + granule])) for lo in range(0, low.size(), granule))
+    assert _region_sums(cell, _cached_pieces(cell, low, store))[0] == expected
 
 
 def test_second_scheme_frees_the_first_schemes_rows():
@@ -871,8 +875,9 @@ def _traced_peak(fn) -> int:
 def test_table_band_keeps_no_rows_and_stays_small():
     build_table([7, 8, 9])  # first-use certificates and main-term forms
     quadrature._scheme_rows.cache_clear()
-    # the parent design kept the band's 32 rows: 22.2 MB at the peak
-    assert _traced_peak(lambda: build_table([7, 8, 9])) < 10e6
+    # kept rows would take 22.2 MB; the band streams 4096-node granules of
+    # its 16 orders through the kernel, 1.5 MB at the peak
+    assert _traced_peak(lambda: build_table([7, 8, 9])) < 2.5e6
     store = quadrature._scheme_rows(DEFAULT_SCHEME)
     assert len(store) == 0 and store.weighted == {}
 
@@ -883,28 +888,40 @@ def test_streamed_paper_cell_stays_small():
     cell = [("I1", 2, 9)]
     quadrature._streamed_sums(cell, PAPER_SCHEME)  # first-use certificates
     quadrature._scheme_rows.cache_clear()
-    assert _traced_peak(lambda: quadrature._streamed_sums(cell, PAPER_SCHEME)) < 20e6
+    assert _traced_peak(lambda: quadrature._streamed_sums(cell, PAPER_SCHEME)) < 1.5e6
     store = quadrature._scheme_rows(PAPER_SCHEME)
     assert len(store) == 0 and store.weighted == {}
+
+
+def test_streamed_default_cell_stays_small():
+    # kept, the cell's two rows and its weighted row would take 3.4 MB;
+    # streamed in 4096-node granules, 0.6 MB at the peak
+    cell = [("I0", 0, 7)]
+    quadrature._streamed_sums(cell, DEFAULT_SCHEME)  # first-use certificates
+    quadrature._scheme_rows.cache_clear()
+    assert _traced_peak(lambda: quadrature._streamed_sums(cell, DEFAULT_SCHEME)) < 1e6
+    assert len(quadrature._scheme_rows(DEFAULT_SCHEME)) == 0
 
 
 def test_paper_table_row_stays_small():
     quadrature._table_radius_ok(PAPER_SCHEME)
     quadrature._scheme_rows.cache_clear()
-    # the parent design kept nine rows over 2.4 million nodes: 229 MB
-    assert _traced_peak(lambda: build_table([7], PAPER_SCHEME)) < 40e6
+    # kept, the row's nine orders over 2.4 million nodes would take 229 MB
+    assert _traced_peak(lambda: build_table([7], PAPER_SCHEME)) < 2e6
 
 
 def test_streamed_sums_match_whole_region_sums():
-    # the table streams each region chunk by chunk; integral reads the rows
-    # it keeps.  Per node the terms agree, and both sum the same chunks by
-    # the one rule, so every cell agrees to the bit
-    cells = [(variant, m, n) for n in _TABLE_ROWS for m in range(0, n + 1, 2) for variant in ("I0", "I1")]
-    memo = quadrature._SchemeRows()
-    for region in _regions(DEFAULT_SCHEME):
-        streamed = _region_sums(cells, _streamed_pieces(cells, region))
-        whole = _region_sums(cells, _cached_pieces(cells, region, memo))
-        assert streamed == whole
+    # the table and the one-shot commands stream each region granule by
+    # granule; integral reads the rows it keeps, in spans of granules.  Per
+    # node the terms agree, and both sum the same granules by the one rule,
+    # so every cell integral accepts agrees to the bit, and so do two paper
+    # cells
+    cells = [(v, m, n) for n in range(38) for m in range(0, min(n, 37 - n) + 1, 2) for v in ("I0", "I1")]
+    for cells, scheme in ((cells, DEFAULT_SCHEME), ([("I0", 0, 7)], PAPER_SCHEME), ([("I1", 2, 9)], PAPER_SCHEME)):
+        for region in _regions(scheme):
+            streamed = _region_sums(cells, _streamed_pieces(cells, region))
+            whole = _region_sums(cells, _cached_pieces(cells, region, quadrature._SchemeRows()))
+            assert streamed == whole
 
 
 def test_streamed_paper_sum_is_close_to_the_exact_sum():
@@ -915,7 +932,7 @@ def test_streamed_paper_sum_is_close_to_the_exact_sum():
     streamed = _region_sums(cell, _streamed_pieces(cell, region))[0]
     rows = _order_rows((0, 7), region, {})
     nodes, weights = _whole(region)
-    terms = quadrature._grid_composite(0, 7, rows, quadrature._fixed_row("I0", rows, weights, nodes))
+    terms = quadrature._grid_composite(0, 7, rows, [quadrature._fixed_row("I0", rows, weights, nodes)])[0]
     assert abs(streamed - math.fsum(terms.tolist())) <= _ROUNDING_ALLOWANCE / 100.0
 
 

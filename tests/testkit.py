@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from besselsix.bessel import _horner, asymptotic_remainder, phase
+from besselsix.bessel import asymptotic_remainder, phase
 from besselsix.certify import NORMALIZATION, theorem_constants
 from besselsix.core_integrals import CoreBoundBreakdown, main_term
 from besselsix.exactnum import Budget, CertifiedValue, ExactScalar, a_coeff, as_integer
@@ -101,6 +101,14 @@ def stirling_gamma_bounds(x: float) -> tuple[float, float]:
         lo = math.nextafter(lo, -math.inf)
         hi = math.nextafter(hi, math.inf)
     return lo, hi
+
+
+def _horner(coeffs, u):
+    """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ...; elementwise on arrays."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * u + c
+    return total
 
 
 def _hankel_coeffs(n: int, ell: int) -> list[list[float]]:
