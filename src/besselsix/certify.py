@@ -34,8 +34,7 @@ from .exactnum import (
     ExactScalar,
     as_even_order,
     as_order,
-    check_domain,
-    check_n_cap,
+    check_cell,
     check_variant,
     require,
 )
@@ -130,7 +129,7 @@ def predict(m: int, n: int, variant: str) -> Prediction:
     fails the prediction too.
     """
     check_variant(variant)
-    m, n = check_domain(m, n)
+    m, n = check_cell("analytic", m, n)
     constants = _budget_constants(m, variant)
     _rolled_ok(min(m, 6), variant)
     tau, _ = core_integrals._decay(m)
@@ -172,8 +171,11 @@ def theorem_constants(m: int, n: int, variant: str) -> float | None:
     """
     check_variant(variant)
     m, n = as_even_order(m), as_order(n)
-    if m > n:
-        return None
+    return None if m > n else _map_constant(m, n, variant)
+
+
+def _map_constant(m: int, n: int, variant: str) -> float | None:
+    """The first ``THEOREM_MAP`` constant whose row covers the cell, or None."""
     for row_variant, m_lo, m_hi, n_lo, n_hi, constant in THEOREM_MAP:
         if row_variant != variant:
             continue
@@ -239,12 +241,12 @@ def check_theorem(m: int, n: int, variant: str, measured: CertifiedValue) -> The
     normalizing, and cross-multiplied with the constant read as its
     decimal.  The reported deviation and allowance are the plain float
     values, and the compared ones are exact rationals besides; an exact
-    enclosure past the float range reports an infinite float deviation.  Like ``predict``, it refuses n past ``N_MAX``.
+    enclosure past the float range reports an infinite float deviation.  A
+    map row covers each cell of ``DOMAIN["theorem"]``, the cells it takes.
     """
-    constant = theorem_constants(m, n, variant)
-    if constant is None:
-        raise ValueError(f"no certified constant for (m={m}, n={n}, {variant})")
-    check_n_cap(n)
+    check_variant(variant)
+    m, n = check_cell("theorem", m, n)
+    constant = _map_constant(m, n, variant)
     main = (NORMALIZATION * main_term(m, n, variant)).to_real()
     try:
         deviation = abs(float(measured.mid) - main) + float(measured.rad)

@@ -6,8 +6,12 @@ asymptotic expansions, the core-integral bound breakdown, the large-order
 predictions and theorem constants, the certified quadrature, the
 verification table, and the sample curve of the sixfold integrand.
 
-Exit codes: 0 success, 1 usage error, 2 failed check, 3 domain error
-(arguments outside a certified range), 4 certification or internal error.
+Exit codes: 0 success; 1 usage error, when argv is not a usable command
+line (an argparse error, a malformed row range, an unopenable output path);
+2 failed check; 3 domain error, when a well-formed command names values the
+library refuses; 4 certification or internal error.  The command line
+checks no value itself: a cell-taking command names its ``exactnum.DOMAIN``
+routes (``cells``), which ``parse_args`` checks before numpy loads.
 
 numpy and the modules built on it (``bessel``, ``quadrature``) are imported
 inside the commands that evaluate Bessel functions, so the analytic commands
@@ -26,6 +30,7 @@ printed enclosure contains the certified one.  JSON prints the floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -43,8 +48,7 @@ from .exactnum import (
     CertifiedValue,
     ExactScalar,
     _table_rows,
-    as_even_order,
-    check_m_le_n,
+    check_cell,
 )
 from .expansions import (
     _PRODUCT_TAG,
@@ -113,7 +117,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
-    p.set_defaults(run=_cmd_closed_form)
+    p.set_defaults(run=_cmd_closed_form, cells=("closed_form",))
 
     p = sub.add_parser("expansion", help="print a six-term remaindered expansion")
     p.add_argument("--which", required=True, choices=("j0", "j1", *(t.lower() for t in _PRODUCT_TAG.values())))
@@ -124,13 +128,13 @@ def _build_parser() -> _Parser:
     _add_variant(p)
     _add_orders(p)
     p.add_argument("--breakdown", action="store_true", help="emit the full decomposition as JSON")
-    p.set_defaults(run=_cmd_core_bounds)
+    p.set_defaults(run=_cmd_core_bounds, cells=("analytic",))
 
     p = sub.add_parser("predict", help="certified enclosure from the closed forms (n >= 20)")
     _add_variant(p)
     _add_orders(p)
     p.add_argument("--budget", action="store_true", help="itemize the radius")
-    p.set_defaults(run=_cmd_predict)
+    p.set_defaults(run=_cmd_predict, cells=("analytic",))
 
     p = sub.add_parser("theorem-map", help="applicability table of the deviation constants")
     p.set_defaults(run=_cmd_theorem_map)
@@ -140,7 +144,7 @@ def _build_parser() -> _Parser:
     _add_orders(p)
     _add_paper_flag(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_integrate)
+    p.set_defaults(run=_cmd_integrate, cells=("quadrature",))
 
     p = sub.add_parser("table", help="the verification table for 2 <= n <= 19")
     p.add_argument("--csv", nargs="?", const="-", default="-", metavar="PATH", help="write CSV to PATH (default: stdout)")
@@ -151,7 +155,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-theorem", help="test a quadrature enclosure against the theorem bound")
     _add_variant(p)
     _add_orders(p)
-    p.set_defaults(run=_cmd_check_theorem)
+    p.set_defaults(run=_cmd_check_theorem, cells=("quadrature", "theorem"))
 
     p = sub.add_parser("figure1", help="sample the J15 J9 J6 J1^2 J0 r curve on [0, 100]")
     p.add_argument("--csv", nargs="?", const="-", default="-", metavar="PATH", help="write CSV to PATH (default: stdout)")
@@ -174,26 +178,16 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     return _table_rows(rows)
 
 
-def _check_cell(m: int, n: int) -> None:
-    """Refuse a cell the integral commands do not define."""
-    as_even_order(m)
-    if n < 2:
-        raise UsageError(f"n must be at least 2, got {n}")
-    check_m_le_n(m, n)
-
-
 def parse_args(argv) -> argparse.Namespace:
-    """The parsed command line; ``run(ns)`` executes it and returns the
-    exit status."""
+    """The parsed and checked command line (UsageError if malformed, ValueError
+    outside the domain); ``run(ns)`` executes it and returns the exit status."""
     ns = _build_parser().parse_args(argv)
-    try:
-        if "variant" in ns:
-            ns.variant = _VARIANT_BY_FLAG[ns.variant]
-            _check_cell(ns.m, ns.n)
-        if "rows" in ns:
-            ns.rows = _parse_rows(ns.rows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if "variant" in ns:
+        ns.variant = _VARIANT_BY_FLAG[ns.variant]
+    if "rows" in ns:
+        ns.rows = _parse_rows(ns.rows)
+    for route in vars(ns).get("cells", ()):
+        check_cell(route, ns.m, ns.n)
     return ns
 
 
@@ -330,13 +324,14 @@ def _print_budget(budget: Budget) -> None:
         print(f"  {name:<{width}} {_bound_text(value, 6)}")
 
 
-def _emit(lines: list[str], path: str) -> None:
-    text = "\n".join(lines) + "\n"
+def _open_output(path: str):
+    """``--csv PATH``'s stream, stdout for "-"; an unopenable PATH is a usage error."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _scheme_from(ns: argparse.Namespace) -> QuadratureScheme:
@@ -442,12 +437,13 @@ def _cmd_integrate(ns: argparse.Namespace) -> int:
 def _cmd_table(ns: argparse.Namespace) -> int:
     from .quadrature import build_table
 
-    scheme = _scheme_from(ns)
-    entries = build_table(ns.rows, scheme=scheme)
-    lines = ["n,m,top,bottom"]
-    for e in entries:
-        lines.append(f"{e.n},{e.m},{_ceil2(e.top):.2f},{_ceil2(e.bottom):.2f}")
-    _emit(lines, ns.csv)
+    # the output opens first, so a path that cannot be written costs no table
+    with _open_output(ns.csv) as out:
+        entries = build_table(ns.rows, scheme=_scheme_from(ns))
+        lines = ["n,m,top,bottom"]
+        for e in entries:
+            lines.append(f"{e.n},{e.m},{_ceil2(e.top):.2f},{_ceil2(e.bottom):.2f}")
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -469,12 +465,13 @@ def _cmd_figure1(ns: argparse.Namespace) -> int:
 
     from .quadrature import integrand
 
-    f = integrand("I1", 6, 9)
-    r = np.linspace(0.0, 100.0, 2001)
-    values = f(r)
-    lines = ["r,value"]
-    lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(r, values))
-    _emit(lines, ns.csv)
+    with _open_output(ns.csv) as out:
+        f = integrand("I1", 6, 9)
+        r = np.linspace(0.0, 100.0, 2001)
+        values = f(r)
+        lines = ["r,value"]
+        lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(r, values))
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -491,11 +488,10 @@ def main(argv=None) -> int:
     _one_blas_thread()
     try:
         ns = parse_args(argv)
+        return ns.run(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return ns.run(ns)
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the pipe; not our error.
         sys.stderr.close()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import ExactScalar, Rational, as_order, gamma_ratio, require
+from .exactnum import ExactScalar, Rational, as_order, check_cell, gamma_ratio, require
 
 __all__ = [
     "weber_schafheitlin",
@@ -29,10 +29,11 @@ def weber_schafheitlin(n: int, m: int, k: int) -> ExactScalar:
         2^(-k) G(k) G((m+n+1-k)/2) /
             [G((m+n+1+k)/2) G((n-m+k+1)/2) G((m-n+k+1)/2)]
 
-    for 1 <= k <= n + m.  Parity makes the result either rational or
-    rational/pi; a 1/Gamma zero in the denominator yields exact 0.
+    for 1 <= k <= n + m, n, m <= WS_ORDER_MAX.  Parity makes the result
+    either rational or rational/pi; a 1/Gamma zero in the denominator yields exact 0.
     """
-    n, m, k = as_order(n), as_order(m), as_order(k)
+    m, n = check_cell("closed_form", m, n)
+    k = as_order(k)
     if not (1 <= k <= n + m):
         raise ValueError(f"k must satisfy 1 <= k <= n + m, got k={k}, n+m={n + m}")
     head = ExactScalar(Fraction(math.factorial(k - 1), 2**k))

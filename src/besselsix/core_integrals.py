@@ -39,6 +39,7 @@ from functools import lru_cache
 
 from .closed_form import descent_bound, vanishes_freq2, weber_schafheitlin
 from .exactnum import (
+    DOMAIN,
     N0,
     ExactScalar,
     Rational,
@@ -46,8 +47,7 @@ from .exactnum import (
     a_m4_bound,
     as_even_order,
     as_integer,
-    as_order,
-    check_domain,
+    check_cell,
     check_variant,
     gamma_half,
     gamma_ratio,
@@ -255,11 +255,6 @@ def _series_weights(m: int, variant: str, kinds: tuple[str, ...], part: str) -> 
     return tuple(weights.items())
 
 
-#: The least n that ``main_term_parts`` takes; ``_series_form`` checks its
-#: stored main terms there.
-_MAIN_N_MIN = 2
-
-
 def _evaluate(form: tuple[tuple[int, ...], int, int], y: int) -> Fraction:
     """N(y^2) / (L P_K(y)) for the form (N, L, K) of ``_series_form``: Horner
     over the integers, then one ``Fraction``."""
@@ -301,7 +296,7 @@ def _series_form(m: int, variant: str, kinds: tuple[str, ...], part: str) -> tup
         for d, a in enumerate(poly):
             low_first[d] += a
     form = tuple(reversed(low_first)), lcm, K
-    n = _MAIN_N_MIN if part == "main" else max(N0, m)  # the least n of main_term_parts and check_domain
+    n = DOMAIN["main"].n_min if part == "main" else max(DOMAIN["analytic"].n_min, m)  # each part's least n
     y = 2 * n + m
     require(y - K + 1 > 0, f"P_{K} of {m, variant, kinds, part} has a nonpositive factor at n={n}")
     exact = sum(w * _n_ratio(m, n, k) for k, w in weights)
@@ -316,27 +311,20 @@ def _series(m: int, n: int, variant: str, kinds: tuple[str, ...], part: str) -> 
     return _evaluate(_series_form(m, variant, kinds, part), 2 * n + m)
 
 
-def _check_main_args(m, n, variant: str) -> tuple[int, int]:
-    """(m, n) as ints, if main terms take them with ``variant``."""
-    m, n = as_even_order(m), as_order(n)
-    if n < _MAIN_N_MIN:
-        raise ValueError(f"main terms need n >= {_MAIN_N_MIN}")
-    check_variant(variant)
-    return m, n
-
-
 def main_term_parts(m: int, n: int, variant: str) -> tuple[ExactScalar, ExactScalar]:
     """(cosine-route, sine-route) main terms as exact rationals: the terms
     j + i <= max(m, 2) of the series for m <= 4; for m >= 6 orthogonality
     leaves none."""
-    m, n = _check_main_args(m, n, variant)
+    m, n = check_cell("main", m, n)
+    check_variant(variant)
     return tuple(ExactScalar(_series(m, n, variant, (kind,), "main")) for kind in ("cos", "sin"))
 
 
 def main_term(m: int, n: int, variant: str) -> ExactScalar:
     """The total (cosine plus sine route) main term, read from one stored
     form of both routes' merged weights: no addition of the two parts."""
-    m, n = _check_main_args(m, n, variant)
+    m, n = check_cell("main", m, n)
+    check_variant(variant)
     return ExactScalar(_series(m, n, variant, ("cos", "sin"), "main"))
 
 
@@ -348,7 +336,7 @@ def main_term(m: int, n: int, variant: str) -> ExactScalar:
 def e1_exact(m: int, n: int, variant: str, kind: str) -> Rational:
     """The first-kind error term as an exact rational (signed): the terms
     of the kind's series outside the main term."""
-    m, n = check_domain(m, n)
+    m, n = check_cell("analytic", m, n)
     _check_kind(kind)
     check_variant(variant)
     return _series(m, n, variant, (kind,), "e1")
@@ -391,7 +379,7 @@ def _e1_scale(m: int, variant: str, kind: str) -> tuple[float, int]:
 def e1_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Printed bound on the first-kind error, validated on first use
     against the exact formula at n = max(20, m) and n = max(10^6, m)."""
-    check_domain(m, n)
+    check_cell("analytic", m, n)
     _check_kind(kind)
     scale, pn = _e1_scale(m, variant, kind)
     return scale * float(n) ** -pn
@@ -417,7 +405,7 @@ def _log_4r_chain(m: int, n: int) -> float:
     factor is checked to dominate ``descent_bound(n, n + m, 1)``, the bound
     on the frequency-4 integral of J_n J_{n+m} / r that it stands for.
     """
-    m, n = check_domain(m, n)
+    m, n = check_cell("analytic", m, n)
     A = 4.0 ** (math.log(2.0) / 9.0) * math.exp(-((math.log(2.0) / 3.0) ** 2))
     require(A <= 1.06, "Gaussian constant A exceeds 1.06")
     # sum over the coefficient indices, Gaussian-peak times term count,
@@ -507,7 +495,7 @@ def _e2_scale(m: int, variant: str) -> tuple[float, int]:
 def e2_bound(m: int, n: int, variant: str, kind: str) -> float:
     """Second-kind error: prefactor times theta^20 n^-tau, (tau, theta)
     from ``_decay``."""
-    check_domain(m, n)
+    check_cell("analytic", m, n)
     _check_kind(kind)
     scale, tau = _e2_scale(m, variant)
     return scale * float(n) ** -tau
@@ -612,7 +600,7 @@ def _b_dominates(m: int, variant: str) -> tuple[Fraction, int]:
 
 def estimate_B(m: int, n: int, variant: str) -> float:
     """Printed remainder-contribution bound, revalidated on first use."""
-    check_domain(m, n)
+    check_cell("analytic", m, n)
     check_variant(variant)
     c, tau = _b_dominates(m, variant)
     return float(c) / N0 * float(n) ** -tau
@@ -647,7 +635,7 @@ def core_bound_breakdown(m: int, n: int, variant: str) -> CoreBoundBreakdown:
     """Assemble the full decomposition of one core integral: the values of
     ``main_term_parts``, ``e1_bound`` and ``e2_bound``, with the arguments
     checked once."""
-    m, n = check_domain(m, n)
+    m, n = check_cell("analytic", m, n)
     check_variant(variant)
     cos, sin = (ExactScalar(_series(m, n, variant, (kind,), "main")) for kind in ("cos", "sin"))
     (e1_cos, pn_cos), (e1_sin, pn_sin) = (_e1_scale(m, variant, kind) for kind in ("cos", "sin"))

@@ -1,7 +1,7 @@
 """Exact rational arithmetic, half-integer Gamma values, and Gamma inequalities.
 
-The module also states the package's input rules once (orders, the
-certified regime, variants and table rows) and holds ``CertifiedValue``,
+The module also states the package's input rules once (orders, the cells
+each route accepts, variants and table rows) and holds ``CertifiedValue``,
 the midpoint-and-radius pair both routes return, and ``Budget``, the
 itemized radius behind it; none of it needs numpy.
 Everything else here is either exact (arbitrary-precision rationals,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,14 +25,16 @@ from functools import lru_cache
 __all__ = [
     "N0",
     "N_MAX",
+    "M_MAX",
+    "WS_ORDER_MAX",
+    "Cells",
+    "DOMAIN",
     "CertificationError",
     "require",
     "as_integer",
     "as_order",
     "as_even_order",
-    "check_m_le_n",
-    "check_n_cap",
-    "check_domain",
+    "check_cell",
     "check_variant",
     "Rational",
     "ExactScalar",
@@ -70,6 +73,8 @@ def require(condition: bool, message: str) -> None:
 def as_integer(x, what: str) -> int:
     """``x`` as an int: 7.0 and numpy ints pass; 7.5, inf, nan and
     non-numbers raise ValueError saying that ``what`` must be integers."""
+    if type(x) is int:  # the common case, without the round trip
+        return x
     try:
         k = int(x)
     except (OverflowError, TypeError, ValueError):
@@ -96,27 +101,47 @@ def as_even_order(m) -> int:
     return m
 
 
-def check_m_le_n(m: int, n: int) -> None:
-    """Refuse m > n: no cell J_{n+m} J_n J_m of the package has m above n."""
-    if m > n:
+#: The largest m the n >= N0 route accepts.  Its first use at each m costs
+#: time roughly in m^2 (e1's series weights): about 0.5 s at the cap.
+M_MAX = 3000
+
+#: The largest order ``weber_schafheitlin`` accepts, 0.2 s at n = 10^4 (its cost
+#: grows with the orders); above 2 M_MAX + 9, the largest order the n >= N0 series passes.
+WS_ORDER_MAX = 10**4
+
+#: The cells (m, n) a route accepts: m even if ``even_m`` and at most ``m_max``,
+#: n_min <= n <= n_max, n + m <= order_max, and m <= n if ``m_le_n``; an
+#: infinite bound is no bound, and ``what`` names the route in refusals.
+Cells = namedtuple("Cells", "what even_m n_min n_max order_max m_max m_le_n")
+
+#: The package's domain: each route's cells, the one statement every
+#: cell-taking function reads through ``check_cell``.
+DOMAIN = {
+    "analytic": Cells("the certified regime", True, N0, N_MAX, math.inf, M_MAX, True),
+    # the closed forms in n of the main terms hold at m > n too
+    "main": Cells("the main term", True, 2, math.inf, math.inf, math.inf, False),
+    # the tail constants cover n + m <= 37
+    "quadrature": Cells("the tail budget", True, 0, math.inf, 37, math.inf, True),
+    "theorem": Cells("the theorem", True, 2, N_MAX, math.inf, M_MAX, True),
+    "closed_form": Cells("the closed form", False, 0, WS_ORDER_MAX, math.inf, WS_ORDER_MAX, False),
+}
+
+
+def check_cell(route: str, m, n) -> tuple[int, int]:
+    """(m, n) as ints, if ``DOMAIN[route]`` accepts the cell; else ValueError."""
+    what, even_m, n_min, n_max, order_max, m_max, m_le_n = DOMAIN[route]
+    m = as_even_order(m) if even_m else as_order(m)
+    n = as_order(n)
+    if n < n_min:
+        raise ValueError(f"{what} needs n >= {n_min}")
+    if n > n_max:
+        raise ValueError(f"{what} needs n <= {n_max:g}")
+    if m > m_max:
+        raise ValueError(f"{what} needs m <= {m_max:g}")
+    if n + m > order_max:
+        raise ValueError(f"{what} needs n + m <= {order_max}, got {n + m}")
+    if m_le_n and m > n:
         raise ValueError(f"m must not exceed n, got m={m}, n={n}")
-
-
-def check_n_cap(n: int) -> None:
-    """Refuse n > N_MAX, past which the n >= N0 route's floats leave the
-    normal range."""
-    if n > N_MAX:
-        raise ValueError(f"the certified regime needs n <= {N_MAX:.0e}")
-
-
-def check_domain(m, n) -> tuple[int, int]:
-    """(m, n) as ints, if they lie in the certified regime: m even,
-    N0 <= n <= N_MAX and m <= n."""
-    m, n = as_even_order(m), as_order(n)
-    if n < N0:
-        raise ValueError(f"the certified regime needs n >= {N0}")
-    check_n_cap(n)
-    check_m_le_n(m, n)
     return m, n
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .exactnum import _FIXED_ORDERS, N0, Rational, a_coeff, check_domain, check_variant, gamma_ratio, require
+from .exactnum import _FIXED_ORDERS, N0, Rational, a_coeff, check_cell, check_variant, gamma_ratio, require
 
 __all__ = [
     "TrigPoly",
@@ -231,5 +231,5 @@ def estimate_A(m: int, n: int, variant: str) -> float:
     1.12 (I1), for n >= 20; the recomputed proof constant is checked
     against the printed one on first use."""
     check_variant(variant)
-    m, n = check_domain(m, n)
+    m, n = check_cell("analytic", m, n)
     return float(_a_dominates(variant)) / math.sqrt(float(N0)) * (n + m) ** -6.0

@@ -96,12 +96,12 @@ from .core_integrals import main_term
 from .exactnum import (
     _FIXED_ORDERS,
     _TABLE_ROWS,
+    DOMAIN,
     Budget,
     CertifiedValue,
     _table_rows,
-    as_even_order,
     as_order,
-    check_m_le_n,
+    check_cell,
     check_variant,
     require,
 )
@@ -146,7 +146,7 @@ _ERROR_BLOCK = 128
 
 # The largest n + m any certified cell reaches: the order range of the tail
 # constants, which every ``integral`` budget charges.
-_MAX_CELL_ORDER = 37
+_MAX_CELL_ORDER = DOMAIN["quadrature"].order_max
 
 # The paper's radius, which the table adds to every cell and every budget
 # must meet.
@@ -828,27 +828,14 @@ def _tail_error_pieces(N: int) -> tuple[float, ...]:
     return pieces
 
 
-def _covered_cell(m: int, n: int) -> tuple[int, int]:
-    """(m, n) as ints, if the tail constants cover the cell: even m and
-    n + m <= _MAX_CELL_ORDER."""
-    m, n = as_even_order(m), as_order(n)
-    if n + m > _MAX_CELL_ORDER:
-        raise ValueError(
-            f"n + m = {n + m} exceeds the order range (<= {_MAX_CELL_ORDER}) the tail constants cover"
-        )
-    return m, n
-
-
 def tail_error_budget(variant: str, m: int, n: int) -> float:
-    """Certified bound for |I_high - tail_main| on the cell (m, n).
-
-    Valid for n + m <= _MAX_CELL_ORDER.  The pieces are taken at the order
-    cap max(19, n, m), 19 the last table row: the product is symmetric in n
-    and m, and the smaller of the two is at most _MAX_CELL_ORDER // 2.
+    """Certified bound for |I_high - tail_main| on a cell (m, n) of
+    ``DOMAIN["quadrature"]``.  The pieces are taken at the order cap
+    max(19, n), 19 the last table row: m <= n is at most _MAX_CELL_ORDER // 2.
     """
     check_variant(variant)
-    m, n = _covered_cell(m, n)
-    a, b, c, d = _tail_error_pieces(max(_TABLE_ROWS[-1], n, m))
+    m, n = check_cell("quadrature", m, n)
+    a, b, c, d = _tail_error_pieces(max(_TABLE_ROWS[-1], n))
     return a + b + c + d
 
 
@@ -860,12 +847,11 @@ _ROUNDING_ALLOWANCE = 0.05e-8
 
 
 def _itemized_budget(variant: str, m: int, n: int, scheme: QuadratureScheme) -> tuple[int, int, CertifiedValue, Budget]:
-    """(m, n) as ints, the tail and the itemized budget of a cell ``integral``
-    certifies (even m <= n, n + m <= _MAX_CELL_ORDER), each computed once;
-    the total must meet the 0.9e-8 radius."""
+    """(m, n) as ints, the tail and the itemized budget of a cell of
+    ``DOMAIN["quadrature"]``, each computed once; the total must meet the
+    0.9e-8 radius."""
     check_variant(variant)
-    m, n = _covered_cell(m, n)
-    check_m_le_n(m, n)
+    m, n = check_cell("quadrature", m, n)
     tail = tail_main(variant, _parity(n))
     low, high = _regions(scheme)
     budget = Budget((

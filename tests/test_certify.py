@@ -127,13 +127,13 @@ def test_n_cap_keeps_every_float_of_the_route_normal():
             assert min(value for _, value in p.budget) >= tiny, (m, variant)
             outcome = check_theorem(m, N_MAX, variant, CertifiedValue(p.main.to_real(), p.radius))
             assert outcome.allowance >= tiny
-        for call in (
-            lambda: predict(4, N_MAX + 1, variant),
-            lambda: estimate_B(4, N_MAX + 1, variant),
-            lambda: check_theorem(0, N_MAX + 1, variant, CertifiedValue(0.0, 0.0)),
-            lambda: check_theorem(0, 10**400, variant, CertifiedValue(0.0, 0.0)),
+        for call, what in (
+            (lambda: predict(4, N_MAX + 1, variant), "the certified regime"),
+            (lambda: estimate_B(4, N_MAX + 1, variant), "the certified regime"),
+            (lambda: check_theorem(0, N_MAX + 1, variant, CertifiedValue(0.0, 0.0)), "the theorem"),
+            (lambda: check_theorem(0, 10**400, variant, CertifiedValue(0.0, 0.0)), "the theorem"),
         ):
-            with pytest.raises(ValueError, match="^the certified regime needs n <= 1e\\+38$"):
+            with pytest.raises(ValueError, match=f"^{what} needs n <= 1e\\+38$"):
                 call()
 
 

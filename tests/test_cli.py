@@ -6,16 +6,20 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from besselsix import certify, cli, quadrature
+from besselsix import certify, cli, closed_form, core_integrals, exactnum, expansions, quadrature
 import hiprec
 from besselsix.bessel import CertifiedValue, bessel_series_oracle
 from besselsix.certify import THEOREM_MAP
@@ -48,35 +52,39 @@ def test_parse_table_rows():
     assert single.rows == (7,)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["integrate", "--variant", "1", "--m", "3", "--n", "5"],  # odd m
-        ["integrate", "--variant", "0", "--m", "-2", "--n", "5"],
-        ["integrate", "--variant", "0", "--m", "0", "--n", "1"],  # n too small
-        ["integrate", "--variant", "0", "--m", "6", "--n", "4"],  # m > n
-        ["check-theorem", "--variant", "0", "--m", "1", "--n", "5"],
-        ["predict", "--variant", "2", "--m", "0", "--n", "25"],  # bad variant
-        ["integrate", "--variant", "0", "--m", "0", "--n", "5", "--frobnicate"],
-        ["table", "--rows", "1..5"],
-        ["table", "--rows", "18..20"],
-        ["table", "--rows", "abc"],
-        ["table", "--rows", "5..4"],
-        ["expansion", "--which", "j2"],
-        ["no-such-command"],
-        [],
-    ],
-)
-def test_rejected_command_lines(argv):
-    with pytest.raises(cli.UsageError):
-        cli.parse_args(argv)
+REJECTED = [
+    (["integrate", "--variant", "1", "--m", "3", "--n", "5"], cli.EXIT_DOMAIN),  # odd m
+    (["integrate", "--variant", "0", "--m", "-2", "--n", "5"], cli.EXIT_DOMAIN),
+    (["check-theorem", "--variant", "0", "--m", "0", "--n", "1"], cli.EXIT_DOMAIN),  # n too small
+    (["integrate", "--variant", "0", "--m", "6", "--n", "4"], cli.EXIT_DOMAIN),  # m > n
+    (["check-theorem", "--variant", "0", "--m", "1", "--n", "5"], cli.EXIT_DOMAIN),
+    (["predict", "--variant", "2", "--m", "0", "--n", "25"], cli.EXIT_USAGE),  # bad variant
+    (["integrate", "--variant", "0", "--m", "0", "--n", "5", "--frobnicate"], cli.EXIT_USAGE),
+    (["table", "--rows", "1..5"], cli.EXIT_DOMAIN),
+    (["table", "--rows", "18..20"], cli.EXIT_DOMAIN),
+    (["table", "--rows", "abc"], cli.EXIT_USAGE),
+    (["table", "--rows", "5..4"], cli.EXIT_USAGE),
+    (["expansion", "--which", "j2"], cli.EXIT_USAGE),
+    (["no-such-command"], cli.EXIT_USAGE),
+    ([], cli.EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("argv, status", REJECTED, ids=[f"argv{i}" for i in range(len(REJECTED))])
+def test_rejected_command_lines(argv, status, capsys):
+    # a malformed command line exits 1, a well-formed one naming values
+    # outside the domain 3; either prints one line on stderr and nothing else
+    assert cli.main(argv) == status
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("usage error: " if status == cli.EXIT_USAGE else "domain error: ")
 
 
 def test_usage_error_exit_code(capsys):
-    assert cli.main(["integrate", "--variant", "1", "--m", "3", "--n", "5"]) == 1
+    assert cli.main(["integrate", "--variant", "1", "--m", "3.5", "--n", "5"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err
-    assert "even" in err
+    assert "invalid int value" in err
 
 
 def _readme_command_lines() -> list[str]:
@@ -233,9 +241,10 @@ def _cli_exits(argv: list[str], status: int) -> str:
     _cli_exits(["closed-form", "--n", "1", "--m", "1", "--k", "2"], 0),
     _cli_exits(["expansion", "--which", "j110", "--json"], 0),
     _cli_exits(["theorem-map"], 0),
-    _cli_exits(["table", "--rows", "25"], 1),
+    _cli_exits(["table", "--rows", "25"], 3),
+    _cli_exits(["integrate", "--variant", "0", "--m", "0", "--n", "38"], 3),
 ], ids=["import", "predict-check", "breakdown", "cli-predict", "cli-core-bounds", "cli-closed-form",
-        "cli-expansion", "cli-theorem-map", "cli-refused-table"])
+        "cli-expansion", "cli-theorem-map", "cli-refused-table", "cli-refused-integrate"])
 def test_analytic_route_never_imports_numpy(code):
     # numpy, and the bessel and quadrature modules built on it, load only
     # when a Bessel function is evaluated
@@ -677,3 +686,251 @@ def test_check_theorem_prints_an_upper_deviation_and_a_lower_allowance(variant, 
     deviation, allowance = (Fraction(line.split(word)[1].split()[0]) for word in ("deviation ", "allowance "))
     assert deviation >= Fraction(outcome.deviation) and allowance <= Fraction(outcome.allowance)
     assert line.endswith("PASS")
+
+
+# ---------------------------------------------------------------------------
+# the domain table and the command-line contract
+# ---------------------------------------------------------------------------
+
+# each cell-taking function as a call on (m, n), by the route it reads
+_NO_ENCLOSURE = CertifiedValue(0.0, 0.0)
+DOMAIN_FUNCTIONS = {
+    "analytic": {
+        "predict": lambda m, n: certify.predict(m, n, "I0"),
+        "core_bound_breakdown": lambda m, n: core_bound_breakdown(m, n, "I0"),
+        "estimate_A": lambda m, n: expansions.estimate_A(m, n, "I0"),
+        "estimate_B": lambda m, n: core_integrals.estimate_B(m, n, "I0"),
+        "e1_exact": lambda m, n: core_integrals.e1_exact(m, n, "I0", "cos"),
+        "e1_bound": lambda m, n: core_integrals.e1_bound(m, n, "I0", "cos"),
+        "e2_bound": lambda m, n: core_integrals.e2_bound(m, n, "I0", "sin"),
+        "prop_4r_chain": core_integrals.prop_4r_chain,
+    },
+    "main": {
+        "main_term": lambda m, n: main_term(m, n, "I1"),
+        "main_term_parts": lambda m, n: core_integrals.main_term_parts(m, n, "I1"),
+    },
+    "quadrature": {
+        "integral": lambda m, n: quadrature.integral("I1", m, n),
+        "error_budget": lambda m, n: quadrature.error_budget("I0", m, n),
+        "tail_error_budget": lambda m, n: quadrature.tail_error_budget("I0", m, n),
+    },
+    "theorem": {"check_theorem": lambda m, n: certify.check_theorem(m, n, "I0", _NO_ENCLOSURE)},
+    "closed_form": {"weber_schafheitlin": lambda m, n: closed_form.weber_schafheitlin(n, m, 1)},
+}
+
+
+def _bound(x, text: str) -> str:
+    return text.format(format(x, "g")) if x < math.inf else ""
+
+
+def _domain_row(route: str, cells: exactnum.Cells, commands: list[str]) -> str:
+    """The README's Domain table row of one route, rendered from the code."""
+    m = ("even" if cells.even_m else "any") + _bound(cells.m_max, ", <= {}")
+    n = _bound(cells.n_max, f"{cells.n_min} to {{}}") or f">= {cells.n_min}"
+    columns = [
+        f"`{route}`",
+        ", ".join(f"`{c}`" for c in commands),
+        ", ".join(f"`{f}`" for f in DOMAIN_FUNCTIONS[route]),
+        m,
+        n,
+        _bound(cells.order_max, "<= {}") or "any",
+        "yes" if cells.m_le_n else "no",
+        str(cli.EXIT_DOMAIN),
+    ]
+    return "| " + " | ".join(columns) + " |"
+
+
+def _command_routes() -> dict[str, tuple[str, ...]]:
+    """Each subcommand's ``cells`` default: the routes it checks its cell against."""
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: p.get_default("cells") or () for name, p in subparsers.choices.items()}
+
+
+def test_readme_domain_table_matches_the_code():
+    section = README.read_text().split("\n## Domain\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.replace("| |", "|  |") for line in section.splitlines() if line.startswith("| `")]
+    routes = _command_routes()
+    expected = [
+        _domain_row(route, cells, [c for c, r in routes.items() if route in r])
+        for route, cells in exactnum.DOMAIN.items()
+    ]
+    assert rows == expected
+    assert set(DOMAIN_FUNCTIONS) == set(exactnum.DOMAIN)
+
+
+def _refused_cells(cells: exactnum.Cells) -> list[tuple[int, int]]:
+    """One cell past each bound of a route, every other bound met."""
+    step = 2 if cells.even_m else 1
+    refused = [(1, max(cells.n_min, 1))] if cells.even_m else []
+    if cells.n_min > 0:
+        refused.append((0, cells.n_min - 1))
+    if cells.n_max < math.inf:
+        refused.append((0, cells.n_max + 1))
+    if cells.m_max < math.inf:
+        refused.append((cells.m_max + step, cells.n_min))
+    if cells.order_max < math.inf:
+        refused.append((0, cells.order_max + 1))
+    if cells.m_le_n:
+        refused.append((cells.n_min + 2, cells.n_min))
+    refused += [(-2, cells.n_min), (0, -1), (0, 2.5)]
+    return refused
+
+
+@pytest.mark.parametrize("route", list(exactnum.DOMAIN))
+def test_every_cell_taking_function_refuses_through_the_table(route):
+    # each function refuses a cell past any bound of its route with the
+    # reader's own message, before any work
+    for m, n in _refused_cells(exactnum.DOMAIN[route]):
+        with pytest.raises(ValueError) as expected:
+            exactnum.check_cell(route, m, n)
+        for name, call in DOMAIN_FUNCTIONS[route].items():
+            with pytest.raises(ValueError) as refused:
+                call(m, n)
+            assert str(refused.value) == str(expected.value), (name, m, n)
+
+
+def test_the_caps_keep_a_first_call_short():
+    # a first predict at M_MAX and a closed form at its order cap finish
+    # in a fresh process (about 0.5 s and 0.2 s on two CPUs); one step
+    # past either cap exits 3
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    m_max, ws_max = exactnum.M_MAX, exactnum.WS_ORDER_MAX
+    assert ws_max > 2 * m_max + 9  # the top order the n >= 20 series passes to weber_schafheitlin
+    for argv, status in [
+        (["predict", "--variant", "0", "--m", str(m_max), "--n", str(m_max)], 0),
+        (["closed-form", "--n", str(ws_max), "--m", "1", "--k", "3"], 0),
+        (["predict", "--variant", "0", "--m", str(m_max + 2), "--n", str(m_max + 2)], 3),
+        (["core-bounds", "--variant", "1", "--m", str(m_max + 2), "--n", str(m_max + 2)], 3),
+        (["closed-form", "--n", str(ws_max + 1), "--m", "1", "--k", "3"], 3),
+    ]:
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "besselsix", *argv], env=env, capture_output=True, timeout=60)
+        assert result.returncode == status, (argv, result.stderr)
+        assert time.perf_counter() - start < 10.0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--rows", "7", "--csv", "/nonexistent/dir/x.csv"],
+    ["figure1", "--csv", "/nonexistent/dir/x.csv"],
+    ["figure1", "--csv", "."],
+], ids=["table-missing-dir", "figure1-missing-dir", "figure1-directory"])
+def test_an_unwritable_output_path_is_a_usage_error(argv, monkeypatch, capsys):
+    # these exited 4, "internal error: FileNotFoundError" or IsADirectoryError;
+    # the path is opened before anything is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output opened")
+
+    monkeypatch.setattr(quadrature, "build_table", refuse)
+    monkeypatch.setattr(quadrature, "integrand", refuse)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: cannot write {argv[-1]}: ") and err.count("\n") == 1
+
+
+def test_a_closed_pipe_exits_zero():
+    # BrokenPipeError is an OSError too, and stays a success
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "besselsix", "figure1"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"r,value\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+
+
+_N_MAX, _M_MAX = exactnum.N_MAX, exactnum.M_MAX
+_JUNK = ["abc", "", "1.5", "nan", "inf", "-inf"]
+_EDGE_N = [0, 1, 2, 7, 19, 20, 21, 36, 37, 38, _M_MAX, _N_MAX, _N_MAX + 1, -1]
+_EDGE_M = [0, 2, 3, 4, 6, 36, _M_MAX, _M_MAX + 2, -2]
+
+
+def _numbers(values, junk=_JUNK):
+    # numbers three times as often as junk text
+    return st.sampled_from([str(v) for v in values] * 3 + junk)
+
+
+def _cell_argv(command: str, *flags: str):
+    # a cell-taking command: mostly edge and refused cells; the variant may be bad
+    variant = st.sampled_from(["0", "1", "0", "1", "2"])
+    extra = st.lists(st.sampled_from(flags), unique=True) if flags else st.just([])
+    return st.tuples(variant, _numbers(_EDGE_M), _numbers(_EDGE_N), extra).map(
+        lambda t: [command, "--variant", t[0], "--m", t[1], "--n", t[2], *t[3]]
+    )
+
+
+def _argv(paths: list[str]):
+    csv = st.sampled_from(["-", *paths])
+    rows = st.sampled_from(["2", "7", "19", "2..3", "1", "20", "0..3", "18..20", "5..4", "abc", "3..x", ""])
+    return st.one_of(
+        _cell_argv("integrate", "--json"),
+        _cell_argv("check-theorem"),
+        _cell_argv("predict", "--budget"),
+        _cell_argv("core-bounds", "--breakdown"),
+        st.tuples(_numbers([0, 1, 3, 12, exactnum.WS_ORDER_MAX, exactnum.WS_ORDER_MAX + 1, -1]),
+                  _numbers([0, 1, 2, 5, exactnum.WS_ORDER_MAX + 1, -1]), _numbers([0, 1, 2, 3, 40, -1])).map(
+            lambda t: ["closed-form", "--n", t[0], "--m", t[1], "--k", t[2]]),
+        st.tuples(_numbers([0, 5, 40, 41, -1]), _numbers([0, 0.5, 10, 199, 250, 6e7, -1], junk=["nan", "inf", "x"]),
+                  st.booleans()).map(lambda t: ["eval-bessel", "--n", t[0], "--r", t[1], *(["--oracle"] if t[2] else [])]),
+        st.tuples(rows, csv).map(lambda t: ["table", "--rows", t[0], "--csv", t[1]]),
+        csv.map(lambda path: ["figure1", "--csv", path]),
+        st.tuples(st.sampled_from(["j0", "j1", "j000", "j110", "j2"]), st.booleans()).map(
+            lambda t: ["expansion", "--which", t[0], *(["--json"] if t[1] else [])]),
+        st.sampled_from([["theorem-map"], ["theorem-map", "--frobnicate"], ["no-such-command"], []]),
+        # the paper's rule, a slow one, on one small cell and refused inputs
+        st.sampled_from([
+            ["integrate", "--variant", "1", "--m", "2", "--n", "9", "--paper", "--json"],
+            ["integrate", "--variant", "0", "--m", "0", "--n", "38", "--paper"],
+            ["table", "--rows", "20", "--paper"],
+            ["table", "--rows", "2", "--paper", "--csv", paths[-1]],
+        ]),
+    )
+
+
+def _parses(argv: list[str], out: str) -> bool:
+    """Whether a successful command's stdout reads as its format."""
+    if "--json" in argv or "--breakdown" in argv:
+        return isinstance(json.loads(out), dict)
+    lines = out.splitlines()
+    if argv[0] in ("table", "figure1"):
+        rows = [line.split(",") for line in lines]
+        return all(len(row) == len(rows[0]) for row in rows) and all(float(x) >= -1 for row in rows[1:] for x in row)
+    enclosure = r"-?[\d.e+-]+ \+/- [\d.e+-]+"
+    pattern = {
+        "integrate": rf"I[01]\(m=\d+, n=\d+\) = {enclosure}",
+        "predict": rf"I[01]\(m=\d+, n=\d+\) = {enclosure}",
+        "check-theorem": r"I[01]\(m=\d+, n=\d+\): deviation \S+ vs allowance \S+ -> PASS",
+        "core-bounds": r"core bound I[01]\(m=\d+, n=\d+\):",
+        "closed-form": r"integral of J_\d+ J_\d+ r\^-\d+: \S+ = \S+",
+        "eval-bessel": r"J_\d+\(\S+\) = \S+",
+        "expansion": r"J\d+: six terms",
+        "theorem-map": r"deviation constants: ",
+    }[argv[0]]
+    return bool(lines) and re.match(pattern, lines[0]) is not None
+
+
+def test_every_command_line_keeps_the_exit_code_contract(tmp_path):
+    # 0 with output in its format; 1 or 3 with one stderr line and nothing
+    # on stdout; 2 only from check-theorem, with its FAIL verdict; never 4
+    # and never a traceback.  Unwritable paths used to exit 4.
+    paths = [str(tmp_path / "out.csv"), str(tmp_path), "/nonexistent/dir/x.csv"]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_argv(paths))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err, argv
+        if status == cli.EXIT_OK:
+            written = Path(argv[-1]) if argv[0] in ("table", "figure1") and argv[-1] != "-" else None
+            assert _parses(argv, written.read_text() if written else out), (argv, out[:200])
+            assert err == "" and (written is None or out == ""), argv
+        elif status == cli.EXIT_CHECK_FAILED:
+            assert argv[0] == "check-theorem" and out.endswith("FAIL\n") and err == "", argv
+        else:
+            assert status in (cli.EXIT_USAGE, cli.EXIT_DOMAIN), (argv, status, err)
+            assert out == "" and err.count("\n") == 1, (argv, err)
+            assert err.startswith("usage error: " if status == cli.EXIT_USAGE else "domain error: "), (argv, err)
+
+    check()

@@ -29,7 +29,7 @@ from besselsix.core_integrals import (
     trig_reduce,
 )
 from besselsix import core_integrals, exactnum
-from besselsix.exactnum import N_MAX, ExactScalar, a_coeff, gaussian_binomial_bound
+from besselsix.exactnum import N_MAX, ExactScalar, a_coeff, gamma_ratio, gaussian_binomial_bound
 from besselsix.expansions import TrigPoly, product_expansion
 
 F = Fraction
@@ -348,6 +348,15 @@ def test_e1_first_use_check_computes_each_coefficient_once(monkeypatch, kind):
     assert large and len(large) == len(set(large))
 
 
+def _ws(n, m, k):
+    """WS(n, m, k): ``weber_schafheitlin`` up to its order cap, and past it,
+    where the series is still checked, the same Gamma quotient."""
+    if max(n, m) <= exactnum.WS_ORDER_MAX:
+        return weber_schafheitlin(n, m, k)
+    ratio = gamma_ratio(m + n + 1 - k, m + n + 1 + k) * gamma_ratio(2, n - m + k + 1) * gamma_ratio(2, m - n + k + 1)
+    return ratio * F(math.factorial(k - 1), 2**k)
+
+
 def _series_by_terms(m, n, variant, kind, part):
     """The main term or e1 of one route, summed term by term: (-1)^(m/2)/8
     s_j a_j(m) alpha_i 16^-i WS(n, n+m, 1+j+i) over j <= m+3, i <= 5 of the
@@ -362,7 +371,7 @@ def _series_by_terms(m, n, variant, kind, part):
         for i in range(parity, 6, 2):
             if (part == "main") != (m <= 4 and j + i <= max(m, 2)):
                 continue
-            ws = weber_schafheitlin(n, n + m, 1 + j + i)
+            ws = _ws(n, n + m, 1 + j + i)
             assert ws.sqrtpi_power == 0
             total += (-1) ** (m // 2) * hankel_sign * a_coeff(j, m).coeff * alpha[i] / 16**i * ws.coeff / 8
     return total

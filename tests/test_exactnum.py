@@ -348,7 +348,7 @@ def test_as_order_keeps_integral_values():
         lambda: closed_form.vanishes_freq2(2, 4, 1.5, "sin"),
     ],
     ids=["bessel_j", "bessel_rows", "integrand", "integral", "integral_and_budget",
-         "build_table", "tail_error_budget", "predict", "check_domain", "main_term",
+         "build_table", "tail_error_budget", "predict", "estimate_B", "main_term",
          "theorem_constants", "estimate_A", "prop_4r_bound", "series_oracle",
          "series_oracle_negative", "phase", "asymptotic_eval", "asymptotic_remainder",
          "asymptotic_remainder_small_ell", "asymptotic_remainder_none", "asymptotic_remainder_str",
@@ -423,10 +423,10 @@ def test_non_integral_counts_are_refused(call, what):
         lambda: core_integrals.core_bound_breakdown(22, 20, "I0"),
         lambda: certify.predict(22, 20, "I0"),
         lambda: quadrature.error_budget("I0", 12, 10),
-        lambda: cli._check_cell(22, 20),
+        lambda: cli.parse_args(["integrate", "--variant", "0", "--m", "12", "--n", "10"]),
     ],
     ids=["estimate_A", "estimate_B", "e1_bound", "e2_bound", "core_bound_breakdown", "predict",
-         "error_budget", "cli_check_cell"],
+         "error_budget", "cli_parse_args"],
 )
 def test_m_beyond_n_is_refused_with_one_message(call):
     # estimate_A returned 3.01e-11 for (22, 20)
@@ -457,7 +457,7 @@ def test_as_even_order():
         lambda: quadrature.tail_error_budget("I0", 3, 7),
         lambda: quadrature._integral_and_budget("I0", 3, 9),
     ],
-    ids=["check_domain", "main_term_parts", "prop_4r_chain", "pair_moment_constant_cs",
+    ids=["estimate_B", "main_term_parts", "prop_4r_chain", "pair_moment_constant_cs",
          "pair_moment_constant_tail", "theorem_constants", "estimate_A", "tail_error_budget",
          "integral_and_budget"],
 )

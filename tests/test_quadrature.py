@@ -616,8 +616,9 @@ def test_tail_error_budget_grows_past_nineteen():
     budgets = [tail_error_budget("I0", 0, n) for n in range(19, 38)]
     assert all(a < b for a, b in zip(budgets, budgets[1:]))
     assert budgets[-1] == pytest.approx(1.40e-9, rel=1e-2)
-    # the product is symmetric in n and m: the larger of the two sets the cap
-    assert tail_error_budget("I0", 36, 1) == tail_error_budget("I0", 0, 36)
+    # n, the larger order, sets the cap; like every cell of integral, m <= n
+    with pytest.raises(ValueError, match="^m must not exceed n, got m=36, n=1$"):
+        tail_error_budget("I0", 36, 1)
     # every piece stays under its printed ceiling up to the largest cell
     assert all(p <= c for p, c in zip(_tail_error_pieces(37), (2.1e-11, 1.64e-9, 3.32e-9, 4.5e-10)))
     assert integral("I0", 0, 37).rad <= 0.9e-8
